@@ -1,15 +1,24 @@
 (* Benchmark harness.
 
    Default invocation reproduces every table and figure of the paper's
-   evaluation at CI scale, then runs the Bechamel micro-benchmarks (one
-   Test.make per table/figure, timing that experiment's planning
-   kernel).
+   evaluation at CI scale, writes every BENCH section's results file,
+   then runs the Bechamel micro-benchmarks (one Test.make per
+   table/figure, timing that experiment's planning kernel).
 
-     dune exec bench/main.exe                 # everything, quick
-     dune exec bench/main.exe -- fig8a fig12  # selected experiments
-     dune exec bench/main.exe -- --full       # paper-scale counts
-     dune exec bench/main.exe -- --micro      # micro-benchmarks only
-     dune exec bench/main.exe -- --list       # available ids
+   Each BENCH section is declared once in [sections] as a name and a
+   thunk building its JSON document; the harness writes it to
+   BENCH_<name>.json, validates it against bench/BENCH_<name>.schema.json
+   and prints a one-line report from its "summary". Timed fields are
+   medians with q1/q3 over a fixed number of trials after a warm-up.
+
+     dune exec bench/main.exe                       # everything, quick
+     dune exec bench/main.exe -- fig8a fig12        # selected experiments
+     dune exec bench/main.exe -- --full             # paper-scale counts
+     dune exec bench/main.exe -- --micro            # micro-benchmarks only
+     dune exec bench/main.exe -- --no-micro         # skip micro-benchmarks
+     dune exec bench/main.exe -- --list             # experiments and sections
+     dune exec bench/main.exe -- --smoke exec       # write + validate one section
+     dune exec bench/main.exe -- --validate exec BENCH_exec.json
 *)
 
 open Bechamel
@@ -257,189 +266,87 @@ module K = struct
                 (Acq_adapt.Plan_cache.signature ~options:opts ~stats_epoch:7
                    ~algorithm:P.Heuristic q
                   : string)));
-      (* exec: the Eq.-4 sweep on the tree interpreter vs the compiled
-         flat automaton over a hoisted columnar snapshot. *)
-      Test.make ~name:"exec/avg-cost-tree"
-        (Staged.stage
-           (let ds = Lazy.force garden5 in
-            let q = garden_query ds 5 97 in
-            let costs = Acq_data.Schema.costs (Acq_data.Dataset.schema ds) in
-            let p = (P.plan ~options:opts P.Heuristic q ~train:ds).P.plan in
-            fun () ->
-              ignore (Acq_plan.Executor.average_cost q ~costs p ds : float)));
-      Test.make ~name:"exec/avg-cost-compiled"
-        (Staged.stage
-           (let ds = Lazy.force garden5 in
-            let q = garden_query ds 5 97 in
-            let costs = Acq_data.Schema.costs (Acq_data.Dataset.schema ds) in
-            let p = (P.plan ~options:opts P.Heuristic q ~train:ds).P.plan in
-            let b =
-              Acq_exec.Batch.create ~costs (Acq_exec.Compile.compile q p)
-            in
-            let cols = Acq_data.Dataset.columns ds in
-            let nrows = Acq_data.Dataset.nrows ds in
-            fun () ->
-              ignore (Acq_exec.Batch.sweep_columns b cols ~nrows : float)));
     ]
 end
 
 (* ------------------------------------------------------------------ *)
-(* Planner search statistics, exported as JSON for dashboards and
-   regression tracking. One record per (experiment kernel, algorithm):
-   the Search counters every Planner.result now carries. *)
-
-let write_stats_json path =
-  let module P = Acq_core.Planner in
-  let runs =
-    let lab_coarse = Lazy.force K.lab_coarse in
-    let lab_q = K.lab_query lab_coarse 93 in
-    let garden5 = Lazy.force K.garden5 in
-    let garden_q = K.garden_query garden5 5 97 in
-    let synthetic = Lazy.force K.synthetic in
-    let synth_q =
-      Acq_workload.Query_gen.synthetic_query
-        { Acq_data.Synthetic_gen.n = 10; gamma = 1; sel = 0.5 }
-        ~schema:(Acq_data.Dataset.schema synthetic)
-    in
-    [
-      ( "lab-coarse",
-        "Naive",
-        P.plan ~options:K.opts P.Naive lab_q ~train:lab_coarse );
-      ( "lab-coarse",
-        "CorrSeq",
-        P.plan ~options:K.opts P.Corr_seq lab_q ~train:lab_coarse );
-      ( "lab-coarse",
-        "Heuristic",
-        P.plan
-          ~options:{ K.opts with split_points_per_attr = 2 }
-          P.Heuristic lab_q ~train:lab_coarse );
-      ( "lab-coarse",
-        "Exhaustive-r2",
-        P.plan
-          ~options:
-            {
-              K.opts with
-              split_points_per_attr = 2;
-              exhaustive_budget = 5_000_000;
-            }
-          P.Exhaustive lab_q ~train:lab_coarse );
-      ( "garden5",
-        "Heuristic-10",
-        P.plan
-          ~options:
-            {
-              K.opts with
-              max_splits = 10;
-              split_points_per_attr = 4;
-              candidate_attrs = Some (K.cheap garden5);
-            }
-          P.Heuristic garden_q ~train:garden5 );
-      ( "synthetic",
-        "Heuristic",
-        P.plan
-          ~options:{ K.opts with candidate_attrs = Some (K.cheap synthetic) }
-          P.Heuristic synth_q ~train:synthetic );
-    ]
-  in
-  let entry (experiment, algorithm, (r : P.result)) =
-    let s : Acq_core.Search.stats = r.P.stats in
-    Printf.sprintf
-      "  {\"experiment\": %S, \"algorithm\": %S, \"est_cost\": %.4f, \
-       \"nodes_solved\": %d, \"memo_hits\": %d, \"estimator_calls\": %d, \
-       \"plan_size\": %d, \"wall_ms\": %.3f}"
-      experiment algorithm r.P.est_cost s.Acq_core.Search.nodes_solved
-      s.Acq_core.Search.memo_hits s.Acq_core.Search.estimator_calls
-      s.Acq_core.Search.plan_size s.Acq_core.Search.wall_ms
-  in
-  let oc = open_out path in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.map entry runs));
-  output_string oc "\n]\n";
-  close_out oc;
-  Printf.printf "wrote planner search statistics to %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry export: run a handful of representative workloads under a
-   live metrics registry and dump every counter per (experiment,
-   algorithm) as BENCH_obs.json — planner search effort, per-attribute
-   executor acquisitions, and per-mote runtime energy. A checked-in
-   schema (bench/BENCH_obs.schema.json) pins the shape; the validator
-   below interprets the JSON-Schema subset the schema uses. *)
+(* The section harness. A section is declared once, as a name and a
+   thunk that builds its JSON document. Everything else derives from
+   the name: the output file BENCH_<name>.json, the checked-in schema
+   bench/BENCH_<name>.schema.json, validation against it, and a
+   one-line console report read from the document's own "summary". *)
 
 module J = Acq_obs.Json
 
-let obs_runs () =
-  let module P = Acq_core.Planner in
-  let lab_coarse = Lazy.force K.lab_coarse in
-  let lab_q = K.lab_query lab_coarse 93 in
-  let planner name options algo =
-    ( "lab-coarse",
-      name,
-      fun obs ->
-        ignore (P.plan ~options ~telemetry:obs algo lab_q ~train:lab_coarse
-                 : P.result) )
-  in
-  [
-    planner "Naive" K.opts P.Naive;
-    planner "CorrSeq" K.opts P.Corr_seq;
-    planner "Heuristic"
-      { K.opts with split_points_per_attr = 2 }
-      P.Heuristic;
-    planner "Exhaustive-r2"
-      {
-        K.opts with
-        split_points_per_attr = 2;
-        exhaustive_budget = 5_000_000;
-      }
-      P.Exhaustive;
-    ( "lab-runtime",
-      "Heuristic",
-      fun obs ->
-        let lab = Lazy.force K.lab in
-        let history, live =
-          Acq_data.Dataset.split_by_time lab ~train_fraction:0.5
-        in
-        let q = K.lab_query history 91 in
-        ignore
-          (Acq_sensor.Runtime.run ~telemetry:obs
-             ~algorithm:Acq_core.Planner.Heuristic ~history ~live q
-            : Acq_sensor.Runtime.report) );
-  ]
+type section = { name : string; run : unit -> J.t }
 
-let write_obs_json path =
-  let entries =
-    List.map
-      (fun (experiment, algorithm, thunk) ->
-        let m = Acq_obs.Metrics.create () in
-        thunk (Acq_obs.Telemetry.create ~metrics:m ());
-        J.Obj
-          [
-            ("experiment", J.Str experiment);
-            ("algorithm", J.Str algorithm);
-            ("metrics", Acq_obs.Metrics.to_json m);
-          ])
-      (obs_runs ())
-  in
-  let doc = J.Obj [ ("version", J.Num 1.0); ("entries", J.Arr entries) ] in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote telemetry counters to %s\n" path
+let output_path name = "BENCH_" ^ name ^ ".json"
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let schema_path name =
+  Filename.concat "bench" ("BENCH_" ^ name ^ ".schema.json")
+
+let jint n = J.Num (float_of_int n)
+
+(* Measurement discipline: every timed field is a spread over
+   [n_trials] samples taken after one untimed warm-up. Gates read the
+   median; q1/q3 record how far the host let it move. With five
+   samples the quartiles are exact order statistics (the 2nd, 3rd and
+   4th smallest), so unit conversions commute with them. *)
+
+let n_trials = 5
+
+type spread = { q1 : float; median : float; q3 : float }
+
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let at k = a.(k * (Array.length a - 1) / 4) in
+  { q1 = at 1; median = at 2; q3 = at 3 }
+
+let scale k s = { q1 = k *. s.q1; median = k *. s.median; q3 = k *. s.q3 }
+
+(* Seconds to a rate: a decreasing map, so the quartiles swap. *)
+let per work s = { q1 = work /. s.q3; median = work /. s.median; q3 = work /. s.q1 }
+
+let spread_json s =
+  J.Obj [ ("q1", J.Num s.q1); ("median", J.Num s.median); ("q3", J.Num s.q3) ]
+
+let seconds f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Float.max 1e-9 (Unix.gettimeofday () -. t0)
+
+(* The harness's one timing loop: one untimed warm-up, then [n_trials]
+   calls of [sample], and one spread per reading [sample] returns. *)
+let trials sample =
+  ignore (sample () : float array);
+  let samples = List.init n_trials (fun _ -> sample ()) in
+  Array.mapi
+    (fun k _ -> spread (List.map (fun s -> s.(k)) samples))
+    (List.hd samples)
+
+(* Paired comparison: each trial alternates [rounds] runs of [a] and
+   [b], so host drift lands on both sides of a pair alike, and the
+   ratio t_a / t_b (the speedup of [b] over [a]) is taken per trial
+   before the median. Returns the per-trial seconds spreads of [a] and
+   [b] and the ratio's. *)
+let paired ?(rounds = 1) a b =
+  let s =
+    trials (fun () ->
+        let ta = ref 0.0 and tb = ref 0.0 in
+        for _ = 1 to rounds do
+          ta := !ta +. seconds a;
+          tb := !tb +. seconds b
+        done;
+        [| !ta; !tb; !ta /. !tb |])
+  in
+  (s.(0), s.(1), s.(2))
 
 (* Check [v] against the subset of JSON Schema the checked-in schemas
    use: type, required, properties, items, minItems, minimum, maximum,
-   const —
-   plus a custom [requiredMetricNames] list of metric families that
-   must have been recorded somewhere in the document. Returns
-   human-readable errors. *)
+   const, enum — plus a custom [requiredMetricNames] list of metric
+   families that must have been recorded somewhere in the document.
+   Returns human-readable errors. *)
 let schema_errors schema v =
   let errs = ref [] in
   let err path msg = errs := Printf.sprintf "%s: %s" path msg :: !errs in
@@ -501,106 +408,202 @@ let schema_errors schema v =
         if x > hi then err path (Printf.sprintf "%g above maximum %g" x hi)
     | Some (J.Num _), _ -> err path "maximum given for non-number"
     | _ -> ());
+    (match field "enum" with
+    | Some (J.Arr allowed) ->
+        if not (List.mem v allowed) then
+          err path ("not one of " ^ J.to_string (J.Arr allowed))
+    | _ -> ());
     match field "const" with
     | Some c -> if c <> v then err path ("not the required constant " ^ J.to_string c)
     | None -> ()
   in
   go "$" schema v;
-  (match schema with
-  | J.Obj kvs -> (
-      match List.assoc_opt "requiredMetricNames" kvs with
-      | Some (J.Arr names) ->
-          let mentioned = ref [] in
-          let rec collect v =
-            match v with
-            | J.Obj kvs ->
-                List.iter
-                  (fun (k, vv) ->
-                    (match (k, vv) with
-                    | "name", J.Str s -> mentioned := s :: !mentioned
-                    | _ -> ());
-                    collect vv)
-                  kvs
-            | J.Arr l -> List.iter collect l
-            | _ -> ()
-          in
-          collect v;
-          List.iter
-            (function
-              | J.Str n ->
-                  if not (List.mem n !mentioned) then
-                    err "$" ("metric never recorded: " ^ n)
-              | _ -> ())
-            names
-      | _ -> ())
+  (match J.member "requiredMetricNames" schema with
+  | Some (J.Arr names) ->
+      let mentioned = ref [] in
+      let rec collect v =
+        match v with
+        | J.Obj kvs ->
+            List.iter
+              (fun (k, vv) ->
+                (match (k, vv) with
+                | "name", J.Str s -> mentioned := s :: !mentioned
+                | _ -> ());
+                collect vv)
+              kvs
+        | J.Arr l -> List.iter collect l
+        | _ -> ()
+      in
+      collect v;
+      List.iter
+        (function
+          | J.Str n ->
+              if not (List.mem n !mentioned) then
+                err "$" ("metric never recorded: " ^ n)
+          | _ -> ())
+        names
   | _ -> ());
   List.rev !errs
 
-let obs_schema_path () =
-  if Sys.file_exists "bench/BENCH_obs.schema.json" then
-    "bench/BENCH_obs.schema.json"
-  else "BENCH_obs.schema.json"
-
-let validate_against ~schema_path path =
-  let parse_or_die what p =
-    match J.parse (read_file p) with
-    | Ok v -> v
-    | Error e ->
-        Printf.eprintf "%s %s: invalid JSON: %s\n" what p e;
+let validate name path =
+  let load p =
+    match In_channel.with_open_bin p In_channel.input_all with
+    | exception Sys_error e ->
+        Printf.eprintf "%s: cannot read (%s)\n" p e;
         exit 1
+    | s -> (
+        match J.parse s with
+        | Ok v -> v
+        | Error e ->
+            Printf.eprintf "%s: invalid JSON: %s\n" p e;
+            exit 1)
   in
-  let doc = parse_or_die "document" path in
-  let schema = parse_or_die "schema" schema_path in
+  let schema_path = schema_path name in
+  let doc = load path in
+  let schema = load schema_path in
   match schema_errors schema doc with
   | [] -> Printf.printf "%s conforms to %s\n" path schema_path
   | errs ->
       List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
       exit 1
 
-let validate_obs path = validate_against ~schema_path:(obs_schema_path ()) path
+let rec show = function
+  | J.Num x -> Printf.sprintf "%.4g" x
+  | J.Bool b -> string_of_bool b
+  | J.Str s -> s
+  | J.Obj [ ("q1", q1); ("median", m); ("q3", q3) ] ->
+      Printf.sprintf "%s [%s, %s]" (show m) (show q1) (show q3)
+  | v -> J.to_string v
+
+(* Run a section, write its document, and report its summary. *)
+let emit s =
+  let doc = s.run () in
+  let path = output_path s.name in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (J.to_string doc);
+      output_char oc '\n');
+  let summary =
+    match J.member "summary" doc with Some (J.Obj kvs) -> kvs | _ -> []
+  in
+  Printf.printf "wrote %s: %s\n%!" path
+    (String.concat ", " (List.map (fun (k, v) -> k ^ " " ^ show v) summary))
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive-replanning bench: one drifting trace (two correlation
-   flips) and one stationary trace, each served under every replanning
-   policy. BENCH_adapt.json records per-arm energy, replan counts, and
-   the full switch timeline, plus a summary carrying the headline
-   numbers: drift-triggered replanning beats the static plan by >= 15%
-   total energy on the drifting trace within change_points + 2 replans,
-   and never fires on the stationary trace. A checked-in schema
-   (bench/BENCH_adapt.schema.json) pins the shape. *)
+(* obs: representative workloads run under a live metrics registry;
+   each entry records the run's planner search statistics next to
+   every counter it produced — planner search effort, per-attribute
+   executor acquisitions, and per-mote runtime energy. The schema's
+   requiredMetricNames pins the families that must appear. *)
+
+let obs_section () =
+  let module P = Acq_core.Planner in
+  let module S = Acq_core.Search in
+  let planner experiment ds q name options algo =
+    ( experiment,
+      name,
+      fun obs -> (P.plan ~options ~telemetry:obs algo q ~train:ds).P.stats )
+  in
+  let lab_coarse = Lazy.force K.lab_coarse in
+  let lab_q = K.lab_query lab_coarse 93 in
+  let lab = planner "lab-coarse" lab_coarse lab_q in
+  let garden5 = Lazy.force K.garden5 in
+  let synthetic = Lazy.force K.synthetic in
+  let runs =
+    [
+      lab "Naive" K.opts P.Naive;
+      lab "CorrSeq" K.opts P.Corr_seq;
+      lab "Heuristic" { K.opts with split_points_per_attr = 2 } P.Heuristic;
+      lab "Exhaustive-r2"
+        { K.opts with split_points_per_attr = 2; exhaustive_budget = 5_000_000 }
+        P.Exhaustive;
+      planner "garden5" garden5
+        (K.garden_query garden5 5 97)
+        "Heuristic-10"
+        {
+          K.opts with
+          max_splits = 10;
+          split_points_per_attr = 4;
+          candidate_attrs = Some (K.cheap garden5);
+        }
+        P.Heuristic;
+      planner "synthetic" synthetic
+        (Acq_workload.Query_gen.synthetic_query
+           { Acq_data.Synthetic_gen.n = 10; gamma = 1; sel = 0.5 }
+           ~schema:(Acq_data.Dataset.schema synthetic))
+        "Heuristic"
+        { K.opts with candidate_attrs = Some (K.cheap synthetic) }
+        P.Heuristic;
+      ( "lab-runtime",
+        "Heuristic",
+        fun obs ->
+          let history, live =
+            Acq_data.Dataset.split_by_time (Lazy.force K.lab)
+              ~train_fraction:0.5
+          in
+          (Acq_sensor.Runtime.run ~telemetry:obs ~algorithm:P.Heuristic
+             ~history ~live (K.lab_query history 91))
+            .Acq_sensor.Runtime.plan_stats );
+    ]
+  in
+  let results =
+    List.map
+      (fun (experiment, algorithm, thunk) ->
+        let m = Acq_obs.Metrics.create () in
+        let stats = thunk (Acq_obs.Telemetry.create ~metrics:m ()) in
+        (experiment, algorithm, stats, m))
+      runs
+  in
+  let total f = jint (List.fold_left (fun acc (_, _, s, _) -> acc + f s) 0 results) in
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ( "entries",
+        J.Arr
+          (List.map
+             (fun (experiment, algorithm, (s : S.stats), m) ->
+               J.Obj
+                 [
+                   ("experiment", J.Str experiment);
+                   ("algorithm", J.Str algorithm);
+                   ( "stats",
+                     J.Obj
+                       [
+                         ("nodes_solved", jint s.S.nodes_solved);
+                         ("memo_hits", jint s.S.memo_hits);
+                         ("estimator_calls", jint s.S.estimator_calls);
+                         ("plan_size", jint s.S.plan_size);
+                         ("wall_ms", J.Num s.S.wall_ms);
+                       ] );
+                   ("metrics", Acq_obs.Metrics.to_json m);
+                 ])
+             results) );
+      ( "summary",
+        J.Obj
+          [
+            ("runs", jint (List.length results));
+            ("nodes_solved", total (fun s -> s.S.nodes_solved));
+            ("estimator_calls", total (fun s -> s.S.estimator_calls));
+          ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* adapt: one drifting trace (two correlation flips) and one
+   stationary trace, each served under every replanning policy; per-arm
+   energy, replan counts, and the full switch timeline. The headline:
+   drift-triggered replanning beats the static plan by >= 15% total
+   energy on the drifting trace within change_points + 2 replans, and
+   never fires on the stationary trace. *)
 
 let adapt_params = { Acq_data.Synthetic_gen.n = 12; gamma = 2; sel = 0.25 }
 let adapt_rows = 6_000
 let adapt_change_points = [ 2_000; 4_000 ]
 let adapt_window = 256
 
-let adapt_history =
-  lazy
-    (Acq_data.Synthetic_gen.generate (Acq_util.Rng.create 71) adapt_params
-       ~rows:2_000)
-
-let adapt_drifting =
-  lazy
-    (Acq_data.Synthetic_gen.generate_drifting (Acq_util.Rng.create 72)
-       adapt_params ~rows:adapt_rows ~change_points:adapt_change_points)
-
-let adapt_stationary =
-  lazy
-    (Acq_data.Synthetic_gen.generate (Acq_util.Rng.create 73) adapt_params
-       ~rows:adapt_rows)
-
-let adapt_policies =
-  let module Pol = Acq_adapt.Policy in
-  [
-    ("static", Pol.static_);
-    ("periodic-1k", Pol.periodic 1_000);
-    ("drift", Pol.drift_triggered ~check_every:32 ~cooldown:128 0.10);
-    ( "drift-regret",
-      Pol.drift_regret ~check_every:32 ~cooldown:128 0.10 ~regret:1.5 );
-  ]
-
 let adapt_run ~live policy =
-  let history = Lazy.force adapt_history in
+  let history =
+    Acq_data.Synthetic_gen.generate (Acq_util.Rng.create 71) adapt_params
+      ~rows:2_000
+  in
   let schema = Acq_data.Dataset.schema history in
   let q = Acq_workload.Query_gen.synthetic_query adapt_params ~schema in
   let options =
@@ -616,10 +619,11 @@ let adapt_run ~live policy =
 let adapt_entry ~trace name (r : Acq_sensor.Runtime.adaptive_report) =
   let module Rt = Acq_sensor.Runtime in
   let module S = Acq_adapt.Session in
+  let module C = Acq_adapt.Plan_cache in
   let switch (sw : S.switch) =
     J.Obj
       [
-        ("epoch", J.Num (float_of_int sw.S.epoch));
+        ("epoch", jint sw.S.epoch);
         ( "trigger",
           J.Str
             (match sw.S.reason with
@@ -629,7 +633,7 @@ let adapt_entry ~trace name (r : Acq_sensor.Runtime.adaptive_report) =
         ("reason", J.Str (Acq_adapt.Policy.describe sw.S.reason));
         ("old_expected", J.Num sw.S.old_expected);
         ("new_expected", J.Num sw.S.new_expected);
-        ("plan_bytes", J.Num (float_of_int sw.S.plan_bytes));
+        ("plan_bytes", jint sw.S.plan_bytes);
         ("cache_hit", J.Bool sw.S.cache_hit);
       ]
   in
@@ -638,10 +642,10 @@ let adapt_entry ~trace name (r : Acq_sensor.Runtime.adaptive_report) =
     [
       ("policy", J.Str name);
       ("trace", J.Str trace);
-      ("epochs", J.Num (float_of_int r.Rt.a_epochs));
-      ("matches", J.Num (float_of_int r.Rt.a_matches));
-      ("replans", J.Num (float_of_int r.Rt.a_replans));
-      ("failed_replans", J.Num (float_of_int r.Rt.a_failed_replans));
+      ("epochs", jint r.Rt.a_epochs);
+      ("matches", jint r.Rt.a_matches);
+      ("replans", jint r.Rt.a_replans);
+      ("failed_replans", jint r.Rt.a_failed_replans);
       ("acquisition_energy", J.Num r.Rt.a_acquisition_energy);
       ("radio_energy", J.Num r.Rt.a_radio_energy);
       ("total_energy", J.Num r.Rt.a_total_energy);
@@ -650,147 +654,128 @@ let adapt_entry ~trace name (r : Acq_sensor.Runtime.adaptive_report) =
       ( "cache",
         J.Obj
           [
-            ("hits", J.Num (float_of_int c.Acq_adapt.Plan_cache.hits));
-            ("misses", J.Num (float_of_int c.Acq_adapt.Plan_cache.misses));
-            ("evictions", J.Num (float_of_int c.Acq_adapt.Plan_cache.evictions));
-            ( "invalidations",
-              J.Num (float_of_int c.Acq_adapt.Plan_cache.invalidations) );
+            ("hits", jint c.C.hits);
+            ("misses", jint c.C.misses);
+            ("evictions", jint c.C.evictions);
+            ("invalidations", jint c.C.invalidations);
           ] );
     ]
 
-let write_adapt_json path =
+let adapt_section () =
   let module Rt = Acq_sensor.Runtime in
+  let module Pol = Acq_adapt.Policy in
+  let drift = Pol.drift_triggered ~check_every:32 ~cooldown:128 0.10 in
+  let policies =
+    [
+      ("static", Pol.static_);
+      ("periodic-1k", Pol.periodic 1_000);
+      ("drift", drift);
+      ("drift-regret", Pol.drift_regret ~check_every:32 ~cooldown:128 0.10 ~regret:1.5);
+    ]
+  in
+  let drifting_live =
+    Acq_data.Synthetic_gen.generate_drifting (Acq_util.Rng.create 72)
+      adapt_params ~rows:adapt_rows ~change_points:adapt_change_points
+  in
   let drifting =
-    List.map
-      (fun (name, pol) ->
-        (name, adapt_run ~live:(Lazy.force adapt_drifting) pol))
-      adapt_policies
+    List.map (fun (name, pol) -> (name, adapt_run ~live:drifting_live pol)) policies
   in
   let stationary_drift =
-    adapt_run ~live:(Lazy.force adapt_stationary)
-      (List.assoc "drift" adapt_policies)
+    adapt_run
+      ~live:
+        (Acq_data.Synthetic_gen.generate (Acq_util.Rng.create 73) adapt_params
+           ~rows:adapt_rows)
+      drift
   in
   let static_total = (List.assoc "static" drifting).Rt.a_total_energy in
   let drift_r = List.assoc "drift" drifting in
-  let entries =
-    List.map (fun (name, r) -> adapt_entry ~trace:"drifting" name r) drifting
-    @ [ adapt_entry ~trace:"stationary" "drift" stationary_drift ]
-  in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "scenario",
-          J.Obj
-            [
-              ("rows", J.Num (float_of_int adapt_rows));
-              ( "change_points",
-                J.Arr
-                  (List.map
-                     (fun c -> J.Num (float_of_int c))
-                     adapt_change_points) );
-              ("window", J.Num (float_of_int adapt_window));
-              ("algorithm", J.Str "Heuristic");
-            ] );
-        ("entries", J.Arr entries);
-        ( "summary",
-          J.Obj
-            [
-              ("static_total_energy", J.Num static_total);
-              ("drift_total_energy", J.Num drift_r.Rt.a_total_energy);
-              ( "drift_vs_static_energy_ratio",
-                J.Num (drift_r.Rt.a_total_energy /. static_total) );
-              ("drift_replans", J.Num (float_of_int drift_r.Rt.a_replans));
-              ( "max_replans_allowed",
-                J.Num (float_of_int (List.length adapt_change_points + 2)) );
-              ( "stationary_drift_replans",
-                J.Num (float_of_int stationary_drift.Rt.a_replans) );
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote adaptive-replanning results to %s\n" path
-
-let adapt_schema_path () =
-  if Sys.file_exists "bench/BENCH_adapt.schema.json" then
-    "bench/BENCH_adapt.schema.json"
-  else "BENCH_adapt.schema.json"
-
-let validate_adapt path = validate_against ~schema_path:(adapt_schema_path ()) path
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ( "scenario",
+        J.Obj
+          [
+            ("rows", jint adapt_rows);
+            ("change_points", J.Arr (List.map jint adapt_change_points));
+            ("window", jint adapt_window);
+            ("algorithm", J.Str "Heuristic");
+          ] );
+      ( "entries",
+        J.Arr
+          (List.map (fun (name, r) -> adapt_entry ~trace:"drifting" name r) drifting
+          @ [ adapt_entry ~trace:"stationary" "drift" stationary_drift ]) );
+      ( "summary",
+        J.Obj
+          [
+            ("static_total_energy", J.Num static_total);
+            ("drift_total_energy", J.Num drift_r.Rt.a_total_energy);
+            ( "drift_vs_static_energy_ratio",
+              J.Num (drift_r.Rt.a_total_energy /. static_total) );
+            ("drift_replans", jint drift_r.Rt.a_replans);
+            ("max_replans_allowed", jint (List.length adapt_change_points + 2));
+            ("stationary_drift_replans", jint stationary_drift.Rt.a_replans);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Multicore bench: the garden5 workload fanned across a 4-domain pool
-   versus run sequentially, plus a portfolio race kernel. BENCH_par.json
-   records wall times, the deterministic work-balance speedup (total
-   work units / busiest domain's work units — what wall-clock speedup
-   converges to given enough cores; wall time itself is reported but
-   depends on the machine), a byte-identity check of the sequential and
-   two independent parallel reports, and the pool's merged telemetry.
-   A checked-in schema (bench/BENCH_par.schema.json) pins the shape and
-   the headline floors: work speedup >= 2.5 on 4 domains, reports
-   deterministic, portfolio races all agreeing. *)
+(* par: the garden5 workload fanned across a 4-domain pool versus run
+   sequentially, a repeated portfolio race, and three sharded
+   data-plane kernels. The fan-out headline is the deterministic
+   work-balance speedup (total work units / busiest domain's units —
+   what wall-clock speedup converges to given enough cores); wall
+   times are recorded beside it. Every parallel result must be
+   byte-identical to its sequential twin. The sharded wall gate (best
+   kernel >= 1.5x) is evaluated only with ACQP_TEST_DOMAINS >= 4 on a
+   host with >= 4 cores — on a saturated 1- or 2-core box wall clocks
+   measure scheduler contention, not the data plane — and is recorded
+   as "waived" otherwise, never as a pass. *)
 
 let par_jobs = 4
-let par_queries = 24
+let par_queries = 8
+let par_races = 20
 
-let write_par_json ?(races = 1) path =
+let par_section () =
   let module Pe = Acq_par.Parallel_experiment in
   let module Pf = Acq_par.Portfolio in
+  let module Pool = Acq_par.Domain_pool in
   let module P = Acq_core.Planner in
   let garden5 = Lazy.force K.garden5 in
   let train, test = Acq_data.Dataset.split_by_time garden5 ~train_fraction:0.5 in
   let schema = Acq_data.Dataset.schema garden5 in
   let options =
-    {
-      K.opts with
-      split_points_per_attr = 4;
-      candidate_attrs = Some (K.cheap garden5);
-    }
+    { K.opts with split_points_per_attr = 4; candidate_attrs = Some (K.cheap garden5) }
   in
   let specs =
-    [
-      {
-        Pe.name = "heuristic";
-        build = (fun q -> P.plan ~options P.Heuristic q ~train);
-      };
-    ]
+    [ { Pe.name = "heuristic"; build = (fun q -> P.plan ~options P.Heuristic q ~train) } ]
   in
-  let gen_query rng =
-    Acq_workload.Query_gen.garden_query rng ~schema ~n_motes:5
-  in
+  let gen_query rng = Acq_workload.Query_gen.garden_query rng ~schema ~n_motes:5 in
   let fan ?pool () =
-    Pe.run ?pool ~seed:906 ~specs ~gen_query ~n_queries:par_queries ~train
-      ~test ()
+    Pe.run ?pool ~seed:906 ~specs ~gen_query ~n_queries:par_queries ~train ~test ()
   in
-  (* One registry collects everything: the 4-domain fan-out's merged
-     worker shards and the portfolio kernel's counters. *)
+  (* One registry collects the 4-domain fan-out's merged worker shards
+     and the portfolio kernel's counters. *)
   let reg = Acq_obs.Metrics.create () in
   let obs = Acq_obs.Telemetry.create ~metrics:reg () in
-  let seq = fan () in
-  let par =
-    Acq_par.Domain_pool.with_pool ~telemetry:obs ~domains:par_jobs (fun pool ->
-        fan ~pool ())
+  let ms (s : spread) = spread_json (scale 1000.0 s) in
+  (* The timing trials are also the determinism runs: every sequential
+     and every 4-domain report must render byte-identically. *)
+  let runs = ref [] in
+  let run f () = runs := f () :: !runs in
+  let fan_seq, fan_par, fan_speedup =
+    Pool.with_pool ~telemetry:obs ~domains:par_jobs (fun pool ->
+        paired (run (fun () -> fan ())) (run (fun () -> fan ~pool ())))
   in
-  (* A second, independent pool run: determinism must hold between two
-     parallel runs, not just parallel vs sequential. *)
-  let par' =
-    Acq_par.Domain_pool.with_pool ~domains:par_jobs (fun pool -> fan ~pool ())
-  in
+  let par = List.hd !runs in
   let canon (o : Pe.outcome) = Pe.report_to_string o.Pe.report in
-  let deterministic = canon seq = canon par && canon par = canon par' in
+  let deterministic = List.for_all (fun o -> canon o = canon par) !runs in
   (* Portfolio kernel: the coarsened lab problem, where exhaustive is
      feasible and the three arms genuinely compete. *)
   let lab_coarse = Lazy.force K.lab_coarse in
   let pq = K.lab_query lab_coarse 93 in
-  let popts =
-    { K.opts with split_points_per_attr = 2; exhaustive_budget = 5_000_000 }
-  in
+  let popts = { K.opts with split_points_per_attr = 2; exhaustive_budget = 5_000_000 } in
   let outcomes =
-    Acq_par.Domain_pool.with_pool ~telemetry:obs ~domains:3 (fun pool ->
-        List.init races (fun _ ->
+    Pool.with_pool ~telemetry:obs ~domains:3 (fun pool ->
+        List.init par_races (fun _ ->
             Pf.race ~options:popts ~pool ~telemetry:obs pq ~train:lab_coarse))
   in
   let race_sig (o : Pf.outcome) =
@@ -798,25 +783,12 @@ let write_par_json ?(races = 1) path =
     | Some (a, r) -> Printf.sprintf "%s:%.6f" (P.algorithm_name a) r.P.est_cost
     | None -> "none"
   in
-  let race_consistent =
-    match outcomes with
-    | [] -> false
-    | o :: rest -> List.for_all (fun o' -> race_sig o' = race_sig o) rest
-  in
   let first_race = List.hd outcomes in
-  let wall_speedup =
-    if par.Pe.wall_ms > 0.0 then seq.Pe.wall_ms /. par.Pe.wall_ms else 0.0
+  let race_consistent =
+    List.for_all (fun o -> race_sig o = race_sig first_race) outcomes
   in
   let work_speedup = Pe.work_speedup par in
   let units = Pe.work_units par.Pe.report in
-  (* Sharded data-plane kernels: wall-clock (not work-balance)
-     timings for the domain-sharded window ingest, dense backend
-     build, and tier-parallel Exhaustive DP, each with an identity
-     check against its sequential/unsharded counterpart. The wall
-     floor is enforced only when ACQP_TEST_DOMAINS >= 4 and the
-     machine actually has >= 4 cores — wall clocks on a saturated 1-
-     or 2-core box measure scheduler contention, not the data
-     plane. *)
   let shard_domains =
     match Sys.getenv_opt "ACQP_TEST_DOMAINS" with
     | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
@@ -824,38 +796,26 @@ let write_par_json ?(races = 1) path =
   in
   let cores = Domain.recommended_domain_count () in
   let wall_floor = 1.5 in
-  let wall_gate_enforced = shard_domains >= 4 && cores >= 4 in
-  (* Best of 3: shared-runner wall clocks are noisy strictly upward. *)
-  let time_best f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      if ms < !best then best := ms;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
+  (* Each kernel: an identity check of one sequential and one parallel
+     result, then paired wall-clock trials. *)
   let kernel name seqf parf ident =
-    let rs, seq_ms = time_best seqf in
-    let rp, par_ms = time_best parf in
-    let sp = if par_ms > 0.0 then seq_ms /. par_ms else 0.0 in
-    (name, seq_ms, par_ms, sp, ident rs rp)
+    let identical = ident (seqf ()) (parf ()) in
+    let s, p, sp =
+      paired (fun () -> ignore (seqf ())) (fun () -> ignore (parf ()))
+    in
+    (name, s, p, sp, identical)
   in
   let shard_kernels =
-    Acq_par.Domain_pool.with_pool ~domains:shard_domains (fun pool ->
-        let fanout = Acq_par.Domain_pool.fanout pool in
+    Pool.with_pool ~domains:shard_domains (fun pool ->
+        let fanout = Pool.fanout pool in
         let module Sh = Acq_prob.Sharded in
         let module B = Acq_prob.Backend in
         let k = shard_domains in
         (* garden5 rows cycled into a big batch: ingest + merge. *)
-        let g5 = garden5 in
-        let g5n = Acq_data.Dataset.nrows g5 in
+        let g5n = Acq_data.Dataset.nrows garden5 in
         let cap = 10_000 * k in
         let batch =
-          Array.init (15_000 * k) (fun i -> Acq_data.Dataset.row g5 (i mod g5n))
+          Array.init (15_000 * k) (fun i -> Acq_data.Dataset.row garden5 (i mod g5n))
         in
         let seq_win = Sh.create schema ~capacity:cap ~shards:1 in
         let par_win = Sh.create schema ~capacity:cap ~shards:k in
@@ -880,25 +840,23 @@ let write_par_json ?(races = 1) path =
         (* lab-coarse rows (small domains, dense-table friendly) cycled
            into both windows; the dense build scans each shard into a
            partial joint table. *)
-        let lc = Lazy.force K.lab_coarse in
-        let lc_schema = Acq_data.Dataset.schema lc in
-        let lc_n = Acq_data.Dataset.nrows lc in
+        let lc_schema = Acq_data.Dataset.schema lab_coarse in
+        let lc_n = Acq_data.Dataset.nrows lab_coarse in
         let lc_cap = 8_000 * k in
         let lc_seq = Sh.create lc_schema ~capacity:lc_cap ~shards:1 in
         let lc_par = Sh.create lc_schema ~capacity:lc_cap ~shards:k in
         for i = 0 to (2 * lc_cap) - 1 do
-          let row = Acq_data.Dataset.row lc (i mod lc_n) in
+          let row = Acq_data.Dataset.row lab_coarse (i mod lc_n) in
           Sh.push lc_seq row;
           Sh.push lc_par row
         done;
         let dense_spec = { B.kind = B.Dense; memoize = false } in
-        let probe_queries = List.map (K.lab_query lc) [ 93; 94; 95 ] in
+        let probe_queries = List.map (K.lab_query lab_coarse) [ 93; 94; 95 ] in
         let probe est =
           List.concat_map
             (fun q ->
-              List.init
-                (Acq_plan.Query.n_predicates q)
-                (fun j -> B.pred_prob est (Acq_plan.Query.predicate q j)))
+              List.init (Acq_plan.Query.n_predicates q) (fun j ->
+                  B.pred_prob est (Acq_plan.Query.predicate q j)))
             probe_queries
         in
         let backend_k =
@@ -909,166 +867,163 @@ let write_par_json ?(races = 1) path =
         in
         (* Tier-parallel Exhaustive: the fig8a problem, root DP tier
            fanned one branch attribute per task. *)
-        let module P = Acq_core.Planner in
-        let dp_q = K.lab_query lc 93 in
-        let dp_opts =
-          {
-            K.opts with
-            split_points_per_attr = 2;
-            exhaustive_budget = 5_000_000;
-          }
-        in
         let dp_costs = Acq_data.Schema.costs lc_schema in
-        let dp_est = B.of_dataset lc in
+        let dp_est = B.of_dataset lab_coarse in
         let dp_canon (r : P.result) =
-          (Acq_plan.Printer.to_string dp_q r.P.plan, r.P.est_cost)
+          (Acq_plan.Printer.to_string pq r.P.plan, r.P.est_cost)
         in
         let dp_k =
           kernel "tier_parallel_dp"
             (fun () ->
-              P.plan_with_backend ~options:dp_opts P.Exhaustive dp_q
-                ~costs:dp_costs dp_est)
+              P.plan_with_backend ~options:popts P.Exhaustive pq ~costs:dp_costs dp_est)
             (fun () ->
-              P.plan_with_backend ~options:dp_opts ~fanout P.Exhaustive dp_q
+              P.plan_with_backend ~options:popts ~fanout P.Exhaustive pq
                 ~costs:dp_costs dp_est)
             (fun a b -> dp_canon a = dp_canon b)
         in
         [ ingest_k; backend_k; dp_k ])
   in
   let best_wall =
-    List.fold_left (fun acc (_, _, _, sp, _) -> Float.max acc sp) 0.0
+    List.fold_left
+      (fun acc (_, _, _, sp, _) -> if sp.median > acc.median then sp else acc)
+      { q1 = 0.0; median = 0.0; q3 = 0.0 }
       shard_kernels
   in
-  let shard_identical =
-    List.for_all (fun (_, _, _, _, id) -> id) shard_kernels
+  let shard_identical = List.for_all (fun (_, _, _, _, id) -> id) shard_kernels in
+  let wall_gate =
+    if shard_domains < 4 || cores < 4 then "waived"
+    else if best_wall.median >= wall_floor then "pass"
+    else "fail"
   in
-  let wall_gate_pass = (not wall_gate_enforced) || best_wall >= wall_floor in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
-        ( "fanout",
-          J.Obj
-            [
-              ("dataset", J.Str "garden5");
-              ("spec", J.Str "heuristic");
-              ("jobs", J.Num (float_of_int par_jobs));
-              ("queries", J.Num (float_of_int par_queries));
-              ("sequential_wall_ms", J.Num seq.Pe.wall_ms);
-              ("parallel_wall_ms", J.Num par.Pe.wall_ms);
-              ("wall_speedup", J.Num wall_speedup);
-              ("work_speedup", J.Num work_speedup);
-              ( "work_units_total",
-                J.Num (float_of_int (Array.fold_left ( + ) 0 units)) );
-              ( "task_domains",
-                J.Arr
-                  (Array.to_list
-                     (Array.map
-                        (fun d -> J.Num (float_of_int d))
-                        par.Pe.task_domains)) );
-              ("deterministic", J.Bool deterministic);
-            ] );
-        ( "portfolio",
-          J.Obj
-            [
-              ("dataset", J.Str "lab-coarse");
-              ("races", J.Num (float_of_int races));
-              ("consistent", J.Bool race_consistent);
-              ( "winner",
-                match first_race.Pf.winner with
-                | Some (a, r) ->
-                    J.Obj
-                      [
-                        ("algorithm", J.Str (P.algorithm_name a));
-                        ("est_cost", J.Num r.P.est_cost);
-                      ]
-                | None -> J.Obj [ ("algorithm", J.Str "none") ] );
-              ( "arms",
-                J.Arr
-                  (List.map
-                     (fun (arm : Pf.arm) ->
-                       J.Obj
-                         [
-                           ( "algorithm",
-                             J.Str (P.algorithm_name arm.Pf.algorithm) );
-                           ("status", J.Str (Pf.status_name arm.Pf.status));
-                           ( "est_cost",
-                             match arm.Pf.result with
-                             | Some r -> J.Num r.P.est_cost
-                             | None -> J.Str "-" );
-                         ])
-                     first_race.Pf.arms) );
-            ] );
-        ( "sharded",
-          J.Obj
-            [
-              ("domains", J.Num (float_of_int shard_domains));
-              ("machine_cores", J.Num (float_of_int cores));
-              ("wall_floor", J.Num wall_floor);
-              ("wall_gate_enforced", J.Bool wall_gate_enforced);
-              ("wall_gate_pass", J.Bool wall_gate_pass);
-              ("best_wall_speedup", J.Num best_wall);
-              ("identical", J.Bool shard_identical);
-              ( "kernels",
-                J.Arr
-                  (List.map
-                     (fun (name, seq_ms, par_ms, sp, id) ->
-                       J.Obj
-                         [
-                           ("name", J.Str name);
-                           ("sequential_wall_ms", J.Num seq_ms);
-                           ("parallel_wall_ms", J.Num par_ms);
-                           ("wall_speedup", J.Num sp);
-                           ("identical", J.Bool id);
-                         ])
-                     shard_kernels) );
-            ] );
-        ("pool_metrics", Acq_obs.Metrics.to_json reg);
-        ( "summary",
-          J.Obj
-            [
-              ("fanout_speedup", J.Num work_speedup);
-              ("speedup_kind", J.Str "work-balance");
-              ("wall_speedup", J.Num wall_speedup);
-              ("sharded_wall_speedup", J.Num best_wall);
-              ("sharded_wall_gate_pass", J.Bool wall_gate_pass);
-              ("deterministic", J.Bool (deterministic && shard_identical));
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote multicore results to %s (work speedup %.2fx on %d domains, wall \
-     %.2fx, sharded wall %.2fx on %d domains [gate %s], deterministic=%b)\n"
-    path work_speedup par_jobs wall_speedup best_wall shard_domains
-    (if not wall_gate_enforced then "waived: <4 domains or cores"
-     else if wall_gate_pass then "pass"
-     else "FAIL")
-    (deterministic && shard_identical)
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ("cores", jint cores);
+      ( "fanout",
+        J.Obj
+          [
+            ("dataset", J.Str "garden5");
+            ("spec", J.Str "heuristic");
+            ("jobs", jint par_jobs);
+            ("queries", jint par_queries);
+            ("sequential_wall_ms", ms fan_seq);
+            ("parallel_wall_ms", ms fan_par);
+            ("wall_speedup", spread_json fan_speedup);
+            ("work_speedup", J.Num work_speedup);
+            ("work_units_total", jint (Array.fold_left ( + ) 0 units));
+            ("task_domains", J.Arr (Array.to_list (Array.map jint par.Pe.task_domains)));
+            ("deterministic", J.Bool deterministic);
+          ] );
+      ( "portfolio",
+        J.Obj
+          [
+            ("dataset", J.Str "lab-coarse");
+            ("races", jint par_races);
+            ("consistent", J.Bool race_consistent);
+            ( "winner",
+              match first_race.Pf.winner with
+              | Some (a, r) ->
+                  J.Obj
+                    [
+                      ("algorithm", J.Str (P.algorithm_name a));
+                      ("est_cost", J.Num r.P.est_cost);
+                    ]
+              | None -> J.Obj [ ("algorithm", J.Str "none") ] );
+            ( "arms",
+              J.Arr
+                (List.map
+                   (fun (arm : Pf.arm) ->
+                     J.Obj
+                       [
+                         ("algorithm", J.Str (P.algorithm_name arm.Pf.algorithm));
+                         ("status", J.Str (Pf.status_name arm.Pf.status));
+                         ( "est_cost",
+                           match arm.Pf.result with
+                           | Some r -> J.Num r.P.est_cost
+                           | None -> J.Str "-" );
+                       ])
+                   first_race.Pf.arms) );
+          ] );
+      ( "sharded",
+        J.Obj
+          [
+            ("domains", jint shard_domains);
+            ("machine_cores", jint cores);
+            ("wall_floor", J.Num wall_floor);
+            ("wall_gate", J.Str wall_gate);
+            ("best_wall_speedup", spread_json best_wall);
+            ("identical", J.Bool shard_identical);
+            ( "kernels",
+              J.Arr
+                (List.map
+                   (fun (name, s, p, sp, id) ->
+                     J.Obj
+                       [
+                         ("name", J.Str name);
+                         ("sequential_wall_ms", ms s);
+                         ("parallel_wall_ms", ms p);
+                         ("wall_speedup", spread_json sp);
+                         ("identical", J.Bool id);
+                       ])
+                   shard_kernels) );
+          ] );
+      ("pool_metrics", Acq_obs.Metrics.to_json reg);
+      ( "summary",
+        J.Obj
+          [
+            ("fanout_speedup", J.Num work_speedup);
+            ("speedup_kind", J.Str "work-balance");
+            ("wall_speedup", spread_json fan_speedup);
+            ("sharded_wall_speedup", spread_json best_wall);
+            ("sharded_wall_gate", J.Str wall_gate);
+            ("deterministic", J.Bool (deterministic && shard_identical));
+          ] );
+    ]
+
+(* The correlated 4-attribute problem the prob and audit sections
+   share: two cheap and two expensive attributes over 8 values, 3000
+   rows drawn around a per-row base value, and random 4-predicate
+   conjunctions over it. *)
+let schema4 =
+  Acq_data.Schema.create
+    [
+      Acq_data.Attribute.discrete ~name:"c0" ~cost:1.0 ~domain:8;
+      Acq_data.Attribute.discrete ~name:"c1" ~cost:2.0 ~domain:8;
+      Acq_data.Attribute.discrete ~name:"e0" ~cost:50.0 ~domain:8;
+      Acq_data.Attribute.discrete ~name:"e1" ~cost:80.0 ~domain:8;
+    ]
+
+let corr4 seed row =
+  let rng = Acq_util.Rng.create seed in
+  Acq_data.Dataset.create schema4
+    (Array.init 3_000 (fun _ -> row rng (Acq_util.Rng.int rng 8)))
+
+let queries4 seed ~lo_range n =
+  let rng = Acq_util.Rng.create seed in
+  List.init n (fun _ ->
+      let pred attr =
+        let lo = Acq_util.Rng.int rng lo_range in
+        let hi = lo + 1 + Acq_util.Rng.int rng (7 - lo) in
+        Acq_plan.Predicate.inside ~attr ~lo ~hi
+      in
+      Acq_plan.Query.create schema4 [ pred 0; pred 1; pred 2; pred 3 ])
 
 (* ------------------------------------------------------------------ *)
-(* Probability-backend bench: (1) the packed dense table's O(1)
-   unconditioned range_prob against the seed closure path's O(rows)
-   view scan, and (2) the memo combinator's hit rate when one shared
-   memoized backend serves an exhaustive-planner workload over a
-   4-attribute problem, with a differential check that memoization
-   leaves every plan and expected cost byte-identical. BENCH_prob.json
-   records both; the checked-in schema pins the headline floors
-   (speedup >= 3, hit rate >= 0.5). *)
+(* prob: (1) the packed dense table's O(1) unconditioned range_prob
+   against the closure path's O(rows) view scan, and (2) the memo
+   combinator's hit rate when one shared memoized backend serves an
+   exhaustive-planner workload over a 4-attribute problem, with a
+   differential check that memoization leaves every plan and expected
+   cost byte-identical. Floors: speedup >= 3, hit rate >= 0.5. *)
 
 let prob_memo_queries = 12
 
-let write_prob_json path =
+let prob_section () =
   let module P = Acq_core.Planner in
   let module B = Acq_prob.Backend in
   let module Rng = Acq_util.Rng in
   (* -- kernel 1: range_prob, packed vs closure ---------------------- *)
   let ds = Lazy.force K.lab_coarse in
-  let nrows = Acq_data.Dataset.nrows ds in
   let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
   let n = Array.length domains in
   let rng = Rng.create 771 in
@@ -1082,26 +1037,6 @@ let write_prob_json path =
   in
   let closure_est = Acq_prob.Estimator.empirical ds in
   let dense_b = B.dense ds in
-  let time_ns reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do f () done;
-    (Unix.gettimeofday () -. t0)
-    *. 1e9
-    /. float_of_int (reps * Array.length probes)
-  in
-  let sink = ref 0.0 in
-  let closure_ns =
-    time_ns 8 (fun () ->
-        Array.iter
-          (fun (a, r) ->
-            sink := !sink +. closure_est.Acq_prob.Estimator.range_prob a r)
-          probes)
-  in
-  let dense_ns =
-    time_ns 2048 (fun () ->
-        Array.iter (fun (a, r) -> sink := !sink +. B.range_prob dense_b a r) probes)
-  in
-  let speedup = if dense_ns > 0.0 then closure_ns /. dense_ns else infinity in
   (* Paranoia: the two paths must agree before we compare their speed. *)
   Array.iter
     (fun (a, r) ->
@@ -1109,41 +1044,35 @@ let write_prob_json path =
       let d = B.range_prob dense_b a r in
       if Float.abs (c -. d) > 1e-9 then
         failwith
-          (Printf.sprintf "dense disagrees with closure on range_prob: %g vs %g"
-             c d))
+          (Printf.sprintf "dense disagrees with closure on range_prob: %g vs %g" c d))
     probes;
-  (* -- kernel 2: memo hit rate on an exhaustive 4-attribute workload - *)
-  let schema4 =
-    Acq_data.Schema.create
-      [
-        Acq_data.Attribute.discrete ~name:"c0" ~cost:1.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"c1" ~cost:2.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"e0" ~cost:50.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"e1" ~cost:80.0 ~domain:8;
-      ]
+  let sink = ref 0.0 in
+  let sweep reps range_prob () =
+    for _ = 1 to reps do
+      Array.iter (fun (a, r) -> sink := !sink +. range_prob a r) probes
+    done
   in
-  let drng = Rng.create 772 in
-  let rows4 =
-    Array.init 3_000 (fun _ ->
-        let base = Rng.int drng 8 in
+  let closure_reps = 8 and dense_reps = 2048 in
+  let closure_s, dense_s, ratio =
+    paired ~rounds:closure_reps
+      (sweep 1 closure_est.Acq_prob.Estimator.range_prob)
+      (sweep (dense_reps / closure_reps) (B.range_prob dense_b))
+  in
+  let ns_per_query reps s =
+    spread_json (scale (1e9 /. float_of_int (reps * Array.length probes)) s)
+  in
+  let speedup = scale (float_of_int dense_reps /. float_of_int closure_reps) ratio in
+  (* -- kernel 2: memo hit rate on an exhaustive 4-attribute workload - *)
+  let ds4 =
+    corr4 772 (fun rng base ->
         [|
           base;
-          (base + Rng.int drng 3) mod 8;
-          (base + Rng.int drng 2) mod 8;
-          Rng.int drng 8;
+          (base + Rng.int rng 3) mod 8;
+          (base + Rng.int rng 2) mod 8;
+          Rng.int rng 8;
         |])
   in
-  let ds4 = Acq_data.Dataset.create schema4 rows4 in
-  let qrng = Rng.create 773 in
-  let queries =
-    List.init prob_memo_queries (fun _ ->
-        let pred attr =
-          let lo = Rng.int qrng 6 in
-          let hi = lo + 1 + Rng.int qrng (7 - lo) in
-          Acq_plan.Predicate.inside ~attr ~lo ~hi
-        in
-        Acq_plan.Query.create schema4 [ pred 0; pred 1; pred 2; pred 3 ])
-  in
+  let queries = queries4 773 ~lo_range:6 prob_memo_queries in
   let costs4 = Acq_data.Schema.costs schema4 in
   let options =
     { K.opts with split_points_per_attr = 2; exhaustive_budget = 5_000_000 }
@@ -1160,399 +1089,250 @@ let write_prob_json path =
   let obs = Acq_obs.Telemetry.create ~metrics:m () in
   let memoized =
     run_workload
-      (B.of_dataset ~telemetry:obs
-         ~spec:{ B.kind = B.Empirical; memoize = true }
-         ds4)
+      (B.of_dataset ~telemetry:obs ~spec:{ B.kind = B.Empirical; memoize = true } ds4)
   in
   let identical =
     List.for_all2
       (fun (e1, c1) (e2, c2) -> Bytes.equal e1 e2 && Float.equal c1 c2)
       plain memoized
   in
-  let snap = Acq_obs.Metrics.snapshot m in
   let counter prefix =
     List.fold_left
       (fun acc (k, v) ->
-        if String.length k >= String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix
-        then acc +. v
-        else acc)
-      0.0 snap
+        if String.starts_with ~prefix k then acc +. v else acc)
+      0.0 (Acq_obs.Metrics.snapshot m)
   in
   let hits = counter "acqp_prob_memo_hits_total" in
   let misses = counter "acqp_prob_memo_misses_total" in
   let hit_rate = if hits +. misses > 0.0 then hits /. (hits +. misses) else 0.0 in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "range_prob",
-          J.Obj
-            [
-              ("dataset", J.Str "lab-coarse");
-              ("rows", J.Num (float_of_int nrows));
-              ("probes", J.Num (float_of_int (Array.length probes)));
-              ("closure_ns_per_query", J.Num closure_ns);
-              ("dense_ns_per_query", J.Num dense_ns);
-              ("speedup", J.Num speedup);
-            ] );
-        ( "memo",
-          J.Obj
-            [
-              ("workload", J.Str "exhaustive-4attr");
-              ("queries", J.Num (float_of_int prob_memo_queries));
-              ("hits", J.Num hits);
-              ("misses", J.Num misses);
-              ("hit_rate", J.Num hit_rate);
-              ("plans_identical_with_memo", J.Bool identical);
-            ] );
-        ( "summary",
-          J.Obj
-            [
-              ("dense_speedup", J.Num speedup);
-              ("memo_hit_rate", J.Num hit_rate);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote probability-backend results to %s (dense range_prob %.0fx over the \
-     closure path, memo hit rate %.2f, plans identical=%b)\n"
-    path speedup hit_rate identical
-
-let prob_schema_path () =
-  if Sys.file_exists "bench/BENCH_prob.schema.json" then
-    "bench/BENCH_prob.schema.json"
-  else "BENCH_prob.schema.json"
-
-let validate_prob path = validate_against ~schema_path:(prob_schema_path ()) path
-
-let par_schema_path () =
-  if Sys.file_exists "bench/BENCH_par.schema.json" then
-    "bench/BENCH_par.schema.json"
-  else "BENCH_par.schema.json"
-
-let validate_par path = validate_against ~schema_path:(par_schema_path ()) path
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ( "range_prob",
+        J.Obj
+          [
+            ("dataset", J.Str "lab-coarse");
+            ("rows", jint (Acq_data.Dataset.nrows ds));
+            ("probes", jint (Array.length probes));
+            ("closure_ns_per_query", ns_per_query closure_reps closure_s);
+            ("dense_ns_per_query", ns_per_query dense_reps dense_s);
+            ("speedup", spread_json speedup);
+          ] );
+      ( "memo",
+        J.Obj
+          [
+            ("workload", J.Str "exhaustive-4attr");
+            ("queries", jint prob_memo_queries);
+            ("hits", J.Num hits);
+            ("misses", J.Num misses);
+            ("hit_rate", J.Num hit_rate);
+            ("plans_identical_with_memo", J.Bool identical);
+          ] );
+      ( "summary",
+        J.Obj
+          [
+            ("dense_speedup", spread_json speedup);
+            ("memo_hit_rate", J.Num hit_rate);
+            ("plans_identical_with_memo", J.Bool identical);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-executor bench: the garden5 workload's Eq.-4 cost sweeps
-   run on the tree interpreter vs the compiled flat automaton over a
-   hoisted columnar snapshot (the batch executor's streaming shape).
-   BENCH_exec.json records per-path tuples/sec and the headline
-   compiled-vs-tree speedup, plus a byte-identity re-check on the
-   benchmark instance: both paths must report Float.equal sweep
-   averages and identical per-tuple verdict/cost/acquisition-order on
-   a row prefix. The checked-in schema (bench/BENCH_exec.schema.json)
-   pins the shape and the speedup floor. *)
+(* The garden5 execution fixture the exec and audit sections share:
+   six heuristic plans over the held-out half, each lowered once to a
+   batch with its own calibration probe, and the test columns hoisted
+   once. Both sections time the same sweeps, so exec's compiled
+   throughput and audit's audit-off throughput measure one thing. The
+   columns are hoisted because Runner.average_cost_prepared transposes
+   the dataset (Dataset.columns) on every sweep, which on this workload
+   costs as much as the sweep itself. *)
 
 let exec_queries = 6
 let exec_parity_rows = 256
+let tree_reps = 30
+let compiled_reps = 300
 
-let write_exec_json path =
-  let module P = Acq_core.Planner in
-  let module Rng = Acq_util.Rng in
+type exec_fixture = {
+  test : Acq_data.Dataset.t;
+  costs : float array;
+  plans : (Acq_plan.Query.t * Acq_plan.Plan.t * Acq_exec.Batch.t * Acq_exec.Probe.t) list;
+  cols : int array array;
+  nrows : int;
+}
+
+let exec_fixture =
+  lazy
+    (let module P = Acq_core.Planner in
+     let garden5 = Lazy.force K.garden5 in
+     let train, test = Acq_data.Dataset.split_by_time garden5 ~train_fraction:0.5 in
+     let schema = Acq_data.Dataset.schema garden5 in
+     let costs = Acq_data.Schema.costs schema in
+     let options =
+       { K.opts with split_points_per_attr = 4; candidate_attrs = Some (K.cheap garden5) }
+     in
+     let rng = Acq_util.Rng.create 911 in
+     let plans =
+       List.init exec_queries (fun _ ->
+           let q = Acq_workload.Query_gen.garden_query rng ~schema ~n_motes:5 in
+           let p = (P.plan ~options P.Heuristic q ~train).P.plan in
+           let auto = Acq_exec.Compile.compile q p in
+           (q, p, Acq_exec.Batch.create ~costs auto, Acq_exec.Probe.create auto))
+     in
+     {
+       test;
+       costs;
+       plans;
+       cols = Acq_data.Dataset.columns test;
+       nrows = Acq_data.Dataset.nrows test;
+     })
+
+(* Parity before speed: on every plan, the compiled sweep and (when
+   [audited]) the probed tree and compiled sweeps must reproduce the
+   unaudited tree interpreter — Float.equal averages and identical
+   per-tuple verdict, cost and acquisition order on a row prefix. *)
+let exec_parity ~audited f =
   let module E = Acq_plan.Executor in
-  let garden5 = Lazy.force K.garden5 in
-  let train, test = Acq_data.Dataset.split_by_time garden5 ~train_fraction:0.5 in
-  let schema = Acq_data.Dataset.schema garden5 in
-  let costs = Acq_data.Schema.costs schema in
-  let options =
-    {
-      K.opts with
-      split_points_per_attr = 4;
-      candidate_attrs = Some (K.cheap garden5);
-    }
-  in
-  let rng = Rng.create 911 in
-  let plans =
-    List.init exec_queries (fun _ ->
-        let q = Acq_workload.Query_gen.garden_query rng ~schema ~n_motes:5 in
-        (q, (P.plan ~options P.Heuristic q ~train).P.plan))
-  in
-  let nrows = Acq_data.Dataset.nrows test in
-  let cols = Acq_data.Dataset.columns test in
-  let batches =
-    List.map
-      (fun (q, p) ->
-        Acq_exec.Batch.create ~costs (Acq_exec.Compile.compile q p))
-      plans
-  in
-  (* Parity before speed: sweep averages Float.equal, and per-tuple
-     outcomes identical on the prefix. *)
-  let outcome_equal (a : E.outcome) (b : E.outcome) =
-    a.E.verdict = b.E.verdict
-    && Float.equal a.E.cost b.E.cost
+  let module Batch = Acq_exec.Batch in
+  let same (a : E.outcome) (b : E.outcome) =
+    a.E.verdict = b.E.verdict && Float.equal a.E.cost b.E.cost
     && a.E.acquired = b.E.acquired
   in
-  let identical =
-    List.for_all2
-      (fun (q, p) b ->
-        Float.equal
-          (E.average_cost q ~costs p test)
-          (Acq_exec.Batch.sweep_columns b cols ~nrows)
-        &&
-        let ok = ref true in
-        for r = 0 to min exec_parity_rows nrows - 1 do
-          let row = Acq_data.Dataset.row test r in
-          if
-            not
-              (outcome_equal
-                 (E.run_tuple q ~costs p row)
-                 (Acq_exec.Batch.run_tuple b row))
-          then ok := false
-        done;
-        !ok)
-      plans batches
-  in
-  let sink = ref 0.0 in
-  (* Best-of-3 trials per path: throughput is a max-estimator's game —
-     transient load only ever slows a trial down. *)
-  let tuples_per_sec reps f =
-    let trial () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        f ()
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt <= 0.0 then infinity
-      else float_of_int (reps * nrows * exec_queries) /. dt
-    in
-    let best = ref 0.0 in
-    for _ = 1 to 3 do
-      best := Float.max !best (trial ())
-    done;
-    !best
-  in
-  let tree_tps =
-    tuples_per_sec 30 (fun () ->
-        List.iter
-          (fun (q, p) -> sink := !sink +. E.average_cost q ~costs p test)
-          plans)
-  in
-  let compiled_tps =
-    tuples_per_sec 300 (fun () ->
-        List.iter
-          (fun b -> sink := !sink +. Acq_exec.Batch.sweep_columns b cols ~nrows)
-          batches)
-  in
-  let speedup = if tree_tps > 0.0 then compiled_tps /. tree_tps else 0.0 in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "workload",
-          J.Obj
-            [
-              ("dataset", J.Str "garden5");
-              ("planner", J.Str "heuristic");
-              ("queries", J.Num (float_of_int exec_queries));
-              ("rows", J.Num (float_of_int nrows));
-            ] );
-        ( "throughput",
-          J.Obj
-            [
-              ("tree_tuples_per_sec", J.Num tree_tps);
-              ("compiled_tuples_per_sec", J.Num compiled_tps);
-              ("speedup", J.Num speedup);
-            ] );
-        ( "parity",
-          J.Obj
-            [
-              ("identical", J.Bool identical);
-              ( "checked_rows",
-                J.Num (float_of_int (min exec_parity_rows nrows)) );
-            ] );
-        ( "summary",
-          J.Obj
-            [ ("exec_speedup", J.Num speedup); ("identical", J.Bool identical) ]
-        );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote compiled-executor results to %s (compiled %.1fx over tree on \
-     garden5, %.2e vs %.2e tuples/sec, identical=%b)\n"
-    path speedup compiled_tps tree_tps identical
+  List.for_all
+    (fun (q, p, b, probe) ->
+      let reference = E.average_cost q ~costs:f.costs p f.test in
+      List.for_all
+        (fun probe ->
+          Option.iter Acq_exec.Probe.reset probe;
+          let audit = Option.map Acq_exec.Probe.hook probe in
+          Float.equal reference (E.average_cost ?audit q ~costs:f.costs p f.test)
+          && Float.equal reference (Batch.sweep_columns ?probe b f.cols ~nrows:f.nrows)
+          && List.for_all
+               (fun r ->
+                 let row = Acq_data.Dataset.row f.test r in
+                 let expect = E.run_tuple q ~costs:f.costs p row in
+                 same expect (E.run_tuple ?audit q ~costs:f.costs p row)
+                 && same expect (Batch.run_tuple ?probe b row))
+               (List.init (min exec_parity_rows f.nrows) Fun.id))
+        (None :: (if audited then [ Some probe ] else [])))
+    f.plans
 
-let exec_schema_path () =
-  if Sys.file_exists "bench/BENCH_exec.schema.json" then
-    "bench/BENCH_exec.schema.json"
-  else "BENCH_exec.schema.json"
+let exec_sink = ref 0.0
 
-let validate_exec path =
-  validate_against ~schema_path:(exec_schema_path ()) path
+(* [reps] Eq.-4 sweeps of every fixture plan, on the tree interpreter
+   or the compiled automaton over the hoisted columns; [probed]
+   attaches each plan's probe. *)
+let sweeps ~compiled ~probed f reps () =
+  for _ = 1 to reps do
+    List.iter
+      (fun (q, p, b, probe) ->
+        let probe = if probed then Some probe else None in
+        exec_sink :=
+          !exec_sink
+          +.
+          if compiled then Acq_exec.Batch.sweep_columns ?probe b f.cols ~nrows:f.nrows
+          else
+            Acq_plan.Executor.average_cost
+              ?audit:(Option.map Acq_exec.Probe.hook probe)
+              q ~costs:f.costs p f.test)
+      f.plans
+  done
+
+let tuples_per_sec f reps s =
+  spread_json (per (float_of_int (reps * f.nrows * exec_queries)) s)
+
+let exec_workload f =
+  J.Obj
+    [
+      ("dataset", J.Str "garden5");
+      ("planner", J.Str "heuristic");
+      ("queries", jint exec_queries);
+      ("rows", jint f.nrows);
+    ]
+
+(* exec: the tree interpreter vs the compiled flat automaton on the
+   shared fixture; floor: compiled >= 2.5x tree. *)
+let exec_section () =
+  let f = Lazy.force exec_fixture in
+  let identical = exec_parity ~audited:false f in
+  let tree, compiled, ratio =
+    paired ~rounds:tree_reps
+      (sweeps ~compiled:false ~probed:false f 1)
+      (sweeps ~compiled:true ~probed:false f (compiled_reps / tree_reps))
+  in
+  let speedup =
+    spread_json (scale (float_of_int compiled_reps /. float_of_int tree_reps) ratio)
+  in
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ("workload", exec_workload f);
+      ( "throughput",
+        J.Obj
+          [
+            ("tree_tuples_per_sec", tuples_per_sec f tree_reps tree);
+            ("compiled_tuples_per_sec", tuples_per_sec f compiled_reps compiled);
+            ("speedup", speedup);
+          ] );
+      ( "parity",
+        J.Obj
+          [
+            ("identical", J.Bool identical);
+            ("checked_rows", jint (min exec_parity_rows f.nrows));
+          ] );
+      ("summary", J.Obj [ ("exec_speedup", speedup); ("identical", J.Bool identical) ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Audit bench: three claims, each pinned by the checked-in schema
-   (bench/BENCH_audit.schema.json).
-
-   1. Overhead: the exec-smoke workload (garden5 Eq.-4 sweeps) with the
-      calibration probe attached runs within 1.10x of unaudited on the
-      compiled path — the batched-flush design bound.
-   2. Identity: audited and unaudited execution are byte-identical
-      (sweep averages Float.equal, per-tuple verdict/cost/acquisition
-      order equal) on both execution paths.
+(* audit: three claims.
+   1. Overhead: on the shared exec fixture, the calibration probe costs
+      at most 1.10x on the compiled path (1.25x on the tree) — the
+      median of paired on/off ratios, with its interval.
+   2. Identity: audited and unaudited execution are byte-identical on
+      both paths.
    3. Calibration ordering: on a correlated synthetic workload the
-      pooled calibration gap ranks the estimators the paper's ablation
-      predicts — independence (correlation-blind) worst, Chow-Liu
-      between, dense (exact joint on its own data) ~0 — plus a regret
-      assessment showing the independence-planned plan pays realized
-      regret against the replanned arms. *)
+      pooled calibration gap ranks the estimators as the paper's
+      ablation predicts — independence (correlation-blind) worst,
+      Chow-Liu between, dense (exact joint on its own data) ~0 — plus
+      a regret assessment showing the independence-planned plan pays
+      realized regret against the replanned arms. *)
 
-let audit_queries = 6
-let audit_parity_rows = 256
 let audit_calib_queries = 8
 
-let write_audit_json path =
+let audit_section () =
   let module P = Acq_core.Planner in
   let module B = Acq_prob.Backend in
   let module Rng = Acq_util.Rng in
-  let module E = Acq_plan.Executor in
   let module Cal = Acq_audit.Calibration in
-  (* -- overhead + identity on the exec-smoke workload ---------------- *)
-  let garden5 = Lazy.force K.garden5 in
-  let train, test = Acq_data.Dataset.split_by_time garden5 ~train_fraction:0.5 in
-  let schema = Acq_data.Dataset.schema garden5 in
-  let costs = Acq_data.Schema.costs schema in
-  let options =
-    {
-      K.opts with
-      split_points_per_attr = 4;
-      candidate_attrs = Some (K.cheap garden5);
-    }
+  let f = Lazy.force exec_fixture in
+  let identical = exec_parity ~audited:true f in
+  let overhead ~compiled reps =
+    let on, off, slowdown =
+      paired ~rounds:reps
+        (sweeps ~compiled ~probed:true f 1)
+        (sweeps ~compiled ~probed:false f 1)
+    in
+    (tuples_per_sec f reps off, tuples_per_sec f reps on, spread_json slowdown)
   in
-  let rng = Rng.create 921 in
-  let plans =
-    List.init audit_queries (fun _ ->
-        let q = Acq_workload.Query_gen.garden_query rng ~schema ~n_motes:5 in
-        (q, (P.plan ~options P.Heuristic q ~train).P.plan))
-  in
-  let nrows = Acq_data.Dataset.nrows test in
-  let prepared mode =
-    List.map (fun (q, p) -> Acq_exec.Runner.prepare ~mode q ~costs p) plans
-  in
-  let tree_prep = prepared Acq_exec.Mode.Tree in
-  let comp_prep = prepared Acq_exec.Mode.Compiled in
-  let probes =
-    List.map
-      (fun (q, p) -> Acq_exec.Probe.create (Acq_exec.Compile.compile q p))
-      plans
-  in
-  let outcome_equal (a : E.outcome) (b : E.outcome) =
-    a.E.verdict = b.E.verdict
-    && Float.equal a.E.cost b.E.cost
-    && a.E.acquired = b.E.acquired
-  in
-  let identical_on prep =
-    List.for_all2
-      (fun p probe ->
-        Acq_exec.Probe.reset probe;
-        Float.equal
-          (Acq_exec.Runner.average_cost_prepared p test)
-          (Acq_exec.Runner.average_cost_prepared ~probe p test)
-        &&
-        let ok = ref true in
-        for r = 0 to min audit_parity_rows nrows - 1 do
-          let row = Acq_data.Dataset.row test r in
-          if
-            not
-              (outcome_equal
-                 (Acq_exec.Runner.run_tuple p row)
-                 (Acq_exec.Runner.run_tuple ~probe p row))
-          then ok := false
-        done;
-        !ok)
-      prep probes
-  in
-  let identical = identical_on tree_prep && identical_on comp_prep in
-  let sink = ref 0.0 in
-  let sweep ~probed prep =
-    List.iter2
-      (fun p probe ->
-        let probe = if probed then Some probe else None in
-        sink :=
-          !sink +. Acq_exec.Runner.average_cost_prepared ?probe p test)
-      prep probes
-  in
-  let time reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    Float.max 1e-9 (Unix.gettimeofday () -. t0)
-  in
-  (* Paired back-to-back trials, min ratio: machine noise that slows
-     one side of a pair inflates the ratio, never deflates both, so
-     the min over rounds is the clean estimate of the true probe
-     overhead. Throughputs are reported from the fastest round. *)
-  let paired reps prep =
-    let off = fun () -> sweep ~probed:false prep in
-    let on = fun () -> sweep ~probed:true prep in
-    ignore (time 1 off);
-    ignore (time 1 on);
-    let best_ratio = ref infinity and t_off = ref infinity and t_on = ref infinity in
-    for _ = 1 to 7 do
-      let a = time reps off in
-      let b = time reps on in
-      t_off := Float.min !t_off a;
-      t_on := Float.min !t_on b;
-      best_ratio := Float.min !best_ratio (b /. a)
-    done;
-    let tps t = float_of_int (reps * nrows * audit_queries) /. t in
-    (tps !t_off, tps !t_on, !best_ratio)
-  in
-  let comp_off, comp_on, compiled_slowdown = paired 120 comp_prep in
-  let tree_off, tree_on, tree_slowdown = paired 12 tree_prep in
+  let comp_off, comp_on, comp_slowdown = overhead ~compiled:true compiled_reps in
+  let tree_off, tree_on, tree_slowdown = overhead ~compiled:false tree_reps in
   (* -- calibration ordering on a correlated 4-attribute problem ------ *)
-  let schema4 =
-    Acq_data.Schema.create
-      [
-        Acq_data.Attribute.discrete ~name:"c0" ~cost:1.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"c1" ~cost:2.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"e0" ~cost:50.0 ~domain:8;
-        Acq_data.Attribute.discrete ~name:"e1" ~cost:80.0 ~domain:8;
-      ]
-  in
-  let drng = Rng.create 922 in
-  let rows4 =
-    Array.init 3_000 (fun _ ->
-        let base = Rng.int drng 8 in
+  let ds4 =
+    corr4 922 (fun rng base ->
         [|
           base;
-          (base + Rng.int drng 2) mod 8;
-          (base + Rng.int drng 2) mod 8;
-          (base + Rng.int drng 3) mod 8;
+          (base + Rng.int rng 2) mod 8;
+          (base + Rng.int rng 2) mod 8;
+          (base + Rng.int rng 3) mod 8;
         |])
   in
-  let ds4 = Acq_data.Dataset.create schema4 rows4 in
   let costs4 = Acq_data.Schema.costs schema4 in
-  let qrng = Rng.create 923 in
-  let queries4 =
-    List.init audit_calib_queries (fun _ ->
-        let pred attr =
-          let lo = Rng.int qrng 5 in
-          let hi = lo + 1 + Rng.int qrng (7 - lo) in
-          Acq_plan.Predicate.inside ~attr ~lo ~hi
-        in
-        Acq_plan.Query.create schema4 [ pred 0; pred 1; pred 2; pred 3 ])
-  in
+  let queries4 = queries4 923 ~lo_range:5 audit_calib_queries in
   let options4 = { K.opts with split_points_per_attr = 2 } in
   let names4 = Acq_data.Schema.names schema4 in
   let backends =
     List.map
-      (fun (name, kind) ->
-        (name, B.of_dataset ~spec:{ B.kind; memoize = false } ds4))
-      [
-        ("independence", B.Independence);
-        ("chow-liu", B.Chow_liu);
-        ("dense", B.Dense);
-      ]
+      (fun (name, kind) -> (name, B.of_dataset ~spec:{ B.kind; memoize = false } ds4))
+      [ ("independence", B.Independence); ("chow-liu", B.Chow_liu); ("dense", B.Dense) ]
   in
   let trackers = List.map (fun (name, _) -> (name, Cal.create names4)) backends in
   List.iter
@@ -1567,11 +1347,9 @@ let write_audit_json path =
       in
       let auto = Acq_exec.Compile.compile q plan in
       let probe = Acq_exec.Probe.create auto in
-      let prep =
-        Acq_exec.Runner.prepare ~mode:Acq_exec.Mode.Compiled q ~costs:costs4
-          plan
-      in
-      ignore (Acq_exec.Runner.average_cost_prepared ~probe prep ds4 : float);
+      ignore
+        (Acq_exec.Batch.average_cost ~probe (Acq_exec.Batch.create ~costs:costs4 auto) ds4
+          : float);
       List.iter2
         (fun (_, backend) (_, tracker) ->
           let predictions =
@@ -1583,15 +1361,12 @@ let write_audit_json path =
             ~hits:(Acq_exec.Probe.hits probe))
         backends trackers)
     queries4;
-  let errs =
-    List.map (fun (name, t) -> (name, Cal.calibration_error t)) trackers
-  in
-  let indep_err = List.assoc "independence" errs in
-  let cl_err = List.assoc "chow-liu" errs in
-  let dense_err = List.assoc "dense" errs in
+  let err name = Cal.calibration_error (List.assoc name trackers) in
+  let indep_err = err "independence" in
+  let cl_err = err "chow-liu" in
+  let dense_err = err "dense" in
   let independence_gt_chow_liu = indep_err > cl_err in
   let chow_liu_ge_dense = cl_err >= dense_err -. 1e-9 in
-  let ordering_holds = independence_gt_chow_liu && chow_liu_ge_dense in
   (* -- regret: price the independence-planned plan against the arms -- *)
   let regret_q = List.hd queries4 in
   let indep_plan =
@@ -1599,174 +1374,142 @@ let write_audit_json path =
        (List.assoc "independence" backends))
       .P.plan
   in
+  let module R = Acq_audit.Regret in
   let regret =
-    Acq_audit.Regret.assess ~options:options4 ~current_plan:indep_plan
-      regret_q ~costs:costs4 ds4
+    R.assess ~options:options4 ~current_plan:indep_plan regret_q ~costs:costs4 ds4
   in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "workload",
-          J.Obj
-            [
-              ("dataset", J.Str "garden5");
-              ("planner", J.Str "heuristic");
-              ("queries", J.Num (float_of_int audit_queries));
-              ("rows", J.Num (float_of_int nrows));
-            ] );
-        ( "overhead",
-          J.Obj
-            [
-              ("compiled_off_tuples_per_sec", J.Num comp_off);
-              ("compiled_on_tuples_per_sec", J.Num comp_on);
-              ("compiled_slowdown", J.Num compiled_slowdown);
-              ("tree_off_tuples_per_sec", J.Num tree_off);
-              ("tree_on_tuples_per_sec", J.Num tree_on);
-              ("tree_slowdown", J.Num tree_slowdown);
-            ] );
-        ( "identity",
-          J.Obj
-            [
-              ("identical", J.Bool identical);
-              ( "checked_rows",
-                J.Num (float_of_int (min audit_parity_rows nrows)) );
-            ] );
-        ( "calibration",
-          J.Obj
-            [
-              ("dataset", J.Str "synthetic-4attr-correlated");
-              ("queries", J.Num (float_of_int audit_calib_queries));
-              ("independence_error", J.Num indep_err);
-              ("chow_liu_error", J.Num cl_err);
-              ("dense_error", J.Num dense_err);
-              ( "ordering",
-                J.Obj
-                  [
-                    ( "independence_gt_chow_liu",
-                      J.Bool independence_gt_chow_liu );
-                    ("chow_liu_ge_dense", J.Bool chow_liu_ge_dense);
-                  ] );
-            ] );
-        ( "regret",
-          J.Obj
-            [
-              ("rows", J.Num (float_of_int regret.Acq_audit.Regret.rows));
-              ( "current_realized",
-                J.Num regret.Acq_audit.Regret.current_realized );
-              ("regret", J.Num regret.Acq_audit.Regret.regret);
-              ("regret_ratio", J.Num regret.Acq_audit.Regret.regret_ratio);
-              ( "arms",
-                J.Arr
-                  (List.map
-                     (fun (a : Acq_audit.Regret.assessment) ->
-                       J.Obj
-                         [
-                           ("arm", J.Str a.Acq_audit.Regret.arm.Acq_audit.Regret.name);
-                           ("planned", J.Bool a.Acq_audit.Regret.planned);
-                           ( "realized_cost",
-                             J.Num a.Acq_audit.Regret.realized_cost );
-                         ])
-                     regret.Acq_audit.Regret.assessments) );
-            ] );
-        ( "summary",
-          J.Obj
-            [
-              ("audit_overhead", J.Num compiled_slowdown);
-              ("identical", J.Bool identical);
-              ("calibration_ordering_holds", J.Bool ordering_holds);
-              ("regret_ratio", J.Num regret.Acq_audit.Regret.regret_ratio);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote audit results to %s (audit overhead %.3fx compiled / %.3fx tree, \
-     identical=%b, calibration gap indep %.4f > chow-liu %.4f >= dense %.4f \
-     = %b, regret ratio %.3fx)\n"
-    path compiled_slowdown tree_slowdown identical indep_err cl_err dense_err
-    ordering_holds regret.Acq_audit.Regret.regret_ratio
-
-let audit_schema_path () =
-  if Sys.file_exists "bench/BENCH_audit.schema.json" then
-    "bench/BENCH_audit.schema.json"
-  else "BENCH_audit.schema.json"
-
-let validate_audit path =
-  validate_against ~schema_path:(audit_schema_path ()) path
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ("workload", exec_workload f);
+      ( "overhead",
+        J.Obj
+          [
+            ("compiled_off_tuples_per_sec", comp_off);
+            ("compiled_on_tuples_per_sec", comp_on);
+            ("compiled_slowdown", comp_slowdown);
+            ("tree_off_tuples_per_sec", tree_off);
+            ("tree_on_tuples_per_sec", tree_on);
+            ("tree_slowdown", tree_slowdown);
+          ] );
+      ( "identity",
+        J.Obj
+          [
+            ("identical", J.Bool identical);
+            ("checked_rows", jint (min exec_parity_rows f.nrows));
+          ] );
+      ( "calibration",
+        J.Obj
+          [
+            ("dataset", J.Str "synthetic-4attr-correlated");
+            ("queries", jint audit_calib_queries);
+            ("independence_error", J.Num indep_err);
+            ("chow_liu_error", J.Num cl_err);
+            ("dense_error", J.Num dense_err);
+            ( "ordering",
+              J.Obj
+                [
+                  ("independence_gt_chow_liu", J.Bool independence_gt_chow_liu);
+                  ("chow_liu_ge_dense", J.Bool chow_liu_ge_dense);
+                ] );
+          ] );
+      ( "regret",
+        J.Obj
+          [
+            ("rows", jint regret.R.rows);
+            ("current_realized", J.Num regret.R.current_realized);
+            ("regret", J.Num regret.R.regret);
+            ("regret_ratio", J.Num regret.R.regret_ratio);
+            ( "arms",
+              J.Arr
+                (List.map
+                   (fun (a : R.assessment) ->
+                     J.Obj
+                       [
+                         ("arm", J.Str a.R.arm.R.name);
+                         ("planned", J.Bool a.R.planned);
+                         ("realized_cost", J.Num a.R.realized_cost);
+                       ])
+                   regret.R.assessments) );
+          ] );
+      ( "summary",
+        J.Obj
+          [
+            ("audit_overhead", comp_slowdown);
+            ("identical", J.Bool identical);
+            ( "calibration_ordering_holds",
+              J.Bool (independence_gt_chow_liu && chow_liu_ge_dense) );
+            ("regret_ratio", J.Num regret.R.regret_ratio);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Serving-daemon bench: the acqpd stack (engine + select-loop server
-   + load generator) co-driven in one process over a real Unix socket.
-
-   1. Identity: the daemon's RUN payload must be byte-identical to the
-      one-shot CLI rendering of the same (spec, query, options) — the
-      serving-path contract.
+(* serve: the acqpd stack (engine + select-loop server + load
+   generator) co-driven in one process over a real Unix socket.
+   1. Identity: the daemon's RUN payload is byte-identical to the
+      one-shot CLI rendering of the same (spec, query, options).
    2. Scale: 50 connections x 21 SUBSCRIBEs = 1050 concurrent
       continuous sessions (with malformed clients mixed in), events
       flowing, then a graceful drain that BYEs every client.
-   3. Throughput: a ping-only workload measuring request/response
-      round-trips per second through the full parse/dispatch/frame
-      path; the schema pins a floor of 2000 rps — two orders of
-      magnitude under the measured rate, so only a broken event loop
-      trips it.
-
-   The checked-in schema (bench/BENCH_serve.schema.json) pins the
-   shape, the >= 1000 session floor, identity, clean drain, and the
-   rps floor. *)
+   3. Throughput: ping-only round trips per second through the full
+      parse/dispatch/frame path, each trial on a fresh server; the
+      2000 rps floor sits two orders of magnitude under the measured
+      rate, so only a broken event loop trips it. *)
 
 let serve_spec = { Acq_serve.Source.kind = Acq_serve.Source.Lab; rows = 400; seed = 42 }
 
-let serve_socket name =
-  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  path
-
-let write_serve_json path =
+(* The one-shot CLI rendering of [sql], and whether a daemon RUN of it
+   under [opts] returns the same bytes. *)
+let run_identity ?(options = Acq_core.Planner.default_options) ~algorithm opts sql =
   let module Sv = Acq_serve in
-  let spec = serve_spec in
-  let chatty = Sv.Source.chatty_sql spec.Sv.Source.kind in
-  (* -- 1. RUN byte-identity against the one-shot CLI rendering ------ *)
-  let expected =
-    let history, live = Sv.Source.history_live spec in
-    let schema = Acq_data.Dataset.schema history in
-    match Acq_sql.Catalog.compile_result schema chatty with
-    | Error e -> failwith ("serve bench query failed to compile: " ^ e)
-    | Ok c ->
+  let history, live = Sv.Source.history_live serve_spec in
+  match Acq_sql.Catalog.compile_result (Acq_data.Dataset.schema history) sql with
+  | Error e -> failwith ("bench query failed to compile: " ^ e)
+  | Ok c -> (
+      let expected =
         fst
-          (Sv.Oneshot.run_to_string ~algorithm:Acq_core.Planner.Heuristic
-             ~history ~live c.Acq_sql.Catalog.query)
-  in
+          (Sv.Oneshot.run_to_string ~options ~algorithm ~history ~live
+             c.Acq_sql.Catalog.query)
+      in
+      match Sv.Engine.run (Sv.Engine.create serve_spec) ~tenant:"bench" opts sql with
+      | Ok text -> String.equal text expected
+      | Error _ -> false)
+
+let serve_section () =
+  let module Sv = Acq_serve in
+  let module L = Sv.Loadgen in
+  let chatty = Sv.Source.chatty_sql serve_spec.Sv.Source.kind in
   let run_identity =
-    match
-      Sv.Engine.run (Sv.Engine.create spec) ~tenant:"bench" Sv.Protocol.no_opts
-        chatty
-    with
-    | Ok text -> String.equal text expected
-    | Error _ -> false
+    run_identity ~algorithm:Acq_core.Planner.Heuristic Sv.Protocol.no_opts chatty
   in
-  (* -- 2. scale + drain over a real Unix socket --------------------- *)
-  let limits =
-    { Sv.Limits.default with Sv.Limits.max_sessions_per_tenant = 1_100 }
+  (* Start a server on a fresh socket, co-drive it with a load
+     generator until [finished], then tear both down. *)
+  let with_server ?(limits = Sv.Limits.default) name config drive =
+    let sock = Filename.concat (Filename.get_temp_dir_name ()) name in
+    (try Unix.unlink sock with Unix.Unix_error _ -> ());
+    let engine = Sv.Engine.create ~limits serve_spec in
+    let server =
+      Sv.Server.create ~unix_path:sock
+        ~listeners:[ Sv.Server.listen_unix sock ]
+        engine limits
+    in
+    let gen =
+      L.create ~config (fun () ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          fd)
+    in
+    let result = drive engine server gen in
+    let report = L.report gen in
+    L.close_all gen;
+    Sv.Server.stop server;
+    (try Unix.unlink sock with Unix.Unix_error _ -> ());
+    (result, report)
   in
-  let sock = serve_socket "acqpd_bench_scale.sock" in
-  let engine = Sv.Engine.create ~limits spec in
-  let server =
-    Sv.Server.create ~unix_path:sock
-      ~listeners:[ Sv.Server.listen_unix sock ]
-      engine limits
-  in
-  let connect_to path () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    fd
-  in
+  (* -- scale + drain ------------------------------------------------- *)
   let scale_config =
     {
-      Sv.Loadgen.connections = 50;
+      L.connections = 50;
       subscriptions_per_conn = 21;
       pings_per_conn = 2;
       runs_per_conn = 0;
@@ -1777,46 +1520,32 @@ let write_serve_json path =
       sql = "algo=heuristic " ^ chatty;
     }
   in
-  let gen = Sv.Loadgen.create ~config:scale_config (connect_to sock) in
-  let max_live = ref 0 in
-  let steps = ref 0 in
-  let target =
-    scale_config.Sv.Loadgen.connections
-    * scale_config.Sv.Loadgen.subscriptions_per_conn
+  let (max_live, clean_drain), scale =
+    with_server "acqpd_bench_scale.sock" scale_config
+      ~limits:{ Sv.Limits.default with Sv.Limits.max_sessions_per_tenant = 1_100 }
+      (fun engine server gen ->
+        let target = scale_config.L.connections * scale_config.L.subscriptions_per_conn in
+        let max_live = ref 0 and steps = ref 0 in
+        while !max_live < target && !steps < 20_000 do
+          Sv.Server.poll ~timeout_ms:0 server;
+          ignore (L.step ~timeout_ms:1 gen : bool);
+          max_live := max !max_live (Sv.Engine.live_subscriptions engine);
+          incr steps
+        done;
+        Sv.Server.request_shutdown server;
+        steps := 0;
+        while (not (Sv.Server.finished server && L.finished gen)) && !steps < 20_000 do
+          Sv.Server.poll ~timeout_ms:0 server;
+          Sv.Server.drain_step ~grace_s:2.0 server;
+          ignore (L.step ~timeout_ms:1 gen : bool);
+          incr steps
+        done;
+        (!max_live, Sv.Server.finished server && L.finished gen))
   in
-  while !max_live < target && !steps < 20_000 do
-    Sv.Server.poll ~timeout_ms:0 server;
-    ignore (Sv.Loadgen.step ~timeout_ms:1 gen : bool);
-    max_live := max !max_live (Sv.Engine.live_subscriptions engine);
-    incr steps
-  done;
-  Sv.Server.request_shutdown server;
-  let steps = ref 0 in
-  while
-    (not (Sv.Server.finished server && Sv.Loadgen.finished gen))
-    && !steps < 20_000
-  do
-    Sv.Server.poll ~timeout_ms:0 server;
-    Sv.Server.drain_step ~grace_s:2.0 server;
-    ignore (Sv.Loadgen.step ~timeout_ms:1 gen : bool);
-    incr steps
-  done;
-  let clean_drain = Sv.Server.finished server && Sv.Loadgen.finished gen in
-  let scale = Sv.Loadgen.report gen in
-  Sv.Loadgen.close_all gen;
-  Sv.Server.stop server;
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  (* -- 3. ping throughput on a fresh server ------------------------- *)
-  let sock = serve_socket "acqpd_bench_ping.sock" in
-  let engine2 = Sv.Engine.create spec in
-  let server2 =
-    Sv.Server.create ~unix_path:sock
-      ~listeners:[ Sv.Server.listen_unix sock ]
-      engine2 Sv.Limits.default
-  in
+  (* -- ping throughput ------------------------------------------------ *)
   let ping_config =
     {
-      Sv.Loadgen.connections = 20;
+      L.connections = 20;
       subscriptions_per_conn = 0;
       pings_per_conn = 250;
       runs_per_conn = 0;
@@ -1827,108 +1556,87 @@ let write_serve_json path =
       sql = chatty;
     }
   in
-  let gen2 = Sv.Loadgen.create ~config:ping_config (connect_to sock) in
-  let steps = ref 0 in
-  while (not (Sv.Loadgen.finished gen2)) && !steps < 50_000 do
-    Sv.Server.poll ~timeout_ms:0 server2;
-    ignore (Sv.Loadgen.step ~timeout_ms:0 gen2 : bool);
-    incr steps
-  done;
-  let ping = Sv.Loadgen.report gen2 in
-  Sv.Loadgen.close_all gen2;
-  Sv.Server.stop server2;
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "workload",
-          J.Obj
-            [
-              ("dataset", J.Str (Sv.Source.kind_to_string spec.Sv.Source.kind));
-              ("rows", J.Num (float_of_int spec.Sv.Source.rows));
-              ("seed", J.Num (float_of_int spec.Sv.Source.seed));
-              ( "connections",
-                J.Num (float_of_int scale_config.Sv.Loadgen.connections) );
-              ("tenants", J.Num (float_of_int scale_config.Sv.Loadgen.tenants));
-            ] );
-        ( "sessions",
-          J.Obj
-            [
-              ("concurrent_sessions", J.Num (float_of_int !max_live));
-              ("events_delivered", J.Num (float_of_int scale.Sv.Loadgen.events));
-              ( "structured_errors",
-                J.Num (float_of_int scale.Sv.Loadgen.errors) );
-              ("disconnects", J.Num (float_of_int scale.Sv.Loadgen.disconnects));
-            ] );
-        ( "throughput",
-          J.Obj
-            [
-              ("ping_rps", J.Num ping.Sv.Loadgen.rps);
-              ("ping_p99_ms", J.Num ping.Sv.Loadgen.p99_ms);
-              ("completed", J.Num (float_of_int ping.Sv.Loadgen.ok));
-            ] );
-        ("identity", J.Obj [ ("run_identity", J.Bool run_identity) ]);
-        ( "drain",
-          J.Obj
-            [
-              ("clean", J.Bool clean_drain);
-              ( "bye_delivered",
-                J.Num
-                  (float_of_int
-                     (scale_config.Sv.Loadgen.connections
-                     - scale.Sv.Loadgen.disconnects)) );
-            ] );
-        ( "summary",
-          J.Obj
-            [
-              ("concurrent_sessions", J.Num (float_of_int !max_live));
-              ("ping_rps", J.Num ping.Sv.Loadgen.rps);
-              ("run_identity", J.Bool run_identity);
-              ("clean_drain", J.Bool clean_drain);
-            ] );
-      ]
+  let completed = ref 0 in
+  let ping =
+    trials (fun () ->
+        let (), r =
+          with_server "acqpd_bench_ping.sock" ping_config (fun _ server gen ->
+              let steps = ref 0 in
+              while (not (L.finished gen)) && !steps < 50_000 do
+                Sv.Server.poll ~timeout_ms:0 server;
+                ignore (L.step ~timeout_ms:0 gen : bool);
+                incr steps
+              done)
+        in
+        completed := r.L.ok;
+        [| r.L.rps; r.L.p99_ms |])
   in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote serving-daemon results to %s (%d concurrent sessions, %.0f ping \
-     rps, identity=%b, clean_drain=%b)\n"
-    path !max_live ping.Sv.Loadgen.rps run_identity clean_drain
-
-let serve_schema_path () =
-  if Sys.file_exists "bench/BENCH_serve.schema.json" then
-    "bench/BENCH_serve.schema.json"
-  else "BENCH_serve.schema.json"
-
-let validate_serve path =
-  validate_against ~schema_path:(serve_schema_path ()) path
+  let ping_rps = spread_json ping.(0) in
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ( "workload",
+        J.Obj
+          [
+            ("dataset", J.Str (Sv.Source.kind_to_string serve_spec.Sv.Source.kind));
+            ("rows", jint serve_spec.Sv.Source.rows);
+            ("seed", jint serve_spec.Sv.Source.seed);
+            ("connections", jint scale_config.L.connections);
+            ("tenants", jint scale_config.L.tenants);
+          ] );
+      ( "sessions",
+        J.Obj
+          [
+            ("concurrent_sessions", jint max_live);
+            ("events_delivered", jint scale.L.events);
+            ("structured_errors", jint scale.L.errors);
+            ("disconnects", jint scale.L.disconnects);
+          ] );
+      ( "throughput",
+        J.Obj
+          [
+            ("ping_rps", ping_rps);
+            ("ping_p99_ms", spread_json ping.(1));
+            ("completed", jint !completed);
+          ] );
+      ("identity", J.Obj [ ("run_identity", J.Bool run_identity) ]);
+      ( "drain",
+        J.Obj
+          [
+            ("clean", J.Bool clean_drain);
+            ("bye_delivered", jint (scale_config.L.connections - scale.L.disconnects));
+          ] );
+      ( "summary",
+        J.Obj
+          [
+            ("concurrent_sessions", jint max_live);
+            ("ping_rps", ping_rps);
+            ("run_identity", J.Bool run_identity);
+            ("clean_drain", J.Bool clean_drain);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Sampling bench: the statistical guarantees of the sampled backend
-   and the PAC planner arm, measured at bench scale and pinned by the
-   checked-in schema (bench/BENCH_sample.schema.json). Four kernels:
-
+(* sample: the statistical guarantees of the sampled backend and the
+   PAC planner arm.
    1. Coverage: 200 seeded resamples of a correlated window; the
       Hoeffding interval on a root and on a conditioned estimate must
-      cover the exact full-window probability at >= 1 - delta.
+      cover the exact full-window probability at >= 0.9 = 1 - delta.
    2. Certificate: 200 seeded instances; the PAC plan's (epsilon,
       delta) certificate must hold against the brute-force oracle —
       cost_bound >= true plan cost and cost_bound <= (1 + epsilon) *
-      optimum — at >= 0.95 (the schema floor).
-   3. Cold data: the expensive-predicate (UDF) workload; the Pac arm
+      optimum — at >= 0.95.
+   3. Cold data: on the expensive-predicate (UDF) workload the Pac arm
       planning on sampled(1024, 0.001) must match the exact CorrSeq
-      plan's live cost on a drifted cold trace within 10% while
-      certifying from a strict subsample (samples-drawn ceiling).
-   4. Identity: a daemon RUN with model=sampled(...) must be
-      byte-identical to the one-shot CLI rendering — the serving-path
-      contract extended to the sampled backend. *)
+      plan's live cost on a drifted cold trace within 10%, certifying
+      from at most 4096 of 6000 rows.
+   4. Identity: a daemon RUN with model=sampled(...) is byte-identical
+      to the one-shot CLI rendering. *)
 
 let sample_dataset seed domains rows =
+  let module Rng = Acq_util.Rng in
   let n = Array.length domains in
-  let rng = Acq_util.Rng.create seed in
+  let rng = Rng.create seed in
   let schema =
     Acq_data.Schema.create
       (List.init n (fun k ->
@@ -1939,35 +1647,29 @@ let sample_dataset seed domains rows =
   in
   let data =
     Array.init rows (fun _ ->
-        let regime = Acq_util.Rng.float rng 1.0 in
+        let regime = Rng.float rng 1.0 in
         Array.init n (fun k ->
-            if Acq_util.Rng.bernoulli rng 0.7 then
-              min
-                (domains.(k) - 1)
-                (int_of_float (regime *. float_of_int domains.(k)))
-            else Acq_util.Rng.int rng domains.(k)))
+            if Rng.bernoulli rng 0.7 then
+              min (domains.(k) - 1) (int_of_float (regime *. float_of_int domains.(k)))
+            else Rng.int rng domains.(k)))
   in
   Acq_data.Dataset.create schema data
 
 let sample_brute_force q ~costs est =
-  let module EC = Acq_core.Expected_cost in
   let rec perms = function
     | [] -> [ [] ]
     | l ->
         List.concat_map
-          (fun x ->
-            List.map
-              (fun rest -> x :: rest)
-              (perms (List.filter (fun y -> y <> x) l)))
+          (fun x -> List.map (fun rest -> x :: rest) (perms (List.filter (( <> ) x) l)))
           l
   in
-  let m = Acq_plan.Query.n_predicates q in
   List.fold_left
-    (fun best order -> Float.min best (EC.of_order q ~costs est order))
+    (fun best order ->
+      Float.min best (Acq_core.Expected_cost.of_order q ~costs est order))
     infinity
-    (perms (List.init m Fun.id))
+    (perms (List.init (Acq_plan.Query.n_predicates q) Fun.id))
 
-let write_sample_json path =
+let sample_section () =
   let module B = Acq_prob.Backend in
   let module P = Acq_core.Planner in
   let module Pred = Acq_plan.Predicate in
@@ -1990,8 +1692,7 @@ let write_sample_json path =
   for seed = 1 to coverage_trials do
     let b = B.sampled ~seed ~n:256 ~delta:cov_delta cov_ds in
     check_cover truth_root (B.pred_prob_ci b p_root);
-    check_cover truth_cond
-      (B.pred_prob_ci (B.restrict_pred b p_root true) p_cond)
+    check_cover truth_cond (B.pred_prob_ci (B.restrict_pred b p_root true) p_cond)
   done;
   let coverage_rate = float_of_int !covered /. float_of_int !cov_total in
   (* -- 2. PAC certificate vs the brute-force oracle ----------------- *)
@@ -2022,8 +1723,7 @@ let write_sample_json path =
     if cert.Search.samples < DS.nrows ds then incr partial;
     if
       cert.Search.cost_bound >= true_cost -. 1e-9
-      && cert.Search.cost_bound
-         <= ((1.0 +. cert.Search.epsilon) *. oracle) +. 1e-9
+      && cert.Search.cost_bound <= ((1.0 +. cert.Search.epsilon) *. oracle) +. 1e-9
     then incr holds
   done;
   let holds_rate = float_of_int !holds /. float_of_int certificate_trials in
@@ -2037,8 +1737,7 @@ let write_sample_json path =
   let q = U.query p in
   let costs = Acq_data.Schema.costs (DS.schema train) in
   let live_cost plan =
-    Acq_exec.Runner.average_cost ~model ~mode:Acq_exec.Mode.Compiled q ~costs
-      plan cold
+    Acq_exec.Runner.average_cost ~model ~mode:Acq_exec.Mode.Compiled q ~costs plan cold
   in
   let spec_of name =
     match B.spec_of_string name with
@@ -2055,13 +1754,9 @@ let write_sample_json path =
       pac_epsilon = 0.5;
     }
   in
-  let exact_r =
-    P.plan ~options:(udf_options (spec_of "empirical")) P.Corr_seq q ~train
-  in
+  let exact_r = P.plan ~options:(udf_options (spec_of "empirical")) P.Corr_seq q ~train in
   let pac_r =
-    P.plan
-      ~options:(udf_options (spec_of "sampled(1024,0.001)"))
-      P.Pac q ~train
+    P.plan ~options:(udf_options (spec_of "sampled(1024,0.001)")) P.Pac q ~train
   in
   let exact_cost = live_cost exact_r.P.plan in
   let pac_cost = live_cost pac_r.P.plan in
@@ -2072,94 +1767,74 @@ let write_sample_json path =
     | None -> (udf_rows, "-")
   in
   (* -- 4. RUN byte-identity under model=sampled --------------------- *)
-  let module Sv = Acq_serve in
-  let spec = serve_spec in
-  let chatty = Sv.Source.chatty_sql spec.Sv.Source.kind in
   let sampled_spec = spec_of "sampled(512,0.01)" in
-  let expected =
-    let history, live = Sv.Source.history_live spec in
-    let schema = Acq_data.Dataset.schema history in
-    match Acq_sql.Catalog.compile_result schema chatty with
-    | Error e -> failwith ("sample bench query failed to compile: " ^ e)
-    | Ok c ->
-        fst
-          (Sv.Oneshot.run_to_string
-             ~options:{ P.default_options with P.prob_model = sampled_spec }
-             ~algorithm:P.Pac ~history ~live c.Acq_sql.Catalog.query)
-  in
-  let daemon_opts =
-    {
-      Sv.Protocol.planner = Some (Sv.Protocol.Fixed P.Pac);
-      model = Some sampled_spec;
-      exec = None;
-    }
-  in
   let run_identity =
-    match
-      Sv.Engine.run (Sv.Engine.create spec) ~tenant:"bench" daemon_opts chatty
-    with
-    | Ok text -> String.equal text expected
-    | Error _ -> false
+    run_identity
+      ~options:{ P.default_options with P.prob_model = sampled_spec }
+      ~algorithm:P.Pac
+      {
+        Acq_serve.Protocol.planner = Some (Acq_serve.Protocol.Fixed P.Pac);
+        model = Some sampled_spec;
+        exec = None;
+      }
+      (Acq_serve.Source.chatty_sql serve_spec.Acq_serve.Source.kind)
   in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.0);
-        ( "coverage",
-          J.Obj
-            [
-              ("trials", J.Num (float_of_int !cov_total));
-              ("covered", J.Num (float_of_int !covered));
-              ("rate", J.Num coverage_rate);
-              ("delta", J.Num cov_delta);
-            ] );
-        ( "certificate",
-          J.Obj
-            [
-              ("trials", J.Num (float_of_int certificate_trials));
-              ("holds", J.Num (float_of_int !holds));
-              ("rate", J.Num holds_rate);
-              ("max_delta", J.Num !max_delta);
-              ("partial_trials", J.Num (float_of_int !partial));
-            ] );
-        ( "cold_data",
-          J.Obj
-            [
-              ("rows", J.Num (float_of_int udf_rows));
-              ("empirical_live_cost", J.Num exact_cost);
-              ("sampled_live_cost", J.Num pac_cost);
-              ("cost_ratio", J.Num cost_ratio);
-              ("samples_drawn", J.Num (float_of_int samples_drawn));
-              ("certificate", J.Str pac_cert);
-            ] );
-        ("identity", J.Obj [ ("run_identity", J.Bool run_identity) ]);
-        ( "summary",
-          J.Obj
-            [
-              ("coverage_rate", J.Num coverage_rate);
-              ("certificate_holds_rate", J.Num holds_rate);
-              ("cold_cost_ratio", J.Num cost_ratio);
-              ("samples_drawn", J.Num (float_of_int samples_drawn));
-              ("run_identity", J.Bool run_identity);
-            ] );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote sampling results to %s (coverage %.3f, certificate holds %.3f, \
-     cold ratio %.3f, %d samples drawn, identity=%b)\n"
-    path coverage_rate holds_rate cost_ratio samples_drawn run_identity
+  J.Obj
+    [
+      ("version", J.Num 1.0);
+      ( "coverage",
+        J.Obj
+          [
+            ("trials", jint !cov_total);
+            ("covered", jint !covered);
+            ("rate", J.Num coverage_rate);
+            ("delta", J.Num cov_delta);
+          ] );
+      ( "certificate",
+        J.Obj
+          [
+            ("trials", jint certificate_trials);
+            ("holds", jint !holds);
+            ("rate", J.Num holds_rate);
+            ("max_delta", J.Num !max_delta);
+            ("partial_trials", jint !partial);
+          ] );
+      ( "cold_data",
+        J.Obj
+          [
+            ("rows", jint udf_rows);
+            ("empirical_live_cost", J.Num exact_cost);
+            ("sampled_live_cost", J.Num pac_cost);
+            ("cost_ratio", J.Num cost_ratio);
+            ("samples_drawn", jint samples_drawn);
+            ("certificate", J.Str pac_cert);
+          ] );
+      ("identity", J.Obj [ ("run_identity", J.Bool run_identity) ]);
+      ( "summary",
+        J.Obj
+          [
+            ("coverage_rate", J.Num coverage_rate);
+            ("certificate_holds_rate", J.Num holds_rate);
+            ("cold_cost_ratio", J.Num cost_ratio);
+            ("samples_drawn", jint samples_drawn);
+            ("run_identity", J.Bool run_identity);
+          ] );
+    ]
 
-let sample_schema_path () =
-  if Sys.file_exists "bench/BENCH_sample.schema.json" then
-    "bench/BENCH_sample.schema.json"
-  else "BENCH_sample.schema.json"
+(* ------------------------------------------------------------------ *)
+(* The registry: every BENCH section, in default-run order. *)
 
-let validate_sample path =
-  validate_against ~schema_path:(sample_schema_path ()) path
+let sections =
+  [
+    { name = "obs"; run = obs_section };
+    { name = "adapt"; run = adapt_section };
+    { name = "par"; run = par_section };
+    { name = "prob"; run = prob_section };
+    { name = "exec"; run = exec_section };
+    { name = "audit"; run = audit_section };
+    { name = "serve"; run = serve_section };
+    { name = "sample"; run = sample_section };
+  ]
 
 let run_micro () =
   print_endline "\n== Bechamel micro-benchmarks (one kernel per experiment) ==";
@@ -2201,130 +1876,44 @@ let run_micro () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let full = List.mem "--full" args in
-  let micro_only = List.mem "--micro" args in
-  let no_micro = List.mem "--no-micro" args in
-  let list = List.mem "--list" args in
-  let obs_smoke = List.mem "--obs-smoke" args in
-  let adapt_smoke = List.mem "--adapt-smoke" args in
-  let par_smoke = List.mem "--par-smoke" args in
-  let prob_smoke = List.mem "--prob-smoke" args in
-  let exec_smoke = List.mem "--exec-smoke" args in
-  let audit_smoke = List.mem "--audit-smoke" args in
-  let serve_smoke = List.mem "--serve-smoke" args in
-  let sample_smoke = List.mem "--sample-smoke" args in
-  let find_target flag =
-    let rec find = function
-      | f :: path :: _ when f = flag -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let names = String.concat " " (List.map (fun s -> s.name) sections) in
+  let find name =
+    match List.find_opt (fun s -> s.name = name) sections with
+    | Some s -> s
+    | None ->
+        Printf.eprintf "unknown section %S (sections: %s)\n" name names;
+        exit 2
   in
-  let validate_target = find_target "--validate-obs" in
-  let validate_adapt_target = find_target "--validate-adapt" in
-  let validate_par_target = find_target "--validate-par" in
-  let validate_prob_target = find_target "--validate-prob" in
-  let validate_exec_target = find_target "--validate-exec" in
-  let validate_audit_target = find_target "--validate-audit" in
-  let validate_serve_target = find_target "--validate-serve" in
-  let validate_sample_target = find_target "--validate-sample" in
-  let ids =
-    let rec keep = function
-      | ( "--validate-obs" | "--validate-adapt" | "--validate-par"
-        | "--validate-prob" | "--validate-exec" | "--validate-audit"
-        | "--validate-serve" | "--validate-sample" )
-        :: _ :: rest ->
-          keep rest
-      | a :: rest ->
-          if String.length a > 1 && a.[0] = '-' then keep rest
-          else a :: keep rest
-      | [] -> []
-    in
-    keep args
-  in
-  if list then begin
-    List.iter
-      (fun e ->
-        Printf.printf "%-14s %s\n" e.Acq_workload.Registry.id
-          e.Acq_workload.Registry.title)
-      Acq_workload.Registry.all;
-    print_endline
-      "flags: --full --micro --no-micro --obs-smoke --validate-obs FILE \
-       --adapt-smoke --validate-adapt FILE --par-smoke --validate-par FILE \
-       --prob-smoke --validate-prob FILE --exec-smoke --validate-exec FILE \
-       --audit-smoke --validate-audit FILE --serve-smoke --validate-serve \
-       FILE --sample-smoke --validate-sample FILE --list (every non-list \
-       run also writes BENCH_planner_stats.json, BENCH_obs.json, \
-       BENCH_adapt.json, BENCH_par.json, BENCH_prob.json, BENCH_exec.json, \
-       BENCH_audit.json, BENCH_serve.json, and BENCH_sample.json)"
-  end
-  else
-    match
-      ( validate_target,
-        validate_adapt_target,
-        validate_par_target,
-        validate_prob_target,
-        validate_exec_target,
-        validate_audit_target,
-        validate_serve_target,
-        validate_sample_target )
-    with
-    | Some path, _, _, _, _, _, _, _ -> validate_obs path
-    | None, Some path, _, _, _, _, _, _ -> validate_adapt path
-    | None, None, Some path, _, _, _, _, _ -> validate_par path
-    | None, None, None, Some path, _, _, _, _ -> validate_prob path
-    | None, None, None, None, Some path, _, _, _ -> validate_exec path
-    | None, None, None, None, None, Some path, _, _ -> validate_audit path
-    | None, None, None, None, None, None, Some path, _ -> validate_serve path
-    | None, None, None, None, None, None, None, Some path ->
-        validate_sample path
-    | None, None, None, None, None, None, None, None ->
-        if obs_smoke then begin
-          write_obs_json "BENCH_obs.json";
-          validate_obs "BENCH_obs.json"
-        end
-        else if adapt_smoke then begin
-          write_adapt_json "BENCH_adapt.json";
-          validate_adapt "BENCH_adapt.json"
-        end
-        else if par_smoke then begin
-          write_par_json ~races:20 "BENCH_par.json";
-          validate_par "BENCH_par.json"
-        end
-        else if prob_smoke then begin
-          write_prob_json "BENCH_prob.json";
-          validate_prob "BENCH_prob.json"
-        end
-        else if exec_smoke then begin
-          write_exec_json "BENCH_exec.json";
-          validate_exec "BENCH_exec.json"
-        end
-        else if audit_smoke then begin
-          write_audit_json "BENCH_audit.json";
-          validate_audit "BENCH_audit.json"
-        end
-        else if serve_smoke then begin
-          write_serve_json "BENCH_serve.json";
-          validate_serve "BENCH_serve.json"
-        end
-        else if sample_smoke then begin
-          write_sample_json "BENCH_sample.json";
-          validate_sample "BENCH_sample.json"
-        end
-        else begin
-          if not micro_only then
-            Acq_workload.Registry.run_selected
-              { Acq_workload.Figures.full; exec = Acq_exec.Mode.Tree }
-              ids;
-          write_stats_json "BENCH_planner_stats.json";
-          write_obs_json "BENCH_obs.json";
-          write_adapt_json "BENCH_adapt.json";
-          write_par_json "BENCH_par.json";
-          write_prob_json "BENCH_prob.json";
-          write_exec_json "BENCH_exec.json";
-          write_audit_json "BENCH_audit.json";
-          write_serve_json "BENCH_serve.json";
-          write_sample_json "BENCH_sample.json";
-          if micro_only || (ids = [] && not no_micro) then run_micro ()
-        end
+  match args with
+  | [ "--smoke"; name ] ->
+      let s = find name in
+      emit s;
+      validate s.name (output_path s.name)
+  | [ "--validate"; name; path ] -> validate (find name).name path
+  | _ when List.mem "--smoke" args || List.mem "--validate" args ->
+      prerr_endline "usage: main.exe --smoke NAME | --validate NAME FILE";
+      exit 2
+  | _ when List.mem "--list" args ->
+      List.iter
+        (fun e ->
+          Printf.printf "%-14s %s\n" e.Acq_workload.Registry.id
+            e.Acq_workload.Registry.title)
+        Acq_workload.Registry.all;
+      Printf.printf
+        "sections: %s\n\
+         flags: --full --micro --no-micro --list --smoke NAME --validate NAME \
+         FILE (every other run also writes BENCH_<section>.json for every \
+         section)\n"
+        names
+  | _ ->
+      let micro_only = List.mem "--micro" args in
+      let ids = List.filter (fun a -> a = "" || a.[0] <> '-') args in
+      if not micro_only then
+        Acq_workload.Registry.run_selected
+          {
+            Acq_workload.Figures.full = List.mem "--full" args;
+            exec = Acq_exec.Mode.Tree;
+          }
+          ids;
+      List.iter emit sections;
+      if micro_only || (ids = [] && not (List.mem "--no-micro" args)) then run_micro ()

@@ -32,15 +32,7 @@ type stats = {
   certificate : certificate option;
 }
 
-let create ?(budget = max_int) ?deadline_ms ?(telemetry = Telemetry.noop)
-    ?trace () =
-  let obs =
-    (* Back-compat shim: a legacy string sink still sees every event
-       line, now routed through the span/event API. *)
-    match trace with
-    | None -> telemetry
-    | Some sink -> Telemetry.add_event_sink telemetry sink
-  in
+let create ?(budget = max_int) ?deadline_ms ?(telemetry = Telemetry.noop) () =
   {
     budget;
     deadline_ms;
@@ -50,7 +42,7 @@ let create ?(budget = max_int) ?deadline_ms ?(telemetry = Telemetry.noop)
     memo_hits = 0;
     estimator_calls = 0;
     pruned_branches = 0;
-    obs;
+    obs = telemetry;
   }
 
 let elapsed_ms (t : _ t) = (Unix.gettimeofday () -. t.started) *. 1000.0

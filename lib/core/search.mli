@@ -61,7 +61,6 @@ val create :
   ?budget:int ->
   ?deadline_ms:float ->
   ?telemetry:Acq_obs.Telemetry.t ->
-  ?trace:(string -> unit) ->
   unit ->
   'memo t
 (** Fresh context. [budget] (default unlimited) bounds the total
@@ -70,12 +69,7 @@ val create :
     raises {!Budget_exceeded}. [deadline_ms] bounds wall-clock time
     the same way via {!Deadline_exceeded}. [telemetry] (default
     {!Acq_obs.Telemetry.noop}) receives the spans, events, and metric
-    updates the planners emit through this context.
-
-    [trace] is the retired free-form sink, kept as a thin
-    back-compat wrapper: the strings {!trace} emits are forwarded to
-    it as span events via {!Acq_obs.Telemetry.add_event_sink}. New
-    code should pass [telemetry] with a {!Acq_obs.Tracer.t} instead. *)
+    updates the planners emit through this context. *)
 
 val solved : _ t -> unit
 (** Record one expanded search node; raises {!Budget_exceeded} or
@@ -116,16 +110,15 @@ val estimator_calls : _ t -> int
 val pruned_branches : _ t -> int
 
 val telemetry : _ t -> Acq_obs.Telemetry.t
-(** The handle passed to {!create} (with the legacy sink attached, if
-    any) — planners use it for spans and fine-grained histograms. *)
+(** The handle passed to {!create} — planners use it for spans and
+    fine-grained histograms. *)
 
 val elapsed_ms : _ t -> float
 (** Wall-clock milliseconds since {!create}. *)
 
 val trace : _ t -> (unit -> string) -> unit
-(** Emit a progress line as a span event (and to the legacy sink, if
-    one was installed). The thunk is only forced when the context's
-    telemetry is live. *)
+(** Emit a progress line as a span event. The thunk is only forced
+    when the context's telemetry is live. *)
 
 val wrap_estimator : _ t -> Acq_prob.Estimator.t -> Acq_prob.Estimator.t
 (** Counting decorator: every probability query against the returned

@@ -58,12 +58,12 @@ let automaton t = t.auto
 
 let run ?instr ?probe t ~lookup =
   let a = t.auto in
-  let probed, pvisits, phits =
+  let probed, phits, pmisses =
     match probe with
     | None -> (false, [||], [||])
     | Some p ->
         Probe.check p a;
-        (true, Probe.visits p, Probe.hits p)
+        (true, Probe.hits p, Probe.misses p)
   in
   t.tid <- t.tid + 1;
   let tid = t.tid in
@@ -95,8 +95,8 @@ let run ?instr ?probe t ~lookup =
       let v = lookup at in
       let hit = a.Compile.lo.(node) <= v && v <= a.Compile.hi.(node) in
       if probed then begin
-        pvisits.(node) <- pvisits.(node) + 1;
         if hit then phits.(node) <- phits.(node) + 1
+        else pmisses.(node) <- pmisses.(node) + 1
       end;
       go (if hit then a.Compile.on_hit.(node) else a.Compile.on_miss.(node))
     end
@@ -116,6 +116,9 @@ let run ?instr ?probe t ~lookup =
 let run_tuple ?instr ?probe t tuple =
   run ?instr ?probe t ~lookup:(fun at -> tuple.(at))
 
+(* Stand-in cost cells for an unprobed sweep: read once, never written. *)
+let no_cells = Array.make 6 0.0
+
 let sweep_columns ?instr ?probe t cols ~nrows =
   if nrows = 0 then 0.0
   else begin
@@ -129,15 +132,22 @@ let sweep_columns ?instr ?probe t cols ~nrows =
           invalid_arg "Batch.sweep_columns: column shorter than nrows")
       cols;
     (* Probe arrays are hoisted like the automaton's: the audited
-       sweep stays a pair of int increments per node visit, with no
-       per-tuple allocation. *)
-    let probed, pvisits, phits =
+       sweep adds one int increment per node visit, to its hit or its
+       miss count on the branch the walk takes anyway (a separate
+       branch costs ~3% more), and the cost cells are folded in
+       registers and written back once per sweep — no per-tuple
+       allocation or call. *)
+    let probed, phits, pmisses, cells, pred =
       match probe with
-      | None -> (false, [||], [||])
+      | None -> (false, [||], [||], no_cells, 0.0)
       | Some p ->
           Probe.check p a;
-          (true, Probe.visits p, Probe.hits p)
+          (true, Probe.hits p, Probe.misses p, Probe.cost_cells p,
+           Probe.predicted_cost p)
     in
+    let s_err = ref cells.(0) and s_sq = ref cells.(1) in
+    let s_max = ref cells.(2) and s_n = ref cells.(3) in
+    let s_abs = ref cells.(4) and s_obs = ref cells.(5) in
     let kind = a.Compile.kind in
     let attr = a.Compile.attr in
     let lo = a.Compile.lo in
@@ -178,11 +188,14 @@ let sweep_columns ?instr ?probe t cols ~nrows =
         end;
         let v = cols.(at).(r) in
         let hit = lo.(node) <= v && v <= hi.(node) in
-        if probed then begin
-          pvisits.(node) <- pvisits.(node) + 1;
-          if hit then phits.(node) <- phits.(node) + 1
-        end;
-        go r (if hit then on_hit.(node) else on_miss.(node))
+        if hit then begin
+          if probed then phits.(node) <- phits.(node) + 1;
+          go r on_hit.(node)
+        end
+        else begin
+          if probed then pmisses.(node) <- pmisses.(node) + 1;
+          go r on_miss.(node)
+        end
       end
       else node
     in
@@ -194,9 +207,19 @@ let sweep_columns ?instr ?probe t cols ~nrows =
       let exit = go r entry in
       if exit = Compile.accept then incr matches;
       t.acc.(1) <- t.acc.(1) +. t.acc.(0);
-      (match probe with
-      | Some p -> Probe.observe_cost p t.acc.(0)
-      | None -> ());
+      if probed then begin
+        (* Probe.observe_cost, op for op, so the cells end bit-identical
+           to folding tuple by tuple. *)
+        let cost = t.acc.(0) in
+        let err = cost -. pred in
+        s_err := !s_err +. err;
+        s_sq := !s_sq +. (err *. err);
+        let a = Float.abs err in
+        if a > !s_max then s_max := a;
+        s_n := !s_n +. 1.0;
+        s_abs := !s_abs +. a;
+        s_obs := !s_obs +. cost
+      end;
       if instrumented then
         match instr with Some i -> E.Instr.depth i t.tests | None -> ()
     done;
@@ -207,6 +230,14 @@ let sweep_columns ?instr ?probe t cols ~nrows =
         done;
         E.Instr.tuples i ~n:nrows ~matches:!matches
     | None -> ());
+    if probed then begin
+      cells.(0) <- !s_err;
+      cells.(1) <- !s_sq;
+      cells.(2) <- !s_max;
+      cells.(3) <- !s_n;
+      cells.(4) <- !s_abs;
+      cells.(5) <- !s_obs
+    end;
     Array.fill t.acq_counts 0 n_attrs 0;
     t.acc.(1) /. float_of_int nrows
   end

@@ -19,8 +19,8 @@ let c_sum_obs = 5
 
 type t = {
   auto : Compile.t;
-  visits : int array;  (* per automaton node: times the node executed *)
-  hits : int array;  (* per node: times its band test held *)
+  hits : int array;  (* per automaton node: times its band test held *)
+  misses : int array;  (* per node: times it failed; visits = hits + misses *)
   cerr : float array;
   mutable pred_cost : float;
   mutable cursor : int;  (* tree-path mirror position in [auto] *)
@@ -31,8 +31,8 @@ let create auto =
   let n = Compile.n_nodes auto in
   {
     auto;
-    visits = Array.make n 0;
     hits = Array.make n 0;
+    misses = Array.make n 0;
     cerr = Array.make 6 0.0;
     pred_cost = 0.0;
     cursor = Compile.entry auto;
@@ -40,9 +40,11 @@ let create auto =
   }
 
 let automaton t = t.auto
-let n_nodes t = Array.length t.visits
-let visits t = t.visits
+let n_nodes t = Array.length t.hits
+let visits t = Array.map2 ( + ) t.hits t.misses
 let hits t = t.hits
+let misses t = t.misses
+let cost_cells t = t.cerr
 let predicted_cost t = t.pred_cost
 let set_predicted_cost t c = t.pred_cost <- c
 
@@ -85,8 +87,8 @@ let observed_mean_cost t =
   else Some (t.cerr.(c_sum_obs) /. n, int_of_float n)
 
 let reset t =
-  Array.fill t.visits 0 (Array.length t.visits) 0;
   Array.fill t.hits 0 (Array.length t.hits) 0;
+  Array.fill t.misses 0 (Array.length t.misses) 0;
   Array.fill t.cerr 0 (Array.length t.cerr) 0.0;
   t.cursor <- Compile.entry t.auto
 
@@ -109,8 +111,8 @@ let hook t =
             (fun ~attr:_ ~hit ->
               let c = t.cursor in
               if c >= 0 then begin
-                t.visits.(c) <- t.visits.(c) + 1;
-                if hit then t.hits.(c) <- t.hits.(c) + 1;
+                if hit then t.hits.(c) <- t.hits.(c) + 1
+                else t.misses.(c) <- t.misses.(c) + 1;
                 t.cursor <-
                   (if hit then a.Compile.on_hit.(c) else a.Compile.on_miss.(c))
               end);

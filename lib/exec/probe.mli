@@ -2,8 +2,8 @@
 
     A probe is the raw-observation half of the calibration plane
     ({!Acq_audit} builds scores on top): per automaton node it counts
-    executions ([visits]) and band-test successes ([hits]) as plain
-    int array increments, and per tuple it folds the realized
+    band-test successes ([hits]) and failures ([misses]) as plain int
+    array increments — one per node visit — and per tuple it folds the realized
     acquisition cost against the plan's predicted Eq.-4 cost into a
     six-cell unboxed float accumulator. Nothing here allocates on the
     hot path, so probing a compiled sweep preserves the
@@ -27,11 +27,14 @@ val automaton : t -> Compile.t
 val n_nodes : t -> int
 
 val visits : t -> int array
-(** Live per-node execution counts — the executor's own accumulator,
-    not a copy. Callers must treat it as read-only. *)
+(** Per-node execution counts, [hits + misses] — a fresh array. *)
 
 val hits : t -> int array
-(** Live per-node band-success counts; same aliasing caveat. *)
+(** Live per-node band-success counts — the executor's own
+    accumulator, not a copy. Callers must treat it as read-only. *)
+
+val misses : t -> int array
+(** Live per-node band-failure counts; same aliasing caveat. *)
 
 val predicted_cost : t -> float
 
@@ -40,8 +43,16 @@ val set_predicted_cost : t -> float -> unit
     tuples fold [observed - predicted] into the cost cell. *)
 
 val observe_cost : t -> float -> unit
-(** Fold one tuple's realized acquisition cost. The executors call
-    this; it is exposed so post-mortem replays can, too. *)
+(** Fold one tuple's realized acquisition cost. The per-tuple
+    executors call this; it is exposed so post-mortem replays can,
+    too. *)
+
+val cost_cells : t -> float array
+(** The live six-cell cost accumulator {!observe_cost} updates
+    (signed error sum, squared error sum, max absolute error, count,
+    absolute error sum, observed sum). {!Batch.sweep_columns} folds a
+    whole sweep in registers with the same operations and writes the
+    cells back once. *)
 
 type cost_stats = {
   count : int;

@@ -1,7 +1,6 @@
 type active = {
   metrics : Metrics.t option;
   tracer : Tracer.t option;
-  event_sink : (string -> unit) option;
 }
 
 type t = Noop | Active of active
@@ -11,25 +10,11 @@ let noop = Noop
 let create ?metrics ?tracer () =
   match (metrics, tracer) with
   | None, None -> Noop
-  | _ -> Active { metrics; tracer; event_sink = None }
+  | _ -> Active { metrics; tracer }
 
 let enabled = function Noop -> false | Active _ -> true
 let metrics = function Noop -> None | Active a -> a.metrics
 let tracer = function Noop -> None | Active a -> a.tracer
-
-let add_event_sink t sink =
-  match t with
-  | Noop -> Active { metrics = None; tracer = None; event_sink = Some sink }
-  | Active a ->
-      let sink =
-        match a.event_sink with
-        | None -> sink
-        | Some prev ->
-            fun s ->
-              prev s;
-              sink s
-      in
-      Active { a with event_sink = Some sink }
 
 let span t ?cat ?attrs name f =
   match t with
@@ -39,12 +24,8 @@ let span t ?cat ?attrs name f =
 
 let event t ?cat ?attrs name =
   match t with
-  | Noop -> ()
-  | Active a -> (
-      (match a.tracer with
-      | Some tr -> Tracer.event tr ?cat ?attrs name
-      | None -> ());
-      match a.event_sink with Some sink -> sink name | None -> ())
+  | Active { tracer = Some tr; _ } -> Tracer.event tr ?cat ?attrs name
+  | Noop | Active _ -> ()
 
 let sample t name series =
   match t with

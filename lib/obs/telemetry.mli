@@ -23,12 +23,6 @@ val enabled : t -> bool
 val metrics : t -> Metrics.t option
 val tracer : t -> Tracer.t option
 
-val add_event_sink : t -> (string -> unit) -> t
-(** Extend the handle so every {!event} name is also forwarded to the
-    given string sink — the back-compat shim for the legacy
-    [Search ?trace] argument. Works on {!noop} too (yielding a handle
-    that only forwards event strings). *)
-
 (** {2 Tracing} *)
 
 val span : t -> ?cat:string -> ?attrs:(string * string) list -> string ->

@@ -418,6 +418,40 @@ let test_audited_sweep_zero_alloc () =
     (per_cycle < 8_192.0);
   ignore !sink
 
+(* The three probe feeders — the tree interpreter's hook, the compiled
+   per-tuple run, and the compiled sweep (which folds its cost cells in
+   registers) — leave bit-identical counts and cost cells. *)
+let test_probe_feeders_agree () =
+  let ds, q = correlated_instance 23 in
+  let costs = S.costs (DS.schema ds) in
+  let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
+  let auto = Compile.compile q plan in
+  let b = Batch.create ~costs auto in
+  let fresh () =
+    let p = Probe.create auto in
+    Probe.set_predicted_cost p 3.25;
+    p
+  in
+  let tree = fresh () and per_tuple = fresh () and swept = fresh () in
+  for r = 0 to DS.nrows ds - 1 do
+    let row = DS.row ds r in
+    ignore (Ex.run_tuple ~audit:(Probe.hook tree) q ~costs plan row : Ex.outcome);
+    ignore (Batch.run_tuple ~probe:per_tuple b row : Ex.outcome)
+  done;
+  ignore
+    (Batch.sweep_columns ~probe:swept b (DS.columns ds) ~nrows:(DS.nrows ds)
+      : float);
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check (array int))
+        (name ^ " visits") (Probe.visits tree) (Probe.visits p);
+      Alcotest.(check (array int)) (name ^ " hits") (Probe.hits tree) (Probe.hits p);
+      Alcotest.(check bool) (name ^ " cost cells") true
+        (Array.for_all2 Float.equal (Probe.cost_cells tree) (Probe.cost_cells p)))
+    [ ("per-tuple", per_tuple); ("sweep", swept) ];
+  Alcotest.(check int) "every tuple counted" (DS.nrows ds)
+    (Probe.cost_stats swept).Probe.count
+
 (* ------------------------------------------------------------------ *)
 (* Shard merge: one probe per domain, one tracker per shard, merged in
    submission order. Additive statistics (counts, error sums) match
@@ -535,6 +569,7 @@ let () =
           q prop_audit_is_pure_observer;
           Alcotest.test_case "audited sweep alloc bound" `Quick
             test_audited_sweep_zero_alloc;
+          Alcotest.test_case "probe feeders agree" `Quick test_probe_feeders_agree;
         ] );
       ( "calibration",
         [

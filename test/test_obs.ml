@@ -1,6 +1,6 @@
 (* Unit tests for Acq_obs: the metrics registry (histogram edge cases
    in particular), span nesting and ordering under an injected clock,
-   the self-hosted JSON parser, the legacy Search trace shim, and a
+   the self-hosted JSON parser, Search trace laziness, and a
    golden check that a small Runtime.run emits a parseable Chrome
    trace and a stable metrics dump. *)
 
@@ -289,7 +289,7 @@ let test_json_unicode_escape () =
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry handle + legacy Search trace shim *)
+(* Telemetry handle + Search trace laziness *)
 
 let test_noop_is_disabled () =
   Alcotest.(check bool) "noop disabled" false (T.enabled T.noop);
@@ -300,21 +300,8 @@ let test_noop_is_disabled () =
   T.observe T.noop "y_ms" 1.0;
   Alcotest.(check int) "span runs thunk" 3 (T.span T.noop "s" (fun () -> 3))
 
-let test_legacy_trace_shim () =
-  let lines = ref [] in
-  let obs = T.add_event_sink T.noop (fun s -> lines := s :: !lines) in
-  T.event obs "greedy: picked split on light";
-  Alcotest.(check (list string)) "forwarded" [ "greedy: picked split on light" ]
-    (List.rev !lines);
-  (* The same shim through the retired Search ?trace argument. *)
-  let lines' = ref [] in
-  let search =
-    Acq_core.Search.create ~trace:(fun s -> lines' := s :: !lines') ()
-  in
-  Acq_core.Search.trace search (fun () -> "expanding node 7");
-  Alcotest.(check (list string)) "search trace forwarded"
-    [ "expanding node 7" ] (List.rev !lines');
-  (* Without any sink the thunk must not even be forced. *)
+let test_search_trace_lazy () =
+  (* Without live telemetry the thunk must not even be forced. *)
   let forced = ref false in
   let plain = Acq_core.Search.create () in
   Acq_core.Search.trace plain (fun () ->
@@ -431,7 +418,7 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "noop is disabled" `Quick test_noop_is_disabled;
-          Alcotest.test_case "legacy trace shim" `Quick test_legacy_trace_shim;
+          Alcotest.test_case "search trace lazy" `Quick test_search_trace_lazy;
         ] );
       ( "golden",
         [
