@@ -1010,7 +1010,7 @@ let queries4 seed ~lo_range n =
 
 (* ------------------------------------------------------------------ *)
 (* prob: (1) the packed dense table's O(1) unconditioned range_prob
-   against the closure path's O(rows) view scan, and (2) the memo
+   against the empirical backend's O(rows) view scan, and (2) the memo
    combinator's hit rate when one shared memoized backend serves an
    exhaustive-planner workload over a 4-attribute problem, with a
    differential check that memoization leaves every plan and expected
@@ -1022,7 +1022,7 @@ let prob_section () =
   let module P = Acq_core.Planner in
   let module B = Acq_prob.Backend in
   let module Rng = Acq_util.Rng in
-  (* -- kernel 1: range_prob, packed vs closure ---------------------- *)
+  (* -- kernel 1: range_prob, dense vs empirical --------------------- *)
   let ds = Lazy.force K.lab_coarse in
   let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
   let n = Array.length domains in
@@ -1035,16 +1035,16 @@ let prob_section () =
         let hi = lo + Rng.int rng (k - lo) in
         (a, Acq_plan.Range.make lo hi))
   in
-  let closure_est = Acq_prob.Estimator.empirical ds in
+  let empirical_b = B.empirical ds in
   let dense_b = B.dense ds in
   (* Paranoia: the two paths must agree before we compare their speed. *)
   Array.iter
     (fun (a, r) ->
-      let c = closure_est.Acq_prob.Estimator.range_prob a r in
+      let e = B.range_prob empirical_b a r in
       let d = B.range_prob dense_b a r in
-      if Float.abs (c -. d) > 1e-9 then
+      if Float.abs (e -. d) > 1e-9 then
         failwith
-          (Printf.sprintf "dense disagrees with closure on range_prob: %g vs %g" c d))
+          (Printf.sprintf "dense disagrees with empirical on range_prob: %g vs %g" e d))
     probes;
   let sink = ref 0.0 in
   let sweep reps range_prob () =
@@ -1052,16 +1052,16 @@ let prob_section () =
       Array.iter (fun (a, r) -> sink := !sink +. range_prob a r) probes
     done
   in
-  let closure_reps = 8 and dense_reps = 2048 in
-  let closure_s, dense_s, ratio =
-    paired ~rounds:closure_reps
-      (sweep 1 closure_est.Acq_prob.Estimator.range_prob)
-      (sweep (dense_reps / closure_reps) (B.range_prob dense_b))
+  let empirical_reps = 8 and dense_reps = 2048 in
+  let empirical_s, dense_s, ratio =
+    paired ~rounds:empirical_reps
+      (sweep 1 (B.range_prob empirical_b))
+      (sweep (dense_reps / empirical_reps) (B.range_prob dense_b))
   in
   let ns_per_query reps s =
     spread_json (scale (1e9 /. float_of_int (reps * Array.length probes)) s)
   in
-  let speedup = scale (float_of_int dense_reps /. float_of_int closure_reps) ratio in
+  let speedup = scale (float_of_int dense_reps /. float_of_int empirical_reps) ratio in
   (* -- kernel 2: memo hit rate on an exhaustive 4-attribute workload - *)
   let ds4 =
     corr4 772 (fun rng base ->
@@ -1114,7 +1114,7 @@ let prob_section () =
             ("dataset", J.Str "lab-coarse");
             ("rows", jint (Acq_data.Dataset.nrows ds));
             ("probes", jint (Array.length probes));
-            ("closure_ns_per_query", ns_per_query closure_reps closure_s);
+            ("empirical_ns_per_query", ns_per_query empirical_reps empirical_s);
             ("dense_ns_per_query", ns_per_query dense_reps dense_s);
             ("speedup", spread_json speedup);
           ] );
@@ -1285,10 +1285,10 @@ let exec_section () =
 (* ------------------------------------------------------------------ *)
 (* audit: three claims.
    1. Overhead: on the shared exec fixture, the calibration probe costs
-      at most 1.10x on the compiled path (1.25x on the tree) — the
-      median of paired on/off ratios, with its interval.
+      at most 1.10x on the compiled path — the median of paired on/off
+      ratios, with its interval.
    2. Identity: audited and unaudited execution are byte-identical on
-      both paths.
+      the compiled path and on the tree oracle.
    3. Calibration ordering: on a correlated synthetic workload the
       pooled calibration gap ranks the estimators as the paper's
       ablation predicts — independence (correlation-blind) worst,
@@ -1305,16 +1305,12 @@ let audit_section () =
   let module Cal = Acq_audit.Calibration in
   let f = Lazy.force exec_fixture in
   let identical = exec_parity ~audited:true f in
-  let overhead ~compiled reps =
-    let on, off, slowdown =
-      paired ~rounds:reps
-        (sweeps ~compiled ~probed:true f 1)
-        (sweeps ~compiled ~probed:false f 1)
-    in
-    (tuples_per_sec f reps off, tuples_per_sec f reps on, spread_json slowdown)
+  let on, off, slowdown =
+    paired ~rounds:compiled_reps
+      (sweeps ~compiled:true ~probed:true f 1)
+      (sweeps ~compiled:true ~probed:false f 1)
   in
-  let comp_off, comp_on, comp_slowdown = overhead ~compiled:true compiled_reps in
-  let tree_off, tree_on, tree_slowdown = overhead ~compiled:false tree_reps in
+  let comp_slowdown = spread_json slowdown in
   (* -- calibration ordering on a correlated 4-attribute problem ------ *)
   let ds4 =
     corr4 922 (fun rng base ->
@@ -1385,12 +1381,9 @@ let audit_section () =
       ( "overhead",
         J.Obj
           [
-            ("compiled_off_tuples_per_sec", comp_off);
-            ("compiled_on_tuples_per_sec", comp_on);
+            ("compiled_off_tuples_per_sec", tuples_per_sec f compiled_reps off);
+            ("compiled_on_tuples_per_sec", tuples_per_sec f compiled_reps on);
             ("compiled_slowdown", comp_slowdown);
-            ("tree_off_tuples_per_sec", tree_off);
-            ("tree_on_tuples_per_sec", tree_on);
-            ("tree_slowdown", tree_slowdown);
           ] );
       ( "identity",
         J.Obj
@@ -1737,7 +1730,7 @@ let sample_section () =
   let q = U.query p in
   let costs = Acq_data.Schema.costs (DS.schema train) in
   let live_cost plan =
-    Acq_exec.Runner.average_cost ~model ~mode:Acq_exec.Mode.Compiled q ~costs plan cold
+    Acq_exec.Runner.average_cost ~model q ~costs plan cold
   in
   let spec_of name =
     match B.spec_of_string name with
@@ -1775,7 +1768,6 @@ let sample_section () =
       {
         Acq_serve.Protocol.planner = Some (Acq_serve.Protocol.Fixed P.Pac);
         model = Some sampled_spec;
-        exec = None;
       }
       (Acq_serve.Source.chatty_sql serve_spec.Acq_serve.Source.kind)
   in
@@ -1910,10 +1902,7 @@ let () =
       let ids = List.filter (fun a -> a = "" || a.[0] <> '-') args in
       if not micro_only then
         Acq_workload.Registry.run_selected
-          {
-            Acq_workload.Figures.full = List.mem "--full" args;
-            exec = Acq_exec.Mode.Tree;
-          }
+          { Acq_workload.Figures.full = List.mem "--full" args }
           ids;
       List.iter emit sections;
       if micro_only || (ids = [] && not (List.mem "--no-micro" args)) then run_micro ()

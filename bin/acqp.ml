@@ -138,26 +138,6 @@ let model_conv =
   in
   Arg.conv (parse, print)
 
-let exec_conv =
-  let parse s =
-    match Acq_exec.Mode.of_string s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Acq_exec.Mode.pp)
-
-let exec_arg =
-  Arg.(
-    value
-    & opt exec_conv Acq_exec.Mode.default
-    & info [ "exec" ] ~docv:"EXEC"
-        ~doc:
-          "Execution path for plan evaluation: $(b,tree) interprets the \
-           conditional-plan tree (the reference), $(b,compiled) lowers it \
-           to a flat automaton and runs batched columnar execution. Both \
-           produce byte-identical verdicts, costs, and acquisition \
-           orders; compiled is the fast path.")
-
 (* A model the dataset can't support (e.g. --model dense on a joint
    domain beyond the packed-table cap) is a usage error, not a crash;
    backend-construction guards all raise with a "Backend." prefix. *)
@@ -411,7 +391,7 @@ let deadline_arg =
           "Shared wall-clock deadline for every planner; arms past it \
            lose the race (with --portfolio) or fail the plan.")
 
-let print_plan_result ~obs ~costs ~test ~exec ~show_stats q
+let print_plan_result ~obs ~costs ~test ~show_stats q
     (r : Acq_core.Planner.result) =
   let plan = r.Acq_core.Planner.plan in
   print_string (Acq_plan.Printer.to_string q plan);
@@ -420,7 +400,7 @@ let print_plan_result ~obs ~costs ~test ~exec ~show_stats q
   Printf.printf "expected cost on training distribution: %.2f\n"
     r.Acq_core.Planner.est_cost;
   Printf.printf "measured cost on held-out test data:    %.2f\n"
-    (Acq_exec.Runner.average_cost ~obs ~mode:exec q ~costs plan test);
+    (Acq_exec.Runner.average_cost ~obs q ~costs plan test);
   Printf.printf "correct on all test tuples: %b\n"
     (Acq_plan.Executor.consistent q ~costs plan test);
   if show_stats then
@@ -428,7 +408,7 @@ let print_plan_result ~obs ~costs ~test ~exec ~show_stats q
       (Acq_core.Search.stats_to_string r.Acq_core.Planner.stats)
 
 let plan_cmd =
-  let run kind rows seed sql algo model splits points exec portfolio jobs
+  let run kind rows seed sql algo model splits points portfolio jobs
       deadline_ms show_stats metrics_out trace_out =
     let ds = make_dataset kind ~rows ~seed in
     let train, test = Acq_data.Dataset.split_by_time ds ~train_fraction:0.5 in
@@ -453,7 +433,7 @@ let plan_cmd =
     with_telemetry ~metrics_out ~trace_out @@ fun obs ->
     if not portfolio then
       let r = Acq_core.Planner.plan ~options ~telemetry:obs algo q ~train in
-      print_plan_result ~obs ~costs ~test ~exec ~show_stats q r
+      print_plan_result ~obs ~costs ~test ~show_stats q r
     else begin
       let module Pf = Acq_par.Portfolio in
       let outcome =
@@ -483,14 +463,14 @@ let plan_cmd =
       | None -> print_endline "no arm finished within the deadline/budget"
       | Some (algo, r) ->
           Printf.printf "winner: %s\n\n" (Acq_core.Planner.algorithm_name algo);
-          print_plan_result ~obs ~costs ~test ~exec ~show_stats q r
+          print_plan_result ~obs ~costs ~test ~show_stats q r
     end
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Optimize one query and print the conditional plan.")
     Term.(
       const run $ dataset_arg $ rows_arg $ seed_arg $ sql_arg $ algo_arg
-      $ model_arg $ splits_arg $ points_arg $ exec_arg $ portfolio_flag
+      $ model_arg $ splits_arg $ points_arg $ portfolio_flag
       $ jobs_arg $ deadline_arg $ stats_flag $ metrics_out_arg
       $ trace_out_arg)
 
@@ -557,7 +537,7 @@ let audit_flag =
            unchanged; a summary prints after the report.")
 
 let run_cmd =
-  let run kind rows seed sql algo model splits points exec adaptive
+  let run kind rows seed sql algo model splits points adaptive
       drift_threshold replan_every cache_size window drift_at audit audit_out
       flight_out metrics_out trace_out =
     let history, live =
@@ -607,7 +587,7 @@ let run_cmd =
     (match audit with Some _ -> register_flush flush_audit | None -> ());
     if not adaptive then begin
       let report =
-        Acq_sensor.Runtime.run ~options ~exec ~telemetry:obs ?audit
+        Acq_sensor.Runtime.run ~options ~telemetry:obs ?audit
           ~algorithm:algo ~history ~live q
       in
       (* The shared serving renderer (planner wall-clock scrubbed), so
@@ -630,7 +610,7 @@ let run_cmd =
         Acq_adapt.Plan_cache.create ~telemetry:obs ~capacity:cache_size ()
       in
       let report =
-        Acq_sensor.Runtime.run_adaptive ~options ~exec ~telemetry:obs ~policy
+        Acq_sensor.Runtime.run_adaptive ~options ~telemetry:obs ~policy
           ~window ~cache ?audit ~algorithm:algo ~history ~live q
       in
       (match report.Acq_sensor.Runtime.switches with
@@ -653,7 +633,7 @@ let run_cmd =
           replanning when the stream drifts.")
     Term.(
       const run $ dataset_arg $ rows_arg $ seed_arg $ sql_arg $ algo_arg
-      $ model_arg $ splits_arg $ points_arg $ exec_arg $ adaptive_arg
+      $ model_arg $ splits_arg $ points_arg $ adaptive_arg
       $ drift_threshold_arg $ replan_every_arg $ cache_size_arg $ window_arg
       $ drift_at_arg $ audit_flag $ audit_out_arg $ flight_out_arg
       $ metrics_out_arg $ trace_out_arg)
@@ -676,7 +656,7 @@ let audit_cmd =
       & info [ "audit-every" ] ~docv:"N"
           ~doc:"Audit checkpoint cadence in epochs (fixed-plan serving).")
   in
-  let run kind rows seed sql algo model splits points exec regret_every
+  let run kind rows seed sql algo model splits points regret_every
       audit_every audit_out flight_out metrics_out trace_out =
     let ds = make_dataset kind ~rows ~seed in
     let history, live = Acq_data.Dataset.split_by_time ds ~train_fraction:0.5 in
@@ -702,7 +682,7 @@ let audit_cmd =
         ()
     in
     let report =
-      Acq_sensor.Runtime.run ~options ~exec ~telemetry:obs ~audit
+      Acq_sensor.Runtime.run ~options ~telemetry:obs ~audit
         ~audit_every ~algorithm:algo ~history ~live q
     in
     Printf.printf "epochs: %d, matches: %d, avg cost/epoch %.2f\n"
@@ -719,7 +699,7 @@ let audit_cmd =
           other portfolio arms, and the flight-recorder timeline.")
     Term.(
       const run $ dataset_arg $ rows_arg $ seed_arg $ sql_arg $ algo_arg
-      $ model_arg $ splits_arg $ points_arg $ exec_arg $ regret_every_arg
+      $ model_arg $ splits_arg $ points_arg $ regret_every_arg
       $ audit_every_arg $ audit_out_arg $ flight_out_arg $ metrics_out_arg
       $ trace_out_arg)
 
@@ -814,7 +794,7 @@ let experiment_cmd =
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
   in
-  let run ids full exec list =
+  let run ids full list =
     if list then
       List.iter
         (fun e ->
@@ -822,13 +802,12 @@ let experiment_cmd =
             e.Acq_workload.Registry.title)
         Acq_workload.Registry.all
     else
-      Acq_workload.Registry.run_selected { Acq_workload.Figures.full; exec }
-        ids
+      Acq_workload.Registry.run_selected { Acq_workload.Figures.full } ids
   in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Reproduce the paper's tables and figures (see --list).")
-    Term.(const run $ ids_arg $ full_arg $ exec_arg $ list_arg)
+    Term.(const run $ ids_arg $ full_arg $ list_arg)
 
 (* bench *)
 

@@ -34,7 +34,6 @@ type t = {
   telemetry : T.t;
   window : Sl.t;
   replan_budget : int;
-  exec_mode : Acq_exec.Mode.t;
   audit : Audit.t option;
   on_switch : Acq_plan.Plan.t -> switch -> unit;
   mutable initial_stats : Search.stats;
@@ -47,7 +46,7 @@ type t = {
   mutable ref_rows : int;
   mutable plan : Acq_plan.Plan.t;
   mutable prepared : Acq_exec.Runner.prepared;
-      (** mode-dispatched executable form of [plan]; rebuilt exactly
+      (** compiled executable form of [plan]; rebuilt exactly
           when [plan] changes (initial plan, every switch), so serving
           epochs between replans run a cached compilation *)
   mutable expected : float;
@@ -98,14 +97,12 @@ let plan_once t ~options ~stats_epoch est =
 
 let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
     ?(invalidate_stale = false) ?(policy = Policy.default)
-    ?(replan_budget = 200_000) ?(exec_mode = Acq_exec.Mode.default) ?audit
+    ?(replan_budget = 200_000) ?exec_mode:(_ : Acq_exec.Mode.t option) ?audit
     ?(on_switch = fun _ _ -> ()) ~algorithm ~window ~history query =
   if window < 1 then invalid_arg "Session.create: window < 1";
   let schema = Acq_plan.Query.schema query in
   let costs = Acq_data.Schema.costs schema in
-  let prepare plan =
-    Acq_exec.Runner.prepare ~mode:exec_mode query ~costs plan
-  in
+  let prepare plan = Acq_exec.Runner.prepare query ~costs plan in
   let t =
     {
       query;
@@ -118,7 +115,6 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
       telemetry;
       window = Sl.create schema ~capacity:window;
       replan_budget;
-      exec_mode;
       audit;
       on_switch;
       initial_stats = Search.zero_stats;
@@ -155,17 +151,15 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
   (match audit with
   | Some a ->
       Audit.install ?model:options.P.cost_model a query ~costs:t.costs
-        ~mode:exec_mode ~plan:t.plan ~expected:t.expected ~backend ~epoch:0
+        ~plan:t.plan ~expected:t.expected ~backend ~epoch:0
   | None -> ());
   t
 
 let reprepare t =
-  t.prepared <-
-    Acq_exec.Runner.prepare ~mode:t.exec_mode t.query ~costs:t.costs t.plan
+  t.prepared <- Acq_exec.Runner.prepare t.query ~costs:t.costs t.plan
 
 let query t = t.query
 let plan t = t.plan
-let exec_mode t = t.exec_mode
 let prepared t = t.prepared
 let audit t = t.audit
 let audit_probe t = Option.bind t.audit Audit.probe
@@ -286,7 +280,7 @@ let replan t reason ~max_nodes =
           match t.audit with
           | Some a ->
               Audit.install ?model:t.options.P.cost_model a t.query
-                ~costs:t.costs ~mode:t.exec_mode ~plan:t.plan
+                ~costs:t.costs ~plan:t.plan
                 ~expected:r.P.est_cost ~backend:est ~epoch:t.epoch
           | None -> ()
         in

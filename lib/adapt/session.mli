@@ -77,10 +77,9 @@ val create :
     (sessions sharing a cache have independent epoch counters).
     [on_switch] is called with the new plan exactly once per switch —
     the hook the sensor runtime uses to disseminate.
-    [exec_mode] (default [Tree]) selects the execution path of
-    {!prepared}/{!execute}: under [Compiled] the session lowers each
-    installed plan once — at creation and again on every switch — and
-    serves epochs from the cached automaton.
+    The session lowers each installed plan once — at creation and
+    again on every switch — and serves {!execute} from the cached
+    automaton. [exec_mode] is ignored; see {!Acq_exec.Mode}.
     [audit] attaches an {!Acq_audit.Audit} pipeline: the session
     installs every chosen plan into it (initial plan, every successful
     replan — switch or statistics rebase), {!execute} feeds its probe,
@@ -93,11 +92,9 @@ val create :
 val query : t -> Acq_plan.Query.t
 val plan : t -> Acq_plan.Plan.t
 
-val exec_mode : t -> Acq_exec.Mode.t
-
 val prepared : t -> Acq_exec.Runner.prepared
-(** Executable form of {!plan} under the session's [exec_mode];
-    recompiled exactly when the plan changes (never per epoch). *)
+(** Compiled form of {!plan}; recompiled exactly when the plan changes
+    (never per epoch). *)
 
 val execute :
   ?obs:Acq_obs.Telemetry.t ->
@@ -108,8 +105,8 @@ val execute :
     caller uses between replans instead of re-interpreting the tree.
     Does {e not} {!observe}; feed the outcome's cost back through
     {!step}/{!observe} as usual. With an audit pipeline attached, the
-    tuple also feeds the calibration probe (in either exec mode,
-    never changing the outcome). *)
+    tuple also feeds the calibration probe (never changing the
+    outcome). *)
 
 val audit : t -> Acq_audit.Audit.t option
 

@@ -1,6 +1,5 @@
 module T = Acq_obs.Telemetry
 module J = Acq_obs.Json
-module Mode = Acq_exec.Mode
 
 type t = {
   telemetry : T.t;
@@ -9,9 +8,7 @@ type t = {
   regret_every : int;
   regret_options : Acq_core.Planner.options;
   mutable recorder : Recorder.t option;
-  mutable exec : string;
   mutable model : Acq_plan.Cost_model.t option;
-  mutable mode : Mode.t;
   mutable checkpoints : int;
   mutable last_regret : Regret.outcome option;
 }
@@ -29,9 +26,7 @@ let create ?(telemetry = T.noop) ?capacity ?calibration_alarm ?regret_alarm
     regret_every;
     regret_options;
     recorder = None;
-    exec = Mode.to_string Mode.default;
     model = None;
-    mode = Mode.default;
     checkpoints = 0;
     last_regret = None;
   }
@@ -42,10 +37,8 @@ let recorder t = t.recorder
 let last_regret t = t.last_regret
 let plan_id t = match t.recorder with Some r -> Recorder.plan_id r | None -> 0
 
-let install ?model t q ~costs ~mode ~plan ~expected ~backend ~epoch =
+let install ?model t q ~costs ~plan ~expected ~backend ~epoch =
   t.model <- model;
-  t.mode <- mode;
-  t.exec <- Mode.to_string mode;
   (match t.recorder with
   | None ->
       t.recorder <-
@@ -54,7 +47,7 @@ let install ?model t q ~costs ~mode ~plan ~expected ~backend ~epoch =
              ~backend)
   | Some r -> Recorder.install r ~plan ~expected ~backend);
   Flight_recorder.record t.flight ~epoch ~kind:Flight_recorder.Plan_installed
-    ~plan_id:(plan_id t) ~exec:t.exec ~value:expected
+    ~plan_id:(plan_id t) ~value:expected
     ~detail:
       (Printf.sprintf "plan nodes=%d est_cost=%.4f"
          (Acq_plan.Plan.n_nodes plan) expected)
@@ -68,15 +61,15 @@ let cost_source t () = observed_cost t
 
 let note_drift t ~epoch drift =
   Flight_recorder.record t.flight ~epoch ~kind:Flight_recorder.Drift
-    ~plan_id:(plan_id t) ~exec:t.exec ~value:drift ~detail:"window drift"
+    ~plan_id:(plan_id t) ~value:drift ~detail:"window drift"
 
 let note_transition t ~epoch ?(value = 0.0) detail =
   Flight_recorder.record t.flight ~epoch ~kind:Flight_recorder.Transition
-    ~plan_id:(plan_id t) ~exec:t.exec ~value ~detail
+    ~plan_id:(plan_id t) ~value ~detail
 
 let note t ~epoch ?(value = 0.0) detail =
   Flight_recorder.record t.flight ~epoch ~kind:Flight_recorder.Note
-    ~plan_id:(plan_id t) ~exec:t.exec ~value ~detail
+    ~plan_id:(plan_id t) ~value ~detail
 
 let checkpoint t ~epoch ?window () =
   match t.recorder with
@@ -86,7 +79,7 @@ let checkpoint t ~epoch ?window () =
       let calib = Recorder.export r in
       let score = Calibration.calibration_error calib in
       Flight_recorder.note_calibration t.flight ~epoch ~plan_id:(plan_id t)
-        ~exec:t.exec score;
+        score;
       (match window with
       | Some get_window
         when t.arms <> [] && t.regret_every > 0
@@ -94,19 +87,18 @@ let checkpoint t ~epoch ?window () =
           let w = get_window () in
           let o =
             Regret.assess ~telemetry:t.telemetry ~options:t.regret_options
-              ?model:t.model ~mode:t.mode ~arms:t.arms
+              ?model:t.model ~arms:t.arms
               ~current_plan:(Recorder.plan r) (Recorder.query r)
               ~costs:(Recorder.costs r) w
           in
           t.last_regret <- Some o;
           Flight_recorder.note_regret t.flight ~epoch ~plan_id:(plan_id t)
-            ~exec:t.exec o.Regret.regret_ratio
+            o.Regret.regret_ratio
       | _ -> ())
 
 let report t =
   J.Obj
     [
-      ("exec", J.Str t.exec);
       ("checkpoints", J.Num (float_of_int t.checkpoints));
       ( "recorder",
         match t.recorder with Some r -> Recorder.to_json r | None -> J.Null );

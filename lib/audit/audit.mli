@@ -40,7 +40,6 @@ val install :
   t ->
   Acq_plan.Query.t ->
   costs:float array ->
-  mode:Acq_exec.Mode.t ->
   plan:Acq_plan.Plan.t ->
   expected:float ->
   backend:Acq_prob.Backend.t ->
@@ -48,7 +47,7 @@ val install :
   unit
 (** Arm the recorder for a newly chosen plan (folding the previous
     plan's observations first) and log a [Plan_installed] flight
-    event. [model]/[mode] are remembered for regret replays. *)
+    event. [model] is remembered for regret replays. *)
 
 val probe : t -> Acq_exec.Probe.t option
 (** The live probe to pass to {!Acq_exec.Runner.run}[ ?probe]; [None]

@@ -23,7 +23,6 @@ type event = {
   epoch : int;
   kind : kind;
   plan_id : int;
-  exec : string;
   value : float;
   detail : string;
 }
@@ -41,15 +40,7 @@ type t = {
 }
 
 let dummy =
-  {
-    seq = -1;
-    epoch = 0;
-    kind = Note;
-    plan_id = 0;
-    exec = "";
-    value = 0.0;
-    detail = "";
-  }
+  { seq = -1; epoch = 0; kind = Note; plan_id = 0; value = 0.0; detail = "" }
 
 let create ?(capacity = 256) ?(calibration_alarm = 0.15)
     ?(regret_alarm = 1.25) ?on_dump () =
@@ -73,10 +64,9 @@ let anomalies t = t.anomalies
 let calibration_alarm t = t.calibration_alarm
 let regret_alarm t = t.regret_alarm
 
-let record t ~epoch ~kind ~plan_id ~exec ~value ~detail =
+let record t ~epoch ~kind ~plan_id ~value ~detail =
   let seq = t.recorded in
-  t.buf.(seq mod t.capacity) <-
-    { seq; epoch; kind; plan_id; exec; value; detail };
+  t.buf.(seq mod t.capacity) <- { seq; epoch; kind; plan_id; value; detail };
   t.recorded <- seq + 1
 
 let events t =
@@ -89,33 +79,32 @@ let events t =
 (* Anomalies latch: one post-mortem per excursion, re-armed only once
    the score falls back to half the alarm level (same hysteresis shape
    as the adaptive drift trigger). *)
-let alarm t ~latched ~set_latched ~kind ~threshold ~epoch ~plan_id ~exec
-    ~value ~reason =
+let alarm t ~latched ~set_latched ~kind ~threshold ~epoch ~plan_id ~value
+    ~reason =
   if value > threshold then begin
     if not latched then begin
       set_latched true;
-      record t ~epoch ~kind ~plan_id ~exec ~value ~detail:reason;
+      record t ~epoch ~kind ~plan_id ~value ~detail:reason;
       t.anomalies <- t.anomalies + 1;
-      record t ~epoch ~kind:Postmortem ~plan_id ~exec ~value ~detail:reason;
+      record t ~epoch ~kind:Postmortem ~plan_id ~value ~detail:reason;
       match t.on_dump with Some f -> f t ~reason | None -> ()
     end
   end
   else if latched && value <= threshold /. 2.0 then set_latched false
 
-let note_calibration t ~epoch ~plan_id ~exec score =
+let note_calibration t ~epoch ~plan_id score =
   alarm t ~latched:t.calib_latched
     ~set_latched:(fun b -> t.calib_latched <- b)
     ~kind:Calibration_alarm ~threshold:t.calibration_alarm ~epoch ~plan_id
-    ~exec ~value:score
+    ~value:score
     ~reason:
       (Printf.sprintf "calibration error %.4f > %.4f" score
          t.calibration_alarm)
 
-let note_regret t ~epoch ~plan_id ~exec ratio =
+let note_regret t ~epoch ~plan_id ratio =
   alarm t ~latched:t.regret_latched
     ~set_latched:(fun b -> t.regret_latched <- b)
-    ~kind:Regret_alarm ~threshold:t.regret_alarm ~epoch ~plan_id ~exec
-    ~value:ratio
+    ~kind:Regret_alarm ~threshold:t.regret_alarm ~epoch ~plan_id ~value:ratio
     ~reason:
       (Printf.sprintf "realized regret ratio %.4f > %.4f" ratio t.regret_alarm)
 
@@ -126,7 +115,6 @@ let event_to_json e =
       ("epoch", J.Num (float_of_int e.epoch));
       ("kind", J.Str (kind_to_string e.kind));
       ("plan_id", J.Num (float_of_int e.plan_id));
-      ("exec", J.Str e.exec);
       ("value", J.Num e.value);
       ("detail", J.Str e.detail);
     ]
@@ -162,7 +150,6 @@ let to_chrome t =
                  [
                    ("epoch", J.Num (float_of_int e.epoch));
                    ("plan_id", J.Num (float_of_int e.plan_id));
-                   ("exec", J.Str e.exec);
                    ("value", J.Num e.value);
                    ("detail", J.Str e.detail);
                  ] );

@@ -28,7 +28,6 @@ type event = {
   epoch : int;
   kind : kind;
   plan_id : int;
-  exec : string;  (** execution mode label *)
   value : float;  (** kind-specific scalar: drift, score, cost, ... *)
   detail : string;
 }
@@ -58,7 +57,6 @@ val record :
   epoch:int ->
   kind:kind ->
   plan_id:int ->
-  exec:string ->
   value:float ->
   detail:string ->
   unit
@@ -66,10 +64,10 @@ val record :
 val events : t -> event list
 (** Surviving events, oldest first. *)
 
-val note_calibration : t -> epoch:int -> plan_id:int -> exec:string -> float -> unit
+val note_calibration : t -> epoch:int -> plan_id:int -> float -> unit
 (** Feed a checkpoint's calibration error through the latched alarm. *)
 
-val note_regret : t -> epoch:int -> plan_id:int -> exec:string -> float -> unit
+val note_regret : t -> epoch:int -> plan_id:int -> float -> unit
 (** Feed a realized-regret ratio through the latched alarm. *)
 
 val event_to_json : event -> Acq_obs.Json.t

@@ -3,7 +3,6 @@ module J = Acq_obs.Json
 module B = Acq_prob.Backend
 module P = Acq_core.Planner
 module Runner = Acq_exec.Runner
-module Mode = Acq_exec.Mode
 
 type arm = { name : string; algorithm : P.algorithm; spec : B.spec }
 
@@ -55,8 +54,7 @@ let empty_outcome =
   }
 
 let assess ?(telemetry = T.noop) ?(options = P.default_options) ?model
-    ?(mode = Mode.default) ?(arms = default_arms) ~current_plan q ~costs
-    window =
+    ?(arms = default_arms) ~current_plan q ~costs window =
   let rows = Acq_data.Dataset.nrows window in
   if rows = 0 then empty_outcome
   else
@@ -64,9 +62,7 @@ let assess ?(telemetry = T.noop) ?(options = P.default_options) ?model
       ~attrs:[ ("rows", string_of_int rows) ]
       "audit.regret_assess"
     @@ fun () ->
-    let realized plan =
-      Runner.average_cost ?model ~mode q ~costs plan window
-    in
+    let realized plan = Runner.average_cost ?model q ~costs plan window in
     let current_realized = realized current_plan in
     let assessments =
       List.map

@@ -51,7 +51,6 @@ val assess :
   ?telemetry:Acq_obs.Telemetry.t ->
   ?options:Acq_core.Planner.options ->
   ?model:Acq_plan.Cost_model.t ->
-  ?mode:Acq_exec.Mode.t ->
   ?arms:arm list ->
   current_plan:Acq_plan.Plan.t ->
   Acq_plan.Query.t ->
@@ -59,8 +58,8 @@ val assess :
   Acq_data.Dataset.t ->
   outcome
 (** Replan every arm from the window (each arm builds its own backend
-    from it) and execute every plan over the window in [mode] under
-    [model]. Runs inside an ["audit.regret_assess"] span and emits
+    from it) and execute every plan over the window under [model].
+    Runs inside an ["audit.regret_assess"] span and emits
     [acqp_audit_regret], [acqp_audit_regret_ratio],
     [acqp_audit_current_realized_cost], per-arm
     [acqp_audit_arm_realized_cost{arm=...}] gauges and the

@@ -122,10 +122,6 @@ let plan_with_backend ?(options = default_options)
       in
       finish ~certificate search (plan, est_cost)
 
-let plan_with_estimator ?options ?telemetry ?fanout algorithm q ~costs est =
-  plan_with_backend ?options ?telemetry ?fanout algorithm q ~costs
-    (Acq_prob.Estimator.to_backend est)
-
 let plan ?(options = default_options) ?(telemetry = Acq_obs.Telemetry.noop)
     ?fanout algorithm q ~train =
   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in

@@ -1,6 +1,6 @@
 (** Top-level planning facade: pick an algorithm, hand it training
-    data (or any estimator), get a conditional plan plus its expected
-    training cost and the search effort spent producing it. This is
+    data (or any probability backend), get a conditional plan plus its
+    expected training cost and the search effort spent producing it. This is
     the API the examples, the CLI, the sensor basestation, and the
     benchmark harness all build on.
 
@@ -62,7 +62,7 @@ type options = {
       (** which probability backend {!plan} builds from the training
           data (and whether to wrap it in the memo combinator); the
           [acqp --model] knob. Entry points that receive an already
-          built estimator/backend ignore it. *)
+          built backend ignore it. *)
   pac_epsilon : float;
       (** {!Pac}'s certified-gap target: the PAC arm refines its
           sample until the chosen order's upper-confidence cost is
@@ -131,17 +131,3 @@ val plan_with_backend :
     forked branch context under an {!Exhaustive} fanout) — the
     caller's backend is untouched and reusable. [options.prob_model]
     is ignored (the backend is already built). *)
-
-val plan_with_estimator :
-  ?options:options ->
-  ?telemetry:Acq_obs.Telemetry.t ->
-  ?fanout:Acq_util.Fanout.t ->
-  algorithm ->
-  Acq_plan.Query.t ->
-  costs:float array ->
-  Acq_prob.Estimator.t ->
-  result
-(** Compatibility entry: adapts the closure record via
-    {!Acq_prob.Estimator.to_backend} and calls {!plan_with_backend}.
-    Probabilities pass through unchanged, so plans are identical to
-    the backend path. *)

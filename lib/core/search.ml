@@ -96,36 +96,6 @@ let telemetry (t : _ t) = t.obs
 let trace (t : _ t) thunk =
   if Telemetry.enabled t.obs then Telemetry.event t.obs ~cat:"search" (thunk ())
 
-let rec wrap_estimator (t : _ t) (e : Acq_prob.Estimator.t) =
-  let tick () = t.estimator_calls <- t.estimator_calls + 1 in
-  {
-    e with
-    Acq_prob.Estimator.range_prob =
-      (fun attr r ->
-        tick ();
-        e.Acq_prob.Estimator.range_prob attr r);
-    value_probs =
-      (fun attr ->
-        tick ();
-        e.Acq_prob.Estimator.value_probs attr);
-    pred_prob =
-      (fun p ->
-        tick ();
-        e.Acq_prob.Estimator.pred_prob p);
-    pattern_probs =
-      (fun preds ->
-        tick ();
-        e.Acq_prob.Estimator.pattern_probs preds);
-    restrict_range =
-      (fun attr r ->
-        tick ();
-        wrap_estimator t (e.Acq_prob.Estimator.restrict_range attr r));
-    restrict_pred =
-      (fun p truth ->
-        tick ();
-        wrap_estimator t (e.Acq_prob.Estimator.restrict_pred p truth));
-  }
-
 let wrap_backend (t : _ t) b =
   Acq_prob.Backend.counting
     ~tick:(fun () -> t.estimator_calls <- t.estimator_calls + 1)

@@ -50,7 +50,7 @@ type stats = {
   memo_hits : int;  (** memo-table lookups answered from cache *)
   estimator_calls : int;
       (** probability-oracle invocations, counted by
-          {!wrap_estimator} *)
+          {!wrap_backend} *)
   plan_size : int;  (** encoded plan bytes, ζ(P); 0 until known *)
   wall_ms : float;  (** wall-clock time since {!create} *)
   certificate : certificate option;
@@ -120,16 +120,12 @@ val trace : _ t -> (unit -> string) -> unit
 (** Emit a progress line as a span event. The thunk is only forced
     when the context's telemetry is live. *)
 
-val wrap_estimator : _ t -> Acq_prob.Estimator.t -> Acq_prob.Estimator.t
-(** Counting decorator: every probability query against the returned
-    estimator (and against any estimator derived from it by
-    restriction) bumps the context's [estimator_calls] counter. The
-    underlying estimator is not mutated and stays reusable across
-    contexts. Legacy closure-record variant of {!wrap_backend}. *)
-
 val wrap_backend : _ t -> Acq_prob.Backend.t -> Acq_prob.Backend.t
-(** Same accounting over a packed backend: one tick per query and per
-    restriction, recursively ({!Acq_prob.Backend.counting}). *)
+(** Counting decorator: every probability query against the returned
+    backend (and against any backend derived from it by restriction)
+    bumps the context's [estimator_calls] counter — one tick per query
+    and per restriction ({!Acq_prob.Backend.counting}). The underlying
+    backend is not mutated and stays reusable across contexts. *)
 
 val stats : ?plan_size:int -> ?certificate:certificate -> _ t -> stats
 (** Snapshot the counters; [plan_size] defaults to 0 when the caller

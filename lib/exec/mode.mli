@@ -1,21 +1,9 @@
-(** Execution-path selector, threaded {!Acq_core.Planner.options}-style
-    through every layer that executes plans: the sensor runtime, the
-    workload harness, adaptive sessions, and the [acqp --exec] flag.
+(** Plans always execute on the compiled automaton ({!Runner}); the
+    tree {!Acq_plan.Executor} survives only as the reference the
+    differential tests compare against. This single-constructor type
+    remains because the end-to-end benchmark under [bench/e2e] still
+    passes [Compiled] to [Acq_serve.Oneshot.run_to_string ?exec] and
+    [Acq_adapt.Session.create ?exec_mode], which ignore it; it goes
+    away together with those two labels. *)
 
-    [Tree] interprets the {!Acq_plan.Plan.t} pointer tree directly
-    (the reference semantics); [Compiled] lowers the plan once into a
-    flat automaton ({!Compile}) and runs tuples through branch-light
-    int arithmetic ({!Batch}). The two are differentially tested to
-    agree byte-identically on verdict, cost, and acquisition order. *)
-
-type t = Tree | Compiled
-
-val default : t
-(** [Tree] — the reference interpreter stays the default everywhere;
-    compiled execution is opt-in per call site or via [--exec]. *)
-
-val all : t list
-
-val to_string : t -> string
-val of_string : string -> (t, string) result
-val pp : Format.formatter -> t -> unit
+type t = Compiled

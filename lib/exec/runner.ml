@@ -2,52 +2,31 @@ module E = Acq_plan.Executor
 module T = Acq_obs.Telemetry
 
 type prepared = {
-  mode : Mode.t;
   query : Acq_plan.Query.t;
-  costs : float array;
-  model : Acq_plan.Cost_model.t option;
   plan : Acq_plan.Plan.t;
-  batch : Batch.t option;  (* Some iff mode = Compiled *)
+  batch : Batch.t;
 }
 
-let prepare ?model ~mode q ~costs plan =
-  let batch =
-    match mode with
-    | Mode.Tree -> None
-    | Mode.Compiled ->
-        Some (Batch.create ?model ~costs (Compile.compile q plan))
-  in
-  { mode; query = q; costs; model; plan; batch }
+let prepare ?model q ~costs plan =
+  { query = q; plan; batch = Batch.create ?model ~costs (Compile.compile q plan) }
 
-let mode p = p.mode
 let plan p = p.plan
-let query p = p.query
 
 let run ?(obs = T.noop) ?probe p ~lookup =
-  match p.batch with
-  | None ->
-      let audit = Option.map Probe.hook probe in
-      E.run ?model:p.model ~obs ?audit p.query ~costs:p.costs p.plan ~lookup
-  | Some b -> Batch.run ?instr:(E.Instr.of_obs obs p.query) ?probe b ~lookup
+  Batch.run ?instr:(E.Instr.of_obs obs p.query) ?probe p.batch ~lookup
 
 let run_tuple ?obs ?probe p tuple =
   run ?obs ?probe p ~lookup:(fun at -> tuple.(at))
 
 let average_cost_prepared ?(obs = T.noop) ?probe p data =
-  match p.batch with
-  | None ->
-      let audit = Option.map Probe.hook probe in
-      E.average_cost ?model:p.model ~obs ?audit p.query ~costs:p.costs p.plan
-        data
-  | Some b ->
-      let n = Acq_data.Dataset.nrows data in
-      if n = 0 then 0.0
-      else
-        T.span obs ~cat:"executor"
-          ~attrs:[ ("rows", string_of_int n); ("exec", "compiled") ]
-          "executor.average_cost"
-        @@ fun () ->
-        Batch.average_cost ?instr:(E.Instr.of_obs obs p.query) ?probe b data
+  let n = Acq_data.Dataset.nrows data in
+  if n = 0 then 0.0
+  else
+    T.span obs ~cat:"executor"
+      ~attrs:[ ("rows", string_of_int n) ]
+      "executor.average_cost"
+    @@ fun () ->
+    Batch.average_cost ?instr:(E.Instr.of_obs obs p.query) ?probe p.batch data
 
-let average_cost ?model ?obs ?probe ~mode q ~costs plan data =
-  average_cost_prepared ?obs ?probe (prepare ?model ~mode q ~costs plan) data
+let average_cost ?model ?obs ?probe q ~costs plan data =
+  average_cost_prepared ?obs ?probe (prepare ?model q ~costs plan) data

@@ -1,26 +1,23 @@
-(** Mode dispatch: one prepared value that executes either through the
-    tree interpreter or the compiled automaton, so callers — motes,
-    adaptive sessions, the workload harness — thread a {!Mode.t} and
-    never mention the representation again.
+(** Prepared plans: one value that executes a conditional plan on the
+    compiled automaton, so callers — motes, adaptive sessions, the
+    workload harness — never mention the representation.
 
     [prepare] is where compilation happens (once per installed plan);
     re-prepare whenever the plan changes, exactly like a mote
     re-installing a disseminated plan or a session switching after a
-    replan. *)
+    replan. The tree {!Acq_plan.Executor} is the reference oracle the
+    differential tests hold this path byte-identical to. *)
 
 type prepared
 
 val prepare :
   ?model:Acq_plan.Cost_model.t ->
-  mode:Mode.t ->
   Acq_plan.Query.t ->
   costs:float array ->
   Acq_plan.Plan.t ->
   prepared
 
-val mode : prepared -> Mode.t
 val plan : prepared -> Acq_plan.Plan.t
-val query : prepared -> Acq_plan.Query.t
 
 val run :
   ?obs:Acq_obs.Telemetry.t ->
@@ -28,12 +25,10 @@ val run :
   prepared ->
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
-(** Same contract as {!Acq_plan.Executor.run} in either mode:
-    identical verdict, cost, acquisition order, and lookup call
-    pattern. Instruments resolve per call, as the tree path does.
-    [probe] feeds the same per-node / per-tuple audit cells in either
-    mode — through {!Probe.hook} on the tree path, directly on the
-    compiled one — without changing any outcome. *)
+(** Same contract as {!Acq_plan.Executor.run}: identical verdict, cost,
+    acquisition order, and lookup call pattern. Instruments resolve per
+    call. [probe] feeds the per-node / per-tuple audit cells without
+    changing any outcome. *)
 
 val run_tuple :
   ?obs:Acq_obs.Telemetry.t ->
@@ -48,17 +43,15 @@ val average_cost_prepared :
   prepared ->
   Acq_data.Dataset.t ->
   float
-(** Eq.-4 mean over the dataset under the prepared representation —
-    exec-mode invariant byte for byte. Both modes run the sweep inside
-    an ["executor.average_cost"] span with instruments resolved once
-    per sweep; the compiled side tags the span with [exec=compiled]
-    and batches counter updates. *)
+(** Eq.-4 mean over the dataset, [Float.equal] to
+    {!Acq_plan.Executor.average_cost}. The sweep runs inside an
+    ["executor.average_cost"] span with instruments resolved once per
+    sweep and counter updates batched. *)
 
 val average_cost :
   ?model:Acq_plan.Cost_model.t ->
   ?obs:Acq_obs.Telemetry.t ->
   ?probe:Probe.t ->
-  mode:Mode.t ->
   Acq_plan.Query.t ->
   costs:float array ->
   Acq_plan.Plan.t ->

@@ -9,9 +9,11 @@
     All entry points are wrappers over one traversal core
     ({!run_instr}): the closure-lookup path, the array-tuple path, and
     the dataset sweeps share the same acquisition accounting, so the
-    atomic-cost rule cannot drift between them. The compiled executor
-    ({!Acq_exec}) is an independent implementation of the same
-    contract, checked byte-identical by the differential tests. *)
+    atomic-cost rule cannot drift between them. Production execution
+    runs on the compiled executor ({!Acq_exec}), an independent
+    implementation of the same contract; this tree interpreter is the
+    reference oracle the differential tests hold it byte-identical
+    to. *)
 
 type outcome = {
   verdict : bool;  (** does the tuple satisfy the WHERE clause? *)

@@ -77,9 +77,8 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Empirical: view counting. Restriction narrows the view's row-id
-   list (never copies tuple data); every query is the same count
-   ratio the original closure estimator computed, so plans built on
-   this backend are bit-identical to the seed path. *)
+   list (never copies tuple data); every query is a count ratio over
+   the rows consistent with the conditioning. *)
 
 type empirical_state = { view : View.t; cond : Cond.t }
 
@@ -570,64 +569,6 @@ let chow_liu model ~weight =
   B ((module Chow_liu_impl), { model; evidence = e; cl_weight = w })
 
 (* ------------------------------------------------------------------ *)
-(* Closure adapter: wrap a legacy [Estimator.t]-shaped record of
-   closures. The conditioning signature is the (order-sensitive)
-   trail of restrictions — sound for memoization, merely less
-   canonical than the mask-based backends. *)
-
-type closure = {
-  c_weight : float;
-  c_range_prob : int -> Acq_plan.Range.t -> float;
-  c_value_probs : int -> float array;
-  c_pred_prob : Acq_plan.Predicate.t -> float;
-  c_pattern_probs : Acq_plan.Predicate.t array -> float array;
-  c_restrict_range : int -> Acq_plan.Range.t -> closure;
-  c_restrict_pred : Acq_plan.Predicate.t -> bool -> closure;
-}
-
-type closure_state = { est : closure; trail : string }
-
-module Closure_impl = struct
-  type state = closure_state
-
-  let name = "closure"
-  let weight st = st.est.c_weight
-  let range_prob st attr r = st.est.c_range_prob attr r
-  let value_probs st attr = st.est.c_value_probs attr
-  let pred_prob st p = st.est.c_pred_prob p
-  let pattern_probs st preds = st.est.c_pattern_probs preds
-
-  let restrict_range st attr (r : Acq_plan.Range.t) =
-    {
-      est = st.est.c_restrict_range attr r;
-      trail = Printf.sprintf "%sr%d:%d-%d;" st.trail attr r.lo r.hi;
-    }
-
-  let restrict_pred st (p : Acq_plan.Predicate.t) truth =
-    {
-      est = st.est.c_restrict_pred p truth;
-      trail =
-        Printf.sprintf "%sp%d:%d-%d:%s%c;" st.trail p.attr p.lo p.hi
-          (match p.polarity with
-          | Acq_plan.Predicate.Inside -> "in"
-          | Acq_plan.Predicate.Outside -> "out")
-          (if truth then 't' else 'f');
-    }
-
-  include Exact (struct
-    type nonrec state = state
-
-    let range_prob = range_prob
-    let pred_prob = pred_prob
-  end)
-
-  let max_pattern_preds _ = None
-  let cond_signature st = st.trail
-end
-
-let of_closure c = B ((module Closure_impl), { est = c; trail = "" })
-
-(* ------------------------------------------------------------------ *)
 (* Sampled: tuple-sample counting with Hoeffding confidence intervals
    ({!Sampled} holds the implementation; this wrapper packs it). The
    only backend whose [refine] and [sampling] are live — the PAC
@@ -1004,18 +945,3 @@ let of_dataset ?telemetry ?(spec = default_spec) ds =
     | Sampled { n; delta } -> sampled ~n ~delta ds
   in
   if spec.memoize then memo ?telemetry base else base
-
-(* ------------------------------------------------------------------ *)
-(* Thin compatibility bridge with the closure-record [Estimator.t]
-   (whose shape [closure] mirrors field for field). *)
-
-let rec to_closure b =
-  {
-    c_weight = weight b;
-    c_range_prob = (fun attr r -> range_prob b attr r);
-    c_value_probs = (fun attr -> value_probs b attr);
-    c_pred_prob = (fun p -> pred_prob b p);
-    c_pattern_probs = (fun preds -> pattern_probs b preds);
-    c_restrict_range = (fun attr r -> to_closure (restrict_range b attr r));
-    c_restrict_pred = (fun p truth -> to_closure (restrict_pred b p truth));
-  }

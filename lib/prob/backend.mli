@@ -12,11 +12,7 @@
     per-attribute histograms — the correlation-blind baseline) — plus
     two combinators: {!counting} (effort accounting) and {!memo} (a
     cache over (conditioning signature, query) pairs shared by the
-    whole restriction tree).
-
-    The closure-record {!Estimator.t} survives as a thin compatibility
-    bridge: {!of_closure} adapts any record of closures into a
-    backend, and {!to_closure} projects a backend back out. *)
+    whole restriction tree). *)
 
 type sampling = { samples : int; delta : float }
 (** Sampling parameters a statistical backend reports: [samples] rows
@@ -114,9 +110,9 @@ val cond_signature : t -> string
 (** {1 Implementations} *)
 
 val empirical : Acq_data.Dataset.t -> t
-(** View counting. Bit-identical probabilities to the seed closure
-    estimator ({!Estimator.of_view}); restriction narrows the view's
-    row-id list and never copies tuple data. *)
+(** View counting: every probability is a count ratio over the
+    training rows consistent with the conditioning; restriction
+    narrows the view's row-id list and never copies tuple data. *)
 
 val of_view : View.t -> t
 (** Same, over an existing view (e.g. a sliding window's rows). *)
@@ -249,24 +245,3 @@ val of_dataset : ?telemetry:Acq_obs.Telemetry.t -> ?spec:spec ->
 (** Build the backend [spec] asks for from training data (learning
     the Chow-Liu model when [spec.kind = Chow_liu], wrapping in
     {!memo} when [spec.memoize]). *)
-
-(** {1 Closure bridge} *)
-
-type closure = {
-  c_weight : float;
-  c_range_prob : int -> Acq_plan.Range.t -> float;
-  c_value_probs : int -> float array;
-  c_pred_prob : Acq_plan.Predicate.t -> float;
-  c_pattern_probs : Acq_plan.Predicate.t array -> float array;
-  c_restrict_range : int -> Acq_plan.Range.t -> closure;
-  c_restrict_pred : Acq_plan.Predicate.t -> bool -> closure;
-}
-(** Field-for-field mirror of {!Estimator.t}; the two are converted by
-    {!Estimator.to_backend} / {!Estimator.of_backend}. *)
-
-val of_closure : closure -> t
-(** Adapt a record of closures. The conditioning signature is the
-    order-sensitive restriction trail (sound for memoization, just
-    less canonical than mask-based backends). *)
-
-val to_closure : t -> closure

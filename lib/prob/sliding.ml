@@ -125,8 +125,6 @@ let backend ?telemetry ?(spec = Backend.default_spec) t =
   | Backend.Dense | Backend.Chow_liu | Backend.Independence ->
       Backend.of_dataset ?telemetry ~spec ds
 
-let estimator t = Estimator.empirical (to_dataset t)
-
 let drift_of_counts ~counts ~size ~reference ~rows =
   let n = Array.length counts in
   if Array.length reference <> n then

@@ -73,11 +73,6 @@ val backend :
     lifetime of {!to_dataset}: valid through the next materialization,
     stale after the one following it. *)
 
-val estimator : t -> Estimator.t
-(** Empirical closure-record estimator over the current window;
-    legacy-compat wrapper over the same materialization (and the same
-    buffer lifetime) as {!backend}. *)
-
 val drift : t -> reference:Acq_data.Dataset.t -> float
 (** Mean, over attributes, of the total-variation distance between
     the window's marginal and the reference dataset's marginal — in
@@ -88,7 +83,7 @@ val drift : t -> reference:Acq_data.Dataset.t -> float
     An empty window (or an empty [reference]) has no marginal to
     compare, so the score is defined as [0.0] — "no evidence of
     drift", never an exception. Of the window accessors only
-    {!to_dataset} (and hence {!backend}/{!estimator}) raises on
+    {!to_dataset} (and hence {!backend}) raises on
     emptiness; replanning triggers built on [drift] therefore stay
     quiet until the window has data, which is the safe direction. *)
 

@@ -3,33 +3,22 @@ type t = {
   hops : int;
   radio : Radio.t;
   energy : Energy.t;
-  exec : Acq_exec.Mode.t;
   mutable plan : Acq_plan.Plan.t option;
-  (* Compiled/prepared form of [plan], built lazily on the first epoch
-     after an install (that is when the query and costs arrive) and
-     reused until the next install invalidates it — recompiling on
-     plan switch, never per epoch. *)
+  (* Compiled form of [plan], built lazily on the first epoch after an
+     install (that is when the query and costs arrive) and reused until
+     the next install invalidates it — recompiling on plan switch,
+     never per epoch. *)
   mutable prepared : Acq_exec.Runner.prepared option;
 }
 
-let create ?(exec = Acq_exec.Mode.default) ~id ~hops ~radio () =
-  {
-    id;
-    hops;
-    radio;
-    energy = Energy.create ();
-    exec;
-    plan = None;
-    prepared = None;
-  }
+let create ~id ~hops ~radio () =
+  { id; hops; radio; energy = Energy.create (); plan = None; prepared = None }
 
 let id t = t.id
 
 let hops t = t.hops
 
 let energy t = t.energy
-
-let exec_mode t = t.exec
 
 let install_plan t plan ~bytes =
   Energy.charge_rx t.energy ~bytes:(bytes + t.radio.Radio.header_bytes)
@@ -49,7 +38,7 @@ let prepared t q ~costs plan =
   match t.prepared with
   | Some p -> p
   | None ->
-      let p = Acq_exec.Runner.prepare ~mode:t.exec q ~costs plan in
+      let p = Acq_exec.Runner.prepare q ~costs plan in
       t.prepared <- Some p;
       p
 

@@ -6,14 +6,12 @@
 
 type t
 
-val create :
-  ?exec:Acq_exec.Mode.t -> id:int -> hops:int -> radio:Radio.t -> unit -> t
-(** [exec] (default {!Acq_exec.Mode.default}, i.e. [Tree]) selects the
-    execution path for installed plans. A [Compiled] mote lowers each
-    installed plan to a flat automaton on the first epoch after
-    installation (when the query and costs are in hand) and reuses it
-    until the next {!install_plan} invalidates it — so plan switches
-    recompile, epochs do not. *)
+val create : id:int -> hops:int -> radio:Radio.t -> unit -> t
+(** A mote lowers each installed plan to a flat automaton
+    ({!Acq_exec.Runner}) on the first epoch after installation (when
+    the query and costs are in hand) and reuses it until the next
+    {!install_plan} invalidates it — so plan switches recompile, epochs
+    do not. *)
 
 val id : t -> int
 
@@ -21,8 +19,6 @@ val hops : t -> int
 (** Routing-tree distance from the basestation. *)
 
 val energy : t -> Energy.t
-
-val exec_mode : t -> Acq_exec.Mode.t
 
 val install_plan : t -> Acq_plan.Plan.t -> bytes:int -> unit
 (** Receive and store a plan; charges reception energy for the
@@ -47,7 +43,7 @@ val run_epoch :
 (** Execute the installed plan on this epoch's readings, metering
     acquisition energy; when the tuple matches, also charge the
     result transmission toward the basestation. [obs] is handed to
-    {!Acq_plan.Executor.run} for per-attribute acquisition counters;
+    {!Acq_exec.Runner.run} for per-attribute acquisition counters;
     [probe] is the basestation's calibration probe (audit pipeline) —
     it observes node outcomes without changing them.
     @raise Failure if no plan is installed. *)

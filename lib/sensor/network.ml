@@ -5,12 +5,12 @@ let hops_of_index i =
   let rec depth n acc = if n <= 0 then acc else depth ((n - 1) / 2) (acc + 1) in
   depth i 1
 
-let create ?(radio = Radio.default) ?exec ~n_motes () =
+let create ?(radio = Radio.default) ~n_motes () =
   if n_motes < 1 then invalid_arg "Network.create: need at least one mote";
   {
     motes =
       Array.init n_motes (fun i ->
-          Mote.create ?exec ~id:i ~hops:(hops_of_index i) ~radio ());
+          Mote.create ~id:i ~hops:(hops_of_index i) ~radio ());
     radio;
   }
 

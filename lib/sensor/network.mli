@@ -4,10 +4,9 @@
 
 type t
 
-val create : ?radio:Radio.t -> ?exec:Acq_exec.Mode.t -> n_motes:int -> unit -> t
+val create : ?radio:Radio.t -> n_motes:int -> unit -> t
 (** Motes are placed on a balanced routing tree: mote [i] sits at
-    [1 + log2 (i + 1)] hops (mote 0 is one hop from the root).
-    [exec] selects every mote's execution path (see {!Mote.create}). *)
+    [1 + log2 (i + 1)] hops (mote 0 is one hop from the root). *)
 
 val n_motes : t -> int
 val mote : t -> int -> Mote.t

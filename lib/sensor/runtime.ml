@@ -21,7 +21,7 @@ let default_motes schema =
       .Acq_data.Attribute.domain
   else 1
 
-let run ?options ?radio ?n_motes ?exec ?(telemetry = T.noop) ?audit
+let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
     ?(audit_every = 512) ~algorithm ~history ~live q =
   T.span telemetry ~cat:"runtime"
     ~attrs:[ ("algorithm", Acq_core.Planner.algorithm_name algorithm) ]
@@ -36,7 +36,7 @@ let run ?options ?radio ?n_motes ?exec ?(telemetry = T.noop) ?audit
   let n_motes =
     match n_motes with Some n -> n | None -> default_motes schema
   in
-  let net = Network.create ?radio ?exec ~n_motes () in
+  let net = Network.create ?radio ~n_motes () in
   (* Arm the audit pipeline on the disseminated plan, predicting from
      the same history backend the basestation planned with; the live
      trace doubles as the regret-replay window at checkpoints. *)
@@ -51,11 +51,8 @@ let run ?options ?radio ?n_motes ?exec ?(telemetry = T.noop) ?audit
         Acq_prob.Backend.of_dataset ~telemetry
           ~spec:opts.Acq_core.Planner.prob_model history
       in
-      let mode =
-        match exec with Some m -> m | None -> Acq_exec.Mode.default
-      in
       Acq_audit.Audit.install ?model:opts.Acq_core.Planner.cost_model a q
-        ~costs ~mode ~plan ~expected:planned.Acq_core.Planner.est_cost
+        ~costs ~plan ~expected:planned.Acq_core.Planner.est_cost
         ~backend ~epoch:0
   | None -> ());
   let probe =
@@ -173,7 +170,7 @@ type adaptive_report = {
   a_metrics : Acq_obs.Metrics.snapshot;
 }
 
-let run_adaptive ?options ?radio ?n_motes ?exec ?(telemetry = T.noop)
+let run_adaptive ?options ?radio ?n_motes ?(telemetry = T.noop)
     ?(policy = Acq_adapt.Policy.default) ?(window = 512) ?cache
     ?replan_budget ?audit ~algorithm ~history ~live q =
   T.span telemetry ~cat:"runtime"
@@ -186,7 +183,7 @@ let run_adaptive ?options ?radio ?n_motes ?exec ?(telemetry = T.noop)
   let n_motes =
     match n_motes with Some n -> n | None -> default_motes schema
   in
-  let net = Network.create ?radio ?exec ~n_motes () in
+  let net = Network.create ?radio ~n_motes () in
   let cache =
     match cache with
     | Some c -> c
@@ -206,7 +203,7 @@ let run_adaptive ?options ?radio ?n_motes ?exec ?(telemetry = T.noop)
   let session =
     T.span telemetry ~cat:"runtime" "runtime.initial_plan" @@ fun () ->
     Acq_adapt.Session.create ?options ~telemetry ~cache ~invalidate_stale:true
-      ~policy ?replan_budget ?exec_mode:exec ?audit ~on_switch ~algorithm
+      ~policy ?replan_budget ?audit ~on_switch ~algorithm
       ~window ~history q
   in
   let bytes =

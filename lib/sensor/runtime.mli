@@ -33,7 +33,6 @@ val run :
   ?options:Acq_core.Planner.options ->
   ?radio:Radio.t ->
   ?n_motes:int ->
-  ?exec:Acq_exec.Mode.t ->
   ?telemetry:Acq_obs.Telemetry.t ->
   ?audit:Acq_audit.Audit.t ->
   ?audit_every:int ->
@@ -44,10 +43,9 @@ val run :
   report
 (** Plan the query on [history], then execute it over the [live]
     trace. [n_motes] defaults to the number of distinct node ids in
-    the schema's [nodeid] attribute (or 1 for wide schemas). [exec]
-    (default [Tree]) selects the motes' execution path; reports are
-    exec-mode invariant apart from wall-clock, because the compiled
-    path is differentially tested byte-identical.
+    the schema's [nodeid] attribute (or 1 for wide schemas). Motes
+    execute on the compiled automaton, differentially tested
+    byte-identical to the tree {!Acq_plan.Executor}.
 
     With live [telemetry] the run records: planner spans/counters
     (via {!Basestation}), spans for dissemination and the epoch loop,
@@ -99,7 +97,6 @@ val run_adaptive :
   ?options:Acq_core.Planner.options ->
   ?radio:Radio.t ->
   ?n_motes:int ->
-  ?exec:Acq_exec.Mode.t ->
   ?telemetry:Acq_obs.Telemetry.t ->
   ?policy:Acq_adapt.Policy.t ->
   ?window:int ->

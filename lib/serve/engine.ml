@@ -132,7 +132,7 @@ let charge t (tn : tenant) nodes =
 
 (* Per-request planner options: the tenant's remaining quota caps the
    search budget, so one request can never spend more nodes than the
-   tenant has left, and the model/exec opts thread through. *)
+   tenant has left, and the model opt threads through. *)
 let planner_options (tn : tenant) (o : Protocol.opts) =
   let base = P.default_options in
   let base =
@@ -154,9 +154,6 @@ let nodes_of_outcome (o : Pf.outcome) =
       | Some r -> n + r.P.stats.Search.nodes_solved
       | None -> n)
     0 o.Pf.arms
-
-let exec_mode (o : Protocol.opts) =
-  match o.Protocol.exec with Some m -> m | None -> Acq_exec.Mode.Compiled
 
 (* Shared guards: drain refuses new work with 503; an exhausted
    planning quota refuses with 429 before any search runs. *)
@@ -281,9 +278,8 @@ let run t ~tenant:name (opts : Protocol.opts) sql =
                 P.Heuristic
           in
           match
-            Oneshot.run_to_string ~options ~exec:(exec_mode opts)
-              ~telemetry:t.telemetry ~algorithm ~history:t.history ~live:t.live
-              query
+            Oneshot.run_to_string ~options ~telemetry:t.telemetry ~algorithm
+              ~history:t.history ~live:t.live query
           with
           | text, report ->
               charge t tn
@@ -331,7 +327,7 @@ let subscribe t ~tenant:name ~owner (opts : Protocol.opts) sql =
                 Plan_cache.add tn.cache key r;
                 let session =
                   Session.create ~options ~telemetry:t.telemetry
-                    ~cache:tn.cache ~exec_mode:(exec_mode opts) ~algorithm
+                    ~cache:tn.cache ~algorithm
                     ~window:512 ~history:t.history query
                 in
                 let sup_id = Supervisor.register t.supervisor session in

@@ -21,15 +21,15 @@ let scrub (r : Runtime.report) =
 let report_to_string (r : Runtime.report) =
   Format.asprintf "%a@." Runtime.pp_report (scrub r)
 
-let run_to_string ?options ?exec ?telemetry ?audit ?audit_every ~algorithm
-    ~history ~live query =
+let run_to_string ?options ?exec:(_ : Acq_exec.Mode.t option) ?telemetry ?audit
+    ?audit_every ~algorithm ~history ~live query =
   let model =
     match options with
     | Some o -> o.P.prob_model
     | None -> P.default_options.P.prob_model
   in
   let report =
-    Runtime.run ?options ?exec ?telemetry ?audit ?audit_every ~algorithm
+    Runtime.run ?options ?telemetry ?audit ?audit_every ~algorithm
       ~history ~live query
   in
   (header ~query ~algorithm ~model ^ report_to_string report, report)

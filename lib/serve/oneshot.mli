@@ -32,5 +32,4 @@ val run_to_string :
   string * Acq_sensor.Runtime.report
 (** Plan on [history], replay [live] ({!Acq_sensor.Runtime.run}), and
     return the full deterministic rendering ({!header} + report) along
-    with the raw report. Exec-mode invariant: [Tree] and [Compiled]
-    produce the same string. *)
+    with the raw report. [exec] is ignored; see {!Acq_exec.Mode}. *)

@@ -8,10 +8,9 @@ type planner = Portfolio | Fixed of P.algorithm
 type opts = {
   planner : planner option;
   model : Acq_prob.Backend.spec option;
-  exec : Acq_exec.Mode.t option;
 }
 
-let no_opts = { planner = None; model = None; exec = None }
+let no_opts = { planner = None; model = None }
 
 type request =
   | Hello of string
@@ -71,10 +70,6 @@ let parse_opt opts (k, v) =
       match Acq_prob.Backend.spec_of_string v with
       | Ok m -> Ok { opts with model = Some m }
       | Error e -> Error (Acq_prob.Backend.spec_error_to_string e))
-  | "exec" -> (
-      match Acq_exec.Mode.of_string v with
-      | Ok m -> Ok { opts with exec = Some m }
-      | Error e -> Error e)
   | _ -> Error ("unknown option: " ^ k)
 
 (* [PLAN [k=v ...] SELECT ...]: option tokens run until the first

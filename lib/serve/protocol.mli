@@ -10,8 +10,9 @@
     STATS | METRICS | PING | QUIT
     v}
     Options are [algo=naive|corrseq|heuristic|exhaustive|pac|portfolio],
-    [model=<backend spec>], [exec=tree|compiled]; anything after the
-    first (case-insensitive) [SELECT] token is the SQL.
+    [model=<backend spec>]; anything after the first
+    (case-insensitive) [SELECT] token is the SQL. Any other option key
+    is a 400 [unknown option].
 
     Responses are length-prefixed frames — a header line carrying the
     payload byte count, then exactly that many payload bytes:
@@ -30,7 +31,6 @@ type planner = Portfolio | Fixed of Acq_core.Planner.algorithm
 type opts = {
   planner : planner option;
   model : Acq_prob.Backend.spec option;
-  exec : Acq_exec.Mode.t option;
 }
 
 val no_opts : opts

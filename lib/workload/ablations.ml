@@ -198,7 +198,7 @@ let ablate_size s =
       in
       let plan = (P.plan ~options P.Heuristic q ~train).P.plan in
       let zeta = Acq_plan.Serialize.size plan in
-      let c = Acq_exec.Runner.average_cost ~mode:s.exec q ~costs plan live in
+      let c = Acq_exec.Runner.average_cost q ~costs plan live in
       Acq_util.Tbl.add_row t2
         [
           Printf.sprintf "%g" alpha;
@@ -236,27 +236,26 @@ let ablate_model s =
     (fun rows ->
       let train = Acq_data.Dataset.subsample full_train (Rng.copy srng) rows in
       let o = { P.default_options with max_splits = 5 } in
-      let avg est_of =
+      let avg backend =
         Acq_util.Stats.mean
           (Array.of_list
              (List.map
                 (fun q ->
                   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in
                   let plan =
-                    (P.plan_with_estimator ~options:o P.Heuristic q ~costs
-                       (est_of ()))
+                    (P.plan_with_backend ~options:o P.Heuristic q ~costs backend)
                       .P.plan
                   in
                   assert (Acq_plan.Executor.consistent q ~costs plan test);
-                  Acq_exec.Runner.average_cost ~mode:s.exec q ~costs plan test)
+                  Acq_exec.Runner.average_cost q ~costs plan test)
                 queries))
       in
-      let empirical = avg (fun () -> Acq_prob.Estimator.empirical train) in
-      let model = Acq_prob.Chow_liu.learn train in
+      let empirical = avg (Acq_prob.Backend.empirical train) in
       let chow =
-        avg (fun () ->
-            Acq_prob.Estimator.of_chow_liu model
-              ~weight:(float_of_int (Acq_data.Dataset.nrows train)))
+        avg
+          (Acq_prob.Backend.chow_liu
+             (Acq_prob.Chow_liu.learn train)
+             ~weight:(float_of_int (Acq_data.Dataset.nrows train)))
       in
       Tbl.add_row t
         [
@@ -322,7 +321,7 @@ let ablate_prob s =
                   !calls + r.P.stats.Acq_core.Search.estimator_calls;
                 cost_sum :=
                   !cost_sum
-                  +. Acq_exec.Runner.average_cost ~mode:s.exec q ~costs
+                  +. Acq_exec.Runner.average_cost q ~costs
                        r.P.plan test)
               queries)
       in
@@ -396,7 +395,7 @@ let ablate_spsf s =
                 (fun q ->
                   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in
                   let plan = (P.plan ~options:o P.Heuristic q ~train).P.plan in
-                  Acq_exec.Runner.average_cost ~mode:s.exec q ~costs plan
+                  Acq_exec.Runner.average_cost q ~costs plan
                     test)
                 queries))
       in
@@ -507,7 +506,7 @@ let ext_boards s =
       (Array.of_list
          (List.map
             (fun q ->
-              Acq_exec.Runner.average_cost ~model ~mode:s.exec q ~costs (f q)
+              Acq_exec.Runner.average_cost ~model q ~costs (f q)
                 test)
             queries))
   in
@@ -572,7 +571,7 @@ let ext_boards s =
   let t2 = Acq_util.Tbl.create [ "planner"; "microcosm cost"; "tests on temp" ] in
   let measure opts algo =
     let plan = (P.plan ~options:opts algo q2 ~train:train2).P.plan in
-    ( Acq_exec.Runner.average_cost ~model:model2 ~mode:s.exec q2 ~costs:costs2
+    ( Acq_exec.Runner.average_cost ~model:model2 q2 ~costs:costs2
         plan test2,
       if List.mem 1 (Acq_plan.Plan.attrs_tested plan) then "yes" else "no" )
   in
@@ -678,7 +677,7 @@ let ablate_sample s =
       in
       let r, secs = time (fun () -> P.plan ~options:o algo q ~train) in
       let live_cost =
-        Acq_exec.Runner.average_cost ~model ~mode:s.exec q ~costs r.P.plan
+        Acq_exec.Runner.average_cost ~model q ~costs r.P.plan
           live
       in
       let cert =

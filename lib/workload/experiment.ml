@@ -17,7 +17,7 @@ type query_run = {
 (* Everything about one query except its metrics delta, computed with
    whichever telemetry handle the caller hands us: the shared [obs]
    sequentially, a task-private handle under a pool. *)
-let eval_query ?audit ~audit_options specs ~exec ~obs ~qi q ~train ~test =
+let eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test =
   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in
   let results = Array.map (fun s -> s.build q) specs in
   let plans = Array.map (fun (r : Acq_core.Planner.result) -> r.plan) results in
@@ -34,7 +34,7 @@ let eval_query ?audit ~audit_options specs ~exec ~obs ~qi q ~train ~test =
         in
         Acq_audit.Audit.install
           ?model:audit_options.Acq_core.Planner.cost_model a q ~costs
-          ~mode:exec ~plan:plans.(0)
+          ~plan:plans.(0)
           ~expected:results.(0).Acq_core.Planner.est_cost ~backend ~epoch:qi;
         Acq_audit.Audit.probe a
   in
@@ -42,7 +42,7 @@ let eval_query ?audit ~audit_options specs ~exec ~obs ~qi q ~train ~test =
     Array.mapi
       (fun i p ->
         let probe = if probed && i = 0 then probe else None in
-        Acq_exec.Runner.average_cost ~obs ?probe ~mode:exec q ~costs p ds)
+        Acq_exec.Runner.average_cost ~obs ?probe q ~costs p ds)
       plans
   in
   let test_costs = costs_on ~probed:true test in
@@ -72,8 +72,7 @@ let eval_query ?audit ~audit_options specs ~exec ~obs ~qi q ~train ~test =
     metrics = [];
   }
 
-let run ?(obs = Acq_obs.Telemetry.noop) ?pool
-    ?(exec_mode = Acq_exec.Mode.default) ?audit
+let run ?(obs = Acq_obs.Telemetry.noop) ?pool ?audit
     ?(audit_options = Acq_core.Planner.default_options) ~specs ~queries
     ~train ~test () =
   let specs = Array.of_list specs in
@@ -88,8 +87,7 @@ let run ?(obs = Acq_obs.Telemetry.noop) ?pool
       List.mapi
         (fun qi q ->
           let r =
-            eval_query ?audit ~audit_options specs ~exec:exec_mode ~obs ~qi q
-              ~train ~test
+            eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test
           in
           let after = snapshot () in
           let metrics = Acq_obs.Metrics.diff after !before in
@@ -118,8 +116,7 @@ let run ?(obs = Acq_obs.Telemetry.noop) ?pool
                   | Some m -> Acq_obs.Telemetry.create ~metrics:m ()
                   | None -> Acq_obs.Telemetry.noop
                 in
-                ( eval_query ~audit_options specs ~exec:exec_mode ~obs:tele
-                    ~qi q ~train ~test,
+                ( eval_query ~audit_options specs ~obs:tele ~qi q ~train ~test,
                   reg )))
           queries
       in

@@ -27,7 +27,6 @@ type query_run = {
 val run :
   ?obs:Acq_obs.Telemetry.t ->
   ?pool:Acq_par.Domain_pool.t ->
-  ?exec_mode:Acq_exec.Mode.t ->
   ?audit:Acq_audit.Audit.t ->
   ?audit_options:Acq_core.Planner.options ->
   specs:algo_spec list ->
@@ -37,12 +36,9 @@ val run :
   unit ->
   query_run list
 (** Plan and measure every query with every spec. Results are in query
-    order in both modes.
-
-    [exec_mode] (default [Tree]) selects the executor the cost sweeps
-    run on; measured costs are exec-mode invariant byte for byte
-    (consistency is always audited on the tree interpreter), so the
-    flag only changes how fast the harness measures.
+    order in both modes. Cost sweeps run on the compiled executor
+    ({!Acq_exec.Runner}); consistency is audited on the tree
+    interpreter.
 
     With [pool], queries are planned and measured as parallel domain
     tasks. Because planning is re-entrant, the returned plans, costs,

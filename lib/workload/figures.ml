@@ -2,7 +2,7 @@ module Rng = Acq_util.Rng
 module Tbl = Acq_util.Tbl
 module P = Acq_core.Planner
 
-type scale = { full : bool; exec : Acq_exec.Mode.t }
+type scale = { full : bool }
 
 let pick s ~quick ~full = if s.full then full else quick
 
@@ -74,7 +74,7 @@ let fig1 s =
     (Printf.sprintf "hour/light Pearson correlation: %.2f"
        (Acq_util.Stats.pearson hour_col light_col))
 
-let fig2 s =
+let fig2 _ =
   Report.section "fig2"
     "Conditional plan for temp/light with a time split (Figure 2)";
   let ds = Acq_data.Lab_gen.generate (Rng.create 1002) ~rows:20_000 in
@@ -100,7 +100,7 @@ let fig2 s =
       .P.plan
   in
   let acq plan =
-    Acq_exec.Runner.average_cost ~mode:s.exec q ~costs plan test /. 100.0
+    Acq_exec.Runner.average_cost q ~costs plan test /. 100.0
   in
   let t = Tbl.create [ "plan"; "expected expensive acquisitions / tuple" ] in
   Tbl.add_row t [ "sequential (Naive)"; Printf.sprintf "%.2f" (acq naive) ];
@@ -228,7 +228,7 @@ let fig8a s =
         train;
     ]
   in
-  let runs = Experiment.run ~exec_mode:s.exec ~specs ~queries ~train ~test () in
+  let runs = Experiment.run ~specs ~queries ~train ~test () in
   let exh = 5 in
   let t =
     Tbl.create
@@ -292,7 +292,7 @@ let fig8b s =
              train)
          rs
   in
-  let runs = Experiment.run ~exec_mode:s.exec ~specs ~queries ~train ~test () in
+  let runs = Experiment.run ~specs ~queries ~train ~test () in
   let t = Tbl.create [ "algorithm"; "avg test cost"; "avg vs Heuristic"; "max vs Heuristic" ] in
   List.iteri
     (fun i spec ->
@@ -333,7 +333,7 @@ let fig8c s =
       spec_of_algo "Heuristic-10" P.Heuristic { o with max_splits = 10 } train;
     ]
   in
-  let runs = Experiment.run ~exec_mode:s.exec ~specs ~queries ~train ~test () in
+  let runs = Experiment.run ~specs ~queries ~train ~test () in
   let g = Experiment.gains runs ~baseline:0 ~target:1 in
   Report.cumulative_gain_curve ~label:"gain vs Naive" g;
   Report.gain_summary ~label:"Heuristic-10 vs Naive" (Experiment.summarize g);
@@ -342,7 +342,7 @@ let fig8c s =
      tail of several-times improvements and negligible worst-case \
      regressions."
 
-let fig9 s =
+let fig9 _ =
   Report.section "fig9"
     "Detailed plan study: bright, cool and dry lab query (Figure 9)";
   let ds = Acq_data.Lab_gen.generate (Rng.create 1010) ~rows:30_000 in
@@ -359,8 +359,8 @@ let fig9 s =
   Report.note ("query: " ^ Acq_plan.Query.describe q);
   print_string (Acq_plan.Printer.to_string q cond);
   Report.note (Acq_plan.Printer.summary q cond);
-  let cn = Acq_exec.Runner.average_cost ~mode:s.exec q ~costs naive test in
-  let cc = Acq_exec.Runner.average_cost ~mode:s.exec q ~costs cond test in
+  let cn = Acq_exec.Runner.average_cost q ~costs naive test in
+  let cc = Acq_exec.Runner.average_cost q ~costs cond test in
   Report.note
     (Printf.sprintf "test cost: Naive %.1f, conditional %.1f (gain %.0f%%)"
        cn cc
@@ -397,7 +397,7 @@ let garden_fig name s ~n_motes ~seed =
       spec_of_algo "Heuristic-10" P.Heuristic { o with max_splits = 10 } train;
     ]
   in
-  let runs = Experiment.run ~exec_mode:s.exec ~specs ~queries ~train ~test () in
+  let runs = Experiment.run ~specs ~queries ~train ~test () in
   let t = Tbl.create [ "algorithm"; "avg test cost" ] in
   List.iteri
     (fun i spec ->
@@ -465,7 +465,7 @@ let fig12 s =
           let costs = costs_of q in
           let cost algo opts =
             let plan = (P.plan ~options:opts algo q ~train).P.plan in
-            Acq_exec.Runner.average_cost ~mode:s.exec q ~costs plan test
+            Acq_exec.Runner.average_cost q ~costs plan test
           in
           Tbl.add_row t
             [

@@ -3,13 +3,10 @@
     the same rows/series the paper reports; [EXPERIMENTS.md] records
     the paper-vs-measured comparison. *)
 
-type scale = { full : bool; exec : Acq_exec.Mode.t }
+type scale = { full : bool }
 (** [full = false] runs CI-sized versions (fewer queries, smaller
     traces); [full = true] approaches the paper's counts (95 lab
-    queries, 90 garden queries, finer selectivity sweeps). [exec]
-    selects the execution path every cost sweep in the figure/ablation
-    harness runs on ([Tree] reproduces the seed behavior; [Compiled]
-    measures the same numbers byte-identically, faster). *)
+    queries, 90 garden queries, finer selectivity sweeps). *)
 
 val coarse_factors : int array
 (** Per-attribute merge factors used to shrink the lab dataset for

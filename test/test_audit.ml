@@ -1,6 +1,7 @@
 (* Acq_audit tests: the audit pipeline must be a pure observer —
    audit-on and audit-off runs byte-identical in verdicts, costs, and
-   acquisition order on every planner and both execution modes — and
+   acquisition order on every planner, checked against the tree
+   executor's audit hook as oracle — and
    its aggregates must be exactly the closed-form statistics of the
    raw counts. Plus: prediction exactness on the training
    distribution, flight-ring wrap and alarm latching, regret-sign
@@ -17,7 +18,6 @@ module Q = Acq_plan.Query
 module Ex = Acq_plan.Executor
 module P = Acq_core.Planner
 module B = Acq_prob.Backend
-module Mode = Acq_exec.Mode
 module Compile = Acq_exec.Compile
 module Batch = Acq_exec.Batch
 module Probe = Acq_exec.Probe
@@ -101,8 +101,9 @@ let outcome_equal (a : Ex.outcome) (b : Ex.outcome) =
 (* ------------------------------------------------------------------ *)
 (* Pure-observer differential: with the audit pipeline armed and its
    probe passed to every call, outcomes and sweep averages are
-   byte-identical to the unaudited run — on every planner's plan and
-   both execution modes. *)
+   byte-identical to the unaudited run on every planner's plan — and
+   the tree oracle, fed through [Probe.hook], agrees with both and
+   leaves the very same probe counts. *)
 
 let audited_identical ds q =
   let costs = S.costs (DS.schema ds) in
@@ -110,41 +111,47 @@ let audited_identical ds q =
     (fun algo ->
       let result = P.plan ~options algo q ~train:ds in
       let plan = result.P.plan in
-      List.for_all
-        (fun mode ->
-          let prep = Runner.prepare ~mode q ~costs plan in
-          let audit = Audit.create () in
-          Audit.install audit q ~costs ~mode ~plan
-            ~expected:result.P.est_cost
-            ~backend:(B.of_dataset ~spec:options.P.prob_model ds)
-            ~epoch:0;
-          let probe =
-            match Audit.probe audit with
-            | Some p -> p
-            | None -> Alcotest.fail "no probe after install"
-          in
-          let rows_ok = ref true in
-          for r = 0 to DS.nrows ds - 1 do
-            let row = DS.row ds r in
-            if
-              not
-                (outcome_equal
-                   (Runner.run_tuple prep row)
-                   (Runner.run_tuple ~probe prep row))
-            then rows_ok := false
-          done;
-          Audit.checkpoint audit ~epoch:1 ();
-          !rows_ok
-          && Float.equal
-               (Runner.average_cost_prepared prep ds)
-               (Runner.average_cost_prepared ~probe prep ds))
-        Mode.all)
+      let prep = Runner.prepare q ~costs plan in
+      let audit = Audit.create () in
+      Audit.install audit q ~costs ~plan ~expected:result.P.est_cost
+        ~backend:(B.of_dataset ~spec:options.P.prob_model ds)
+        ~epoch:0;
+      let probe =
+        match Audit.probe audit with
+        | Some p -> p
+        | None -> Alcotest.fail "no probe after install"
+      in
+      let oracle = Probe.create (Compile.compile q plan) in
+      let hook = Probe.hook oracle in
+      let rows_ok = ref true in
+      for r = 0 to DS.nrows ds - 1 do
+        let row = DS.row ds r in
+        let expect = Ex.run_tuple q ~costs plan row in
+        if
+          not
+            (outcome_equal expect (Runner.run_tuple prep row)
+            && outcome_equal expect (Runner.run_tuple ~probe prep row)
+            && outcome_equal expect (Ex.run_tuple ~audit:hook q ~costs plan row))
+        then rows_ok := false
+      done;
+      let counts_agree =
+        Probe.visits probe = Probe.visits oracle
+        && Probe.hits probe = Probe.hits oracle
+      in
+      Audit.checkpoint audit ~epoch:1 ();
+      !rows_ok && counts_agree
+      && Float.equal
+           (Runner.average_cost_prepared prep ds)
+           (Runner.average_cost_prepared ~probe prep ds)
+      && Float.equal
+           (Ex.average_cost q ~costs plan ds)
+           (Ex.average_cost ~audit:hook q ~costs plan ds))
     planners
 
 let prop_audit_is_pure_observer =
   QCheck2.Test.make ~count:50
     ~name:"audit-on = audit-off (verdict, cost, order, Eq.4) on every \
-           planner and mode"
+           planner, tree oracle agreeing"
     ~print:instance_print instance_gen (fun i ->
       let ds, q = build_instance i in
       audited_identical ds q)
@@ -229,7 +236,7 @@ let test_prediction_exact_on_train () =
           ~backend
       in
       ignore
-        (Runner.average_cost ~probe:(Rec.probe r) ~mode:Mode.Compiled q ~costs
+        (Runner.average_cost ~probe:(Rec.probe r) q ~costs
            result.P.plan ds
           : float);
       let gap = Cal.calibration_error (Rec.snapshot r) in
@@ -246,7 +253,7 @@ let test_prediction_exact_on_train () =
 let test_flight_ring_wraps () =
   let fr = Fr.create ~capacity:8 () in
   for e = 0 to 19 do
-    Fr.record fr ~epoch:e ~kind:Fr.Note ~plan_id:0 ~exec:"tree" ~value:0.0
+    Fr.record fr ~epoch:e ~kind:Fr.Note ~plan_id:0 ~value:0.0
       ~detail:(string_of_int e)
   done;
   Alcotest.(check int) "recorded" 20 (Fr.recorded fr);
@@ -267,7 +274,7 @@ let test_flight_alarm_latches () =
       ~on_dump:(fun _ ~reason:_ -> incr dumps)
       ()
   in
-  let feed v = Fr.note_calibration fr ~epoch:0 ~plan_id:0 ~exec:"tree" v in
+  let feed v = Fr.note_calibration fr ~epoch:0 ~plan_id:0 v in
   feed 0.30;
   Alcotest.(check int) "first crossing dumps" 1 !dumps;
   feed 0.40;
@@ -296,14 +303,14 @@ let test_regret_accounting () =
     (P.plan_with_backend ~options P.Heuristic q ~costs indep).P.plan
   in
   let o =
-    Acq_audit.Regret.assess ~options ~mode:Mode.Compiled ~current_plan q
+    Acq_audit.Regret.assess ~options ~current_plan q
       ~costs ds
   in
   let open Acq_audit.Regret in
   Alcotest.(check int) "rows" (DS.nrows ds) o.rows;
   Alcotest.(check bool) "current realized = independent sweep" true
     (Float.equal o.current_realized
-       (Runner.average_cost ~mode:Mode.Compiled q ~costs current_plan ds));
+       (Runner.average_cost q ~costs current_plan ds));
   let best =
     match o.best with
     | Some b -> b
@@ -368,9 +375,9 @@ let test_audit_cost_source_end_to_end () =
   let ds, q = correlated_instance 73 in
   let costs = S.costs (DS.schema ds) in
   let result = P.plan ~options P.Heuristic q ~train:ds in
-  let prep = Runner.prepare ~mode:Mode.Compiled q ~costs result.P.plan in
+  let prep = Runner.prepare q ~costs result.P.plan in
   let audit = Audit.create () in
-  Audit.install audit q ~costs ~mode:Mode.Compiled ~plan:result.P.plan
+  Audit.install audit q ~costs ~plan:result.P.plan
     ~expected:result.P.est_cost
     ~backend:(B.of_dataset ~spec:options.P.prob_model ds)
     ~epoch:0;
@@ -472,7 +479,7 @@ let shard_rows ds ~domains =
 let shard_tracker ds q plan auto predictions names rows =
   let costs = S.costs (DS.schema ds) in
   let probe = Probe.create auto in
-  let prep = Runner.prepare ~mode:Mode.Compiled q ~costs plan in
+  let prep = Runner.prepare q ~costs plan in
   Array.iter
     (fun row -> ignore (Runner.run_tuple ~probe prep row : Ex.outcome))
     rows;
@@ -494,7 +501,7 @@ let test_calibration_merge_across_shards () =
   (* Reference for the additive statistics: one probe over the whole
      dataset. *)
   let whole = Probe.create auto in
-  let prep = Runner.prepare ~mode:Mode.Compiled q ~costs plan in
+  let prep = Runner.prepare q ~costs plan in
   for r = 0 to DS.nrows ds - 1 do
     ignore (Runner.run_tuple ~probe:whole prep (DS.row ds r) : Ex.outcome)
   done;

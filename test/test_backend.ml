@@ -1,7 +1,7 @@
 (* Tests for the pluggable probability backends (Acq_prob.Backend):
    cross-backend agreement on exhaustively enumerable domains, the
-   memo combinator's cache semantics and telemetry, the seed-closure
-   vs packed-backend planning differential, the Chow-Liu incremental
+   memo combinator's cache semantics and telemetry, the memoized vs
+   plain planning differential, the Chow-Liu incremental
    pattern inference, capability routing in the sequential planner,
    and the --model spec syntax. *)
 
@@ -14,7 +14,6 @@ module Pred = Acq_plan.Predicate
 module Q = Acq_plan.Query
 module Ser = Acq_plan.Serialize
 module B = Acq_prob.Backend
-module E = Acq_prob.Estimator
 module CL = Acq_prob.Chow_liu
 module Metrics = Acq_obs.Metrics
 module Tel = Acq_obs.Telemetry
@@ -281,10 +280,9 @@ let test_memo_telemetry () =
   Alcotest.(check int) "two misses" 2 s.B.misses
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the seed closure path and the packed backend path
+(* Differential: the empirical backend with and without memoization
    must produce byte-identical plans, identical Eq. (3) costs, and
-   identical zeta(P), with and without memoization, for every planner
-   across 50 random instances. *)
+   identical zeta(P) for every planner across 50 random instances. *)
 
 let diff_options =
   { P.default_options with P.split_points_per_attr = 2 }
@@ -319,10 +317,6 @@ let test_differential () =
         let ctx =
           Printf.sprintf "seed %d %s" seed (P.algorithm_name alg)
         in
-        let r_seed =
-          P.plan_with_estimator ~options:diff_options alg q ~costs
-            (E.empirical ds)
-        in
         let r_back =
           P.plan_with_backend ~options:diff_options alg q ~costs
             (B.empirical ds)
@@ -331,27 +325,17 @@ let test_differential () =
           P.plan_with_backend ~options:diff_options alg q ~costs
             (B.memo (B.empirical ds))
         in
-        let enc = Ser.encode r_seed.P.plan in
-        Alcotest.(check bool)
-          (ctx ^ ": backend plan byte-identical")
-          true
-          (Bytes.equal enc (Ser.encode r_back.P.plan));
         Alcotest.(check bool)
           (ctx ^ ": memoized plan byte-identical")
           true
-          (Bytes.equal enc (Ser.encode r_memo.P.plan));
+          (Bytes.equal (Ser.encode r_back.P.plan) (Ser.encode r_memo.P.plan));
         Alcotest.(check bool)
           (ctx ^ ": est_cost identical")
           true
-          (Float.equal r_seed.P.est_cost r_back.P.est_cost
-          && Float.equal r_seed.P.est_cost r_memo.P.est_cost);
-        Alcotest.(check int)
-          (ctx ^ ": zeta identical")
-          r_seed.P.stats.Acq_core.Search.plan_size
-          r_back.P.stats.Acq_core.Search.plan_size;
+          (Float.equal r_back.P.est_cost r_memo.P.est_cost);
         Alcotest.(check int)
           (ctx ^ ": zeta identical under memo")
-          r_seed.P.stats.Acq_core.Search.plan_size
+          r_back.P.stats.Acq_core.Search.plan_size
           r_memo.P.stats.Acq_core.Search.plan_size)
       algs
   done

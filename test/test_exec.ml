@@ -5,8 +5,8 @@
    on every planner's output, under uniform and board cost models.
    Plus: wire-format round trips, Dataset.columns snapshot semantics
    (including after Sliding rotation), zero-allocation sweeps, and the
-   exec-mode plumbing through Runner, Runtime, Experiment, and the
-   adaptive Session. *)
+   production path through Runner, Runtime, Experiment, and the
+   adaptive Session checked against the tree executor as oracle. *)
 
 module Rng = Acq_util.Rng
 module DS = Acq_data.Dataset
@@ -17,7 +17,6 @@ module Q = Acq_plan.Query
 module Plan = Acq_plan.Plan
 module Ex = Acq_plan.Executor
 module P = Acq_core.Planner
-module Mode = Acq_exec.Mode
 module Compile = Acq_exec.Compile
 module Batch = Acq_exec.Batch
 module Runner = Acq_exec.Runner
@@ -313,19 +312,7 @@ let test_sweep_zero_alloc () =
   ignore !sink
 
 (* ------------------------------------------------------------------ *)
-(* Mode / Runner plumbing *)
-
-let test_mode_strings () =
-  List.iter
-    (fun m ->
-      match Mode.of_string (Mode.to_string m) with
-      | Ok m' -> Alcotest.(check bool) "round trips" true (m = m')
-      | Error e -> Alcotest.fail e)
-    Mode.all;
-  (match Mode.of_string "quantum" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted junk mode");
-  Alcotest.(check bool) "default is tree" true (Mode.default = Mode.Tree)
+(* Runner plumbing: the production path against the tree oracle *)
 
 let test_runner_modes_agree () =
   let ds, q =
@@ -335,22 +322,24 @@ let test_runner_modes_agree () =
   in
   let costs = S.costs (DS.schema ds) in
   let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
-  let prepared m = Runner.prepare ~mode:m q ~costs plan in
-  let pt = prepared Mode.Tree and pc = prepared Mode.Compiled in
+  let prepared = Runner.prepare q ~costs plan in
   for r = 0 to DS.nrows ds - 1 do
     let row = DS.row ds r in
-    if not (outcome_equal (Runner.run_tuple pt row) (Runner.run_tuple pc row))
-    then Alcotest.failf "modes disagree on row %d" r
+    if
+      not
+        (outcome_equal (Ex.run_tuple q ~costs plan row)
+           (Runner.run_tuple prepared row))
+    then Alcotest.failf "runner disagrees with the tree oracle on row %d" r
   done;
   Alcotest.(check bool) "Eq.4 identical" true
     (Float.equal
-       (Runner.average_cost_prepared pt ds)
-       (Runner.average_cost_prepared pc ds))
+       (Ex.average_cost q ~costs plan ds)
+       (Runner.average_cost_prepared prepared ds))
 
-(* Both execution paths record the very same telemetry totals:
-   per-attribute acquisition counters, tuple/match counters, and the
-   traversal-depth histogram (compiled batches the updates; the sums
-   must not change). *)
+(* The runner records the very same telemetry totals as the tree
+   oracle: per-attribute acquisition counters, tuple/match counters,
+   and the traversal-depth histogram (the compiled sweep batches the
+   updates; the sums must not change). *)
 let test_instrumentation_parity () =
   let ds, q =
     build_instance
@@ -359,37 +348,44 @@ let test_instrumentation_parity () =
   in
   let costs = S.costs (DS.schema ds) in
   let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
-  let sweep mode =
+  let series sweep =
     let m = M.create () in
     let obs = T.create ~metrics:m () in
-    ignore (Runner.average_cost ~obs ~mode q ~costs plan ds : float);
+    ignore (sweep obs : float);
     List.filter
       (fun (k, _) -> String.length k >= 4 && String.sub k 0 4 = "acqp")
       (M.snapshot m)
   in
-  let tree = sweep Mode.Tree and compiled = sweep Mode.Compiled in
+  let tree = series (fun obs -> Ex.average_cost ~obs q ~costs plan ds) in
+  let compiled = series (fun obs -> Runner.average_cost ~obs q ~costs plan ds) in
   Alcotest.(check bool) "counters recorded" true (tree <> []);
   Alcotest.(check (list (pair string (float 0.0)))) "identical series" tree
     compiled
 
 (* ------------------------------------------------------------------ *)
-(* Exec mode through the stack *)
+(* The production path through the stack, against the tree oracle *)
 
+(* The motes' verdicts and acquisition energy equal the tree
+   executor's verdict count and cost sum over the same live trace. *)
 let test_runtime_exec_parity () =
   let ds = Acq_data.Lab_gen.generate (Rng.create 77) ~rows:1_200 in
   let history, live = DS.split_by_time ds ~train_fraction:0.5 in
   let q = Acq_workload.Query_gen.lab_query (Rng.create 7) ~train:history in
-  let run exec =
-    Acq_sensor.Runtime.run ~exec ~algorithm:P.Heuristic ~history ~live q
-  in
-  let rt = run Mode.Tree and rc = run Mode.Compiled in
   let module Rt = Acq_sensor.Runtime in
-  Alcotest.(check bool) "compiled verdicts correct" true rc.Rt.correct;
-  Alcotest.(check int) "matches" rt.Rt.matches rc.Rt.matches;
-  Alcotest.(check bool) "avg cost identical" true
-    (Float.equal rt.Rt.avg_cost_per_epoch rc.Rt.avg_cost_per_epoch);
-  Alcotest.(check bool) "total energy identical" true
-    (Float.equal rt.Rt.total_energy rc.Rt.total_energy)
+  let r = Rt.run ~algorithm:P.Heuristic ~history ~live q in
+  let costs = S.costs (Q.schema q) in
+  let matches = ref 0 and cost = ref 0.0 in
+  for row = 0 to DS.nrows live - 1 do
+    let o = Ex.run_tuple q ~costs r.Rt.plan (DS.row live row) in
+    if o.Ex.verdict then incr matches;
+    cost := !cost +. o.Ex.cost
+  done;
+  Alcotest.(check bool) "verdicts correct" true r.Rt.correct;
+  Alcotest.(check int) "matches = oracle verdict count" !matches r.Rt.matches;
+  (* Motes keep per-mote energy meters that are merged at the end, so
+     the summation order differs from this epoch-order sum. *)
+  Alcotest.(check bool) "acquisition energy = oracle cost sum" true
+    (Float.abs (!cost -. r.Rt.acquisition_energy) <= 1e-9 *. Float.max 1.0 !cost)
 
 let test_experiment_exec_parity () =
   let ds, q =
@@ -406,26 +402,28 @@ let test_experiment_exec_parity () =
         build = (fun q -> P.plan ~options P.Naive q ~train) };
     ]
   in
-  let run exec_mode =
-    Acq_workload.Experiment.run ~exec_mode ~specs ~queries:[ q ] ~train ~test
-      ()
-  in
-  let costs_of r =
-    List.concat_map
-      (fun qr ->
-        Array.to_list qr.Acq_workload.Experiment.test_costs
-        @ Array.to_list qr.Acq_workload.Experiment.train_costs)
-      r
-  in
-  let t = run Mode.Tree and c = run Mode.Compiled in
-  Alcotest.(check bool) "measured costs identical" true
-    (List.for_all2 Float.equal (costs_of t) (costs_of c));
-  Alcotest.(check bool) "compiled run consistent" true
-    (List.for_all (fun qr -> qr.Acq_workload.Experiment.consistent) c)
+  let costs = S.costs (DS.schema ds) in
+  match Acq_workload.Experiment.run ~specs ~queries:[ q ] ~train ~test () with
+  | [ qr ] ->
+      List.iteri
+        (fun i (spec : Acq_workload.Experiment.algo_spec) ->
+          let plan = (spec.build q).P.plan in
+          Alcotest.(check bool)
+            (spec.name ^ " test cost = oracle") true
+            (Float.equal qr.Acq_workload.Experiment.test_costs.(i)
+               (Ex.average_cost q ~costs plan test));
+          Alcotest.(check bool)
+            (spec.name ^ " train cost = oracle") true
+            (Float.equal qr.Acq_workload.Experiment.train_costs.(i)
+               (Ex.average_cost q ~costs plan train)))
+        specs;
+      Alcotest.(check bool) "run consistent" true
+        qr.Acq_workload.Experiment.consistent
+  | _ -> Alcotest.fail "expected one query run"
 
-(* Adaptive session under Compiled: the prepared automaton tracks the
-   installed plan across a drift-triggered switch, and execute serves
-   the same outcomes the tree would. *)
+(* Adaptive session: the prepared automaton tracks the installed plan
+   across a drift-triggered switch, and execute serves the same
+   outcomes as the tree oracle. *)
 let test_session_compiled_recompiles_on_switch () =
   let module Sess = Acq_adapt.Session in
   let module Pol = Acq_adapt.Policy in
@@ -445,11 +443,8 @@ let test_session_compiled_recompiles_on_switch () =
   let history = DS.create schema (Array.init 200 phase_a_row) in
   let policy = Pol.drift_triggered ~check_every:10 ~cooldown:0 0.3 in
   let s =
-    Sess.create ~exec_mode:Mode.Compiled ~algorithm:P.Corr_seq ~policy
-      ~window:40 ~history q
+    Sess.create ~algorithm:P.Corr_seq ~policy ~window:40 ~history q
   in
-  Alcotest.(check bool) "session mode" true
-    (Sess.exec_mode s = Mode.Compiled);
   let check_execute_matches_tree i =
     let row = phase_b_row i in
     let costs = S.costs schema in
@@ -471,8 +466,6 @@ let test_session_compiled_recompiles_on_switch () =
     (Plan.equal (Sess.plan s) initial_plan);
   Alcotest.(check bool) "prepared recompiled to new plan" true
     (Plan.equal (Runner.plan (Sess.prepared s)) (Sess.plan s));
-  Alcotest.(check bool) "prepared stays compiled" true
-    (Runner.mode (Sess.prepared s) = Mode.Compiled);
   check_execute_matches_tree 1
 
 let () =
@@ -502,7 +495,6 @@ let () =
       );
       ( "plumbing",
         [
-          Alcotest.test_case "mode strings" `Quick test_mode_strings;
           Alcotest.test_case "runner modes agree" `Quick test_runner_modes_agree;
           Alcotest.test_case "instrumentation parity" `Quick
             test_instrumentation_parity;

@@ -9,7 +9,7 @@ module S = Acq_data.Schema
 module Q = Acq_plan.Query
 module Plan = Acq_plan.Plan
 module Ex = Acq_plan.Executor
-module E = Acq_prob.Estimator
+module B = Acq_prob.Backend
 module P = Acq_core.Planner
 module RT = Acq_sensor.Runtime
 
@@ -80,10 +80,8 @@ let test_model_driven_planning () =
   let q = Acq_workload.Query_gen.lab_query (Rng.create 106) ~train in
   let costs = S.costs schema in
   let model = Acq_prob.Chow_liu.learn train in
-  let est =
-    E.of_chow_liu model ~weight:(float_of_int (DS.nrows train))
-  in
-  let plan = (P.plan_with_estimator P.Heuristic q ~costs est).P.plan in
+  let est = B.chow_liu model ~weight:(float_of_int (DS.nrows train)) in
+  let plan = (P.plan_with_backend P.Heuristic q ~costs est).P.plan in
   Alcotest.(check bool) "model-driven plan consistent" true
     (Ex.consistent q ~costs plan test);
   let naive = (P.plan P.Naive q ~train).P.plan in

@@ -1,5 +1,5 @@
 (* Unit tests for Acq_prob: indexes, views, histograms, mutual
-   information, the Chow-Liu model, and the estimator abstraction. *)
+   information, the Chow-Liu model, and the probability backends. *)
 
 module Rng = Acq_util.Rng
 module DS = Acq_data.Dataset
@@ -9,7 +9,7 @@ module R = Acq_plan.Range
 module Pred = Acq_plan.Predicate
 module V = Acq_prob.View
 module H = Acq_prob.Histogram
-module E = Acq_prob.Estimator
+module B = Acq_prob.Backend
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_floatish = Alcotest.(check (float 0.02))
@@ -333,34 +333,33 @@ let test_joint_validation () =
    with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Estimator *)
+(* Estimator: the empirical and Chow-Liu backends *)
 
 let test_estimator_empirical_basics () =
   let ds = mk_dataset () in
-  let est = E.empirical ds in
-  check_float "weight" 8.0 est.E.weight;
-  check_float "range prob" 0.5 (est.E.range_prob 0 (R.make 0 1));
-  check_float "pred prob" 0.5 (est.E.pred_prob (Pred.inside ~attr:2 ~lo:1 ~hi:1));
-  let vp = est.E.value_probs 1 in
+  let est = B.empirical ds in
+  check_float "weight" 8.0 (B.weight est);
+  check_float "range prob" 0.5 (B.range_prob est 0 (R.make 0 1));
+  check_float "pred prob" 0.5 (B.pred_prob est (Pred.inside ~attr:2 ~lo:1 ~hi:1));
+  let vp = B.value_probs est 1 in
   check_float "value probs" (3.0 /. 8.0) vp.(0);
   check_float "value probs sum" 1.0 (Acq_util.Array_util.sum_float vp)
 
 let test_estimator_restrict_chain () =
   let ds = mk_dataset () in
-  let est = E.empirical ds in
-  let est' = est.E.restrict_range 0 (R.make 0 1) in
-  check_float "restricted weight" 4.0 est'.E.weight;
-  let est'' = est'.E.restrict_pred (Pred.inside ~attr:2 ~lo:1 ~hi:1) true in
-  check_float "chained weight" 2.0 est''.E.weight;
-  Alcotest.(check bool) "not empty" false (E.is_empty est'');
-  let empty = est''.E.restrict_range 1 (R.make 1 1) in
-  Alcotest.(check bool) "b=1 never with a<=1,c=1" true (E.is_empty empty)
+  let est = B.empirical ds in
+  let est' = B.restrict_range est 0 (R.make 0 1) in
+  check_float "restricted weight" 4.0 (B.weight est');
+  let est'' = B.restrict_pred est' (Pred.inside ~attr:2 ~lo:1 ~hi:1) true in
+  check_float "chained weight" 2.0 (B.weight est'');
+  Alcotest.(check bool) "not empty" false (B.is_empty est'');
+  let empty = B.restrict_range est'' 1 (R.make 1 1) in
+  Alcotest.(check bool) "b=1 never with a<=1,c=1" true (B.is_empty empty)
 
 let test_estimator_pattern_probs_sum () =
   let ds = mk_dataset () in
-  let est = E.empirical ds in
   let probs =
-    est.E.pattern_probs
+    B.pattern_probs (B.empirical ds)
       [| Pred.inside ~attr:0 ~lo:0 ~hi:1; Pred.inside ~attr:1 ~lo:1 ~hi:2 |]
   in
   check_float "sum to 1" 1.0 (Acq_util.Array_util.sum_float probs)
@@ -368,43 +367,44 @@ let test_estimator_pattern_probs_sum () =
 let test_estimator_chow_liu_coherent () =
   let ds = chain_dataset () in
   let m = Acq_prob.Chow_liu.learn ds in
-  let est = E.of_chow_liu m ~weight:1000.0 in
-  let emp = E.empirical ds in
+  let est = B.chow_liu m ~weight:1000.0 in
+  let emp = B.empirical ds in
   check_floatish "marginal agreement"
-    (emp.E.pred_prob (Pred.inside ~attr:1 ~lo:1 ~hi:1))
-    (est.E.pred_prob (Pred.inside ~attr:1 ~lo:1 ~hi:1));
-  let est' = est.E.restrict_range 0 (R.make 1 1) in
-  let emp' = emp.E.restrict_range 0 (R.make 1 1) in
+    (B.pred_prob emp (Pred.inside ~attr:1 ~lo:1 ~hi:1))
+    (B.pred_prob est (Pred.inside ~attr:1 ~lo:1 ~hi:1));
+  let est' = B.restrict_range est 0 (R.make 1 1) in
+  let emp' = B.restrict_range emp 0 (R.make 1 1) in
   check_floatish "conditional agreement"
-    (emp'.E.pred_prob (Pred.inside ~attr:2 ~lo:1 ~hi:1))
-    (est'.E.pred_prob (Pred.inside ~attr:2 ~lo:1 ~hi:1));
-  let probs = est.E.pattern_probs [| Pred.inside ~attr:0 ~lo:1 ~hi:1;
-                                     Pred.inside ~attr:2 ~lo:1 ~hi:1 |] in
+    (B.pred_prob emp' (Pred.inside ~attr:2 ~lo:1 ~hi:1))
+    (B.pred_prob est' (Pred.inside ~attr:2 ~lo:1 ~hi:1));
+  let probs =
+    B.pattern_probs est
+      [| Pred.inside ~attr:0 ~lo:1 ~hi:1; Pred.inside ~attr:2 ~lo:1 ~hi:1 |]
+  in
   check_floatish "pattern probs sum" 1.0 (Acq_util.Array_util.sum_float probs)
 
-(* The documented 12-predicate ceiling of the Chow-Liu estimator's
+(* The documented 12-predicate ceiling of the Chow-Liu backend's
    pattern_probs: exactly 12 works (4096 inferences, a proper
    distribution), 13 raises Invalid_argument rather than silently
    enumerating 2^13 evidence combinations. *)
 let test_estimator_chow_liu_pattern_limit () =
   let ds = chain_dataset () in
   let m = Acq_prob.Chow_liu.learn ds in
-  let est = E.of_chow_liu m ~weight:1000.0 in
+  let est = B.chow_liu m ~weight:1000.0 in
   (* Predicates may repeat attributes, so width 12 is reachable even
      on a 3-attribute schema. *)
   let preds n = Array.init n (fun j -> Pred.inside ~attr:(j mod 3) ~lo:1 ~hi:1) in
-  let at_limit = est.E.pattern_probs (preds 12) in
+  let at_limit = B.pattern_probs est (preds 12) in
   Alcotest.(check int) "2^12 patterns" 4096 (Array.length at_limit);
   check_floatish "boundary distribution sums to 1" 1.0
     (Acq_util.Array_util.sum_float at_limit);
   (try
-     ignore (est.E.pattern_probs (preds 13));
+     ignore (B.pattern_probs est (preds 13));
      Alcotest.fail "expected 13-predicate rejection"
    with Invalid_argument _ -> ());
-  (* The empirical estimator has no such ceiling. *)
-  let emp = E.empirical ds in
+  (* The empirical backend has no such ceiling. *)
   Alcotest.(check int) "empirical handles 13" 8192
-    (Array.length (emp.E.pattern_probs (preds 13)))
+    (Array.length (B.pattern_probs (B.empirical ds) (preds 13)))
 
 (* ------------------------------------------------------------------ *)
 

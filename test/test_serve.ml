@@ -41,15 +41,10 @@ let test_parse_basics () =
 
 let test_parse_opts_and_sql () =
   let sql = "SELECT * WHERE light >= 100" in
-  check_parse ("RUN algo=naive exec=tree " ^ sql)
+  check_parse ("RUN algo=naive " ^ sql)
     (Ok
        (Protocol.Run
-          ( {
-              Protocol.planner = Some (Protocol.Fixed P.Naive);
-              model = None;
-              exec = Some Acq_exec.Mode.Tree;
-            },
-            sql )));
+          ({ Protocol.planner = Some (Protocol.Fixed P.Naive); model = None }, sql)));
   (* Everything after the first (case-insensitive) SELECT is raw SQL —
      spacing and case preserved byte for byte. *)
   let weird = "select *  WHERE  humidity >= 40" in
@@ -61,8 +56,7 @@ let test_parse_opts_and_sql () =
   check_parse ("PLAN algo=portfolio " ^ sql)
     (Ok
        (Protocol.Plan
-          ( { Protocol.planner = Some Protocol.Portfolio; model = None; exec = None },
-            sql )))
+          ({ Protocol.planner = Some Protocol.Portfolio; model = None }, sql)))
 
 let test_parse_errors () =
   check_parse "" (Error 400);
@@ -398,6 +392,24 @@ let test_server_malformed_never_disconnects () =
         "want OK ERR ERR ERR OK (connection alive throughout), got: %s"
         (String.concat " | " (List.map Protocol.frame_kind frames))
 
+(* The execution-path option is gone: a client still sending it gets a
+   structured 400 naming the option, and the connection stays usable. *)
+let test_server_removed_exec_option () =
+  with_server "acqpd_test_exec_opt.sock" @@ fun path _engine server ->
+  let c = cli_connect path in
+  Fun.protect ~finally:(fun () -> cli_close c) @@ fun () ->
+  cli_send c "HELLO t0";
+  cli_send c ("RUN exec=tree " ^ chatty);
+  cli_send c "PING";
+  pump_until server c ~frames:3;
+  match List.rev c.cframes with
+  | [ Protocol.Reply _; Protocol.Failure (code, msg); Protocol.Reply _ ] ->
+      Alcotest.(check int) "code" 400 code;
+      Alcotest.(check string) "message" "unknown option: exec\n" msg
+  | frames ->
+      Alcotest.failf "want OK ERR OK, got: %s"
+        (String.concat " | " (List.map Protocol.frame_kind frames))
+
 let test_server_slow_consumer_sheds () =
   (* Tiny write limits so a consumer that stops reading crosses the
      soft cap within a few ticks of chatty-subscription traffic. *)
@@ -551,6 +563,8 @@ let () =
             test_server_run_identity_over_socket;
           Alcotest.test_case "malformed input never disconnects" `Quick
             test_server_malformed_never_disconnects;
+          Alcotest.test_case "removed exec option is a structured 400" `Quick
+            test_server_removed_exec_option;
           Alcotest.test_case "slow consumer sheds with OVERLOAD" `Quick
             test_server_slow_consumer_sheds;
           Alcotest.test_case "1000+ sessions, then graceful drain" `Slow

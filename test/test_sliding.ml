@@ -68,13 +68,18 @@ let test_push_validation () =
 let test_estimator_over_window () =
   let w = Sl.create (schema ()) ~capacity:4 in
   List.iter (Sl.push w) [ [| 0; 0 |]; [| 0; 0 |]; [| 1; 2 |]; [| 1; 2 |] ];
-  let est = Sl.estimator w in
+  let b = Sl.backend w in
   check_float "P(x=0) over window" 0.5
-    (est.Acq_prob.Estimator.range_prob 0 (Acq_plan.Range.make 0 0))
+    (Acq_prob.Backend.range_prob b 0 (Acq_plan.Range.make 0 0));
+  (* Conditioning narrows to the window rows with x = 1. *)
+  let b' = Acq_prob.Backend.restrict_range b 0 (Acq_plan.Range.make 1 1) in
+  check_float "weight given x=1" 2.0 (Acq_prob.Backend.weight b');
+  check_float "P(y=2 | x=1)" 1.0
+    (Acq_prob.Backend.range_prob b' 1 (Acq_plan.Range.make 2 2))
 
 let test_backend_over_window () =
   (* Sl.backend honors the spec and every model agrees with the
-     window's estimator on an unconditioned range. *)
+     window's empirical frequency on an unconditioned range. *)
   let w = Sl.create (schema ()) ~capacity:4 in
   List.iter (Sl.push w) [ [| 0; 0 |]; [| 0; 0 |]; [| 1; 2 |]; [| 1; 2 |] ];
   let r = Acq_plan.Range.make 0 0 in
@@ -220,7 +225,7 @@ let test_drift_across_change_point () =
 
 let test_replan_pipeline () =
   (* A window over drifted lab data triggers drift and yields a
-     working estimator for replanning. *)
+     working backend for replanning. *)
   let ds = Acq_data.Lab_gen.generate (Rng.create 3) ~rows:6_000 in
   let history, live = DS.split_by_time ds ~train_fraction:0.5 in
   let w = Sl.create (DS.schema ds) ~capacity:1_000 in
@@ -229,8 +234,8 @@ let test_replan_pipeline () =
   let q = Acq_workload.Query_gen.lab_query (Rng.create 4) ~train:history in
   let costs = Acq_data.Schema.costs (DS.schema ds) in
   let plan =
-    (Acq_core.Planner.plan_with_estimator Acq_core.Planner.Heuristic q ~costs
-       (Sl.estimator w))
+    (Acq_core.Planner.plan_with_backend Acq_core.Planner.Heuristic q ~costs
+       (Sl.backend w))
       .Acq_core.Planner.plan
   in
   Alcotest.(check bool) "window-planned plan consistent" true
