@@ -76,44 +76,236 @@ end
    shared with the sampled backend's replay machinery). *)
 
 (* ------------------------------------------------------------------ *)
-(* Empirical: view counting. Restriction narrows the view's row-id
-   list (never copies tuple data); every query is a count ratio over
-   the rows consistent with the conditioning. *)
+(* Empirical: view counting. Every answer is an integer count over the
+   rows consistent with the conditioning, divided exactly as
+   {!View.range_prob} divides it, so how a count is obtained never
+   changes a probability bit.
 
-type empirical_state = { view : View.t; cond : Cond.t }
+   Counts come from one pass per (state, attribute): a count table
+   holds, for every truth pattern of the predicates the state's
+   deferred children have been asked about, a prefix-summed histogram
+   of the attribute's values (paper Section 5, Equation (7), extended
+   to predicate patterns). [restrict_range] returns a deferred child
+   that only names its parent, attribute and range; its weight, its
+   [range_prob] and [value_probs] on that attribute and its
+   [pattern_probs] are read off the parent's table for the attribute
+   in O(2^k) per query. A child filters its rows only when something
+   else needs them, so GreedySplit prices every candidate split of a
+   node from one table per attribute instead of rescanning the node's
+   rows per candidate.
+
+   One backend may be read from several domains (tier-parallel
+   Exhaustive shares the root). Every cache is an [Atomic.t] slot that
+   receives immutable values computed in full before they are
+   published; domains racing on one slot may each compute a value, and
+   whichever is kept answers every query identically. *)
+
+type count_table = {
+  attr : int;
+  preds : Acq_plan.Predicate.t array;  (** the pattern bits, deduplicated *)
+  by_pattern : Histogram.t array;  (** values of [attr], per pattern *)
+  marginal : Histogram.t;
+}
+
+type empirical_state = {
+  source : source;
+  filtered : View.t option Atomic.t;  (** a [Narrowed] state's rows, once filtered *)
+  cond : Cond.t;
+  tables : count_table list Atomic.t;  (** at most one per attribute *)
+}
+
+and source =
+  | Rows of View.t  (** a fixed row set: the data, or a predicate restriction *)
+  | Narrowed of {
+      parent : empirical_state;
+      attr : int;
+      range : Acq_plan.Range.t;
+    }  (** the parent's rows whose [attr] lies in [range] *)
+
+let pattern_limit = 20
+
+let ratio c n = if n = 0 then 0.0 else float_of_int c /. float_of_int n
+
+(* [known] plus the predicates of [preds] it lacks; [known] itself
+   (physically) when it lacks none. *)
+let union known preds =
+  Array.fold_left
+    (fun acc p ->
+      if Array.exists (Acq_plan.Predicate.equal p) acc then acc
+      else Array.append acc [| p |])
+    known preds
+
+(* A table with [m] pattern bits costs [domain * 2^m] cells. It is
+   worth building only while that stays within the rows it summarizes
+   (beyond that, scanning the rows is cheaper). *)
+let fits ~rows ~domain m = m <= pattern_limit && domain lsl m <= rows
+
+let build_table view attr preds =
+  let ds = View.dataset view in
+  let k = (Acq_data.Schema.attr (Acq_data.Dataset.schema ds) attr).domain in
+  let m = Array.length preds in
+  let counts = Array.init (1 lsl m) (fun _ -> Array.make k 0) in
+  View.iter view (fun r ->
+      let mask = ref 0 in
+      for j = 0 to m - 1 do
+        let p = preds.(j) in
+        if Acq_plan.Predicate.eval p (Acq_data.Dataset.get ds r p.attr) then
+          mask := !mask lor (1 lsl j)
+      done;
+      let row = counts.(!mask) and v = Acq_data.Dataset.get ds r attr in
+      row.(v) <- row.(v) + 1);
+  let by_pattern = Array.map Histogram.of_counts counts in
+  let marginal =
+    if m = 0 then by_pattern.(0)
+    else
+      Histogram.of_counts
+        (Array.init k (fun v ->
+             Array.fold_left (fun acc row -> acc + row.(v)) 0 counts))
+  in
+  { attr; preds; by_pattern; marginal }
+
+let fresh_state source cond =
+  { source; filtered = Atomic.make None; cond; tables = Atomic.make [] }
+
+let rec view st =
+  match st.source with
+  | Rows v -> v
+  | Narrowed { parent; attr; range } -> (
+      match Atomic.get st.filtered with
+      | Some v -> v
+      | None ->
+          let v = View.restrict_range (view parent) ~attr range in
+          Atomic.set st.filtered (Some v);
+          v)
+
+let rec publish st t =
+  let cur = Atomic.get st.tables in
+  let next = t :: List.filter (fun u -> u.attr <> t.attr) cur in
+  if Atomic.compare_and_set st.tables cur next then t else publish st t
+
+(* The state's table for [attr]; pattern-free when first built. *)
+let table st attr =
+  match List.find_opt (fun t -> t.attr = attr) (Atomic.get st.tables) with
+  | Some t -> t
+  | None -> publish st (build_table (view st) attr [||])
+
+(* A table for [attr] whose patterns cover [preds]: the current one,
+   or a rebuild grown by [preds]. [None] when the grown table is too
+   wide. *)
+let covering st attr preds =
+  let t = table st attr in
+  let grown = union t.preds preds in
+  if grown == t.preds then Some t
+  else
+    let v = view st in
+    if
+      fits ~rows:(View.size v) ~domain:(Array.length st.cond.(attr))
+        (Array.length grown)
+    then Some (publish st (build_table v attr grown))
+    else None
+
+(* Pattern probabilities of the rows of [t] whose attribute lies in
+   [range]: each table pattern's count, folded onto the bits of
+   [preds]. *)
+let pattern_probs_of t range preds =
+  let m = Array.length preds in
+  let pos =
+    Array.map
+      (fun p ->
+        let rec find j =
+          if Acq_plan.Predicate.equal t.preds.(j) p then j else find (j + 1)
+        in
+        find 0)
+      preds
+  in
+  let counts = Array.make (1 lsl m) 0 in
+  Array.iteri
+    (fun tmask h ->
+      let c = Histogram.count_range h range in
+      if c > 0 then begin
+        let mask = ref 0 in
+        for j = 0 to m - 1 do
+          if tmask land (1 lsl pos.(j)) <> 0 then mask := !mask lor (1 lsl j)
+        done;
+        counts.(!mask) <- counts.(!mask) + c
+      end)
+    t.by_pattern;
+  let n = Histogram.count_range t.marginal range in
+  Array.map (fun c -> ratio c n) counts
+
+let intersect (a : Acq_plan.Range.t) (b : Acq_plan.Range.t) =
+  if Acq_plan.Range.intersects a b then
+    Some (Acq_plan.Range.make (max a.lo b.lo) (min a.hi b.hi))
+  else None
 
 module Empirical_impl = struct
   type state = empirical_state
 
   let name = "empirical"
-  let weight st = float_of_int (View.size st.view)
-  let range_prob st attr r = View.range_prob st.view ~attr r
+
+  let weight st =
+    match (st.source, Atomic.get st.filtered) with
+    | Narrowed { parent; attr; range }, None ->
+        float_of_int (Histogram.count_range (table parent attr).marginal range)
+    | (Rows _ | Narrowed _), _ -> float_of_int (View.size (view st))
+
+  let range_prob st attr r =
+    match st.source with
+    | Narrowed { parent; attr = a; range } when a = attr ->
+        let m = (table parent attr).marginal in
+        let c =
+          match intersect range r with
+          | Some both -> Histogram.count_range m both
+          | None -> 0
+        in
+        ratio c (Histogram.count_range m range)
+    | Rows _ | Narrowed _ ->
+        let n = View.size (view st) in
+        ratio (Histogram.count_range (table st attr).marginal r) n
 
   let value_probs st attr =
-    let counts = View.histogram st.view ~attr in
-    let total = float_of_int (View.size st.view) in
-    if total = 0.0 then Array.map (fun _ -> 0.0) counts
-    else Array.map (fun c -> float_of_int c /. total) counts
+    let count, n =
+      match st.source with
+      | Narrowed { parent; attr = a; range } when a = attr ->
+          let m = (table parent attr).marginal in
+          ( (fun v ->
+              if Acq_plan.Range.contains range v then Histogram.count m v else 0),
+            Histogram.count_range m range )
+      | Rows _ | Narrowed _ ->
+          let m = (table st attr).marginal in
+          (Histogram.count m, Histogram.total m)
+    in
+    Array.init (Array.length st.cond.(attr)) (fun v -> ratio (count v) n)
 
-  let pred_prob st p = View.pred_prob st.view p
+  let pred_prob st p = View.pred_prob (view st) p
 
   let pattern_probs st preds =
-    let counts = View.pattern_counts st.view preds in
-    let total = float_of_int (View.size st.view) in
-    if total = 0.0 then Array.map (fun _ -> 0.0) counts
-    else Array.map (fun c -> float_of_int c /. total) counts
+    if Array.length preds > pattern_limit then
+      invalid_arg "Backend.empirical: too many predicates";
+    let from_table =
+      match st.source with
+      | Narrowed { parent; attr; range } ->
+          Option.map
+            (fun t -> pattern_probs_of t range preds)
+            (covering parent attr preds)
+      | Rows _ -> None
+    in
+    match from_table with
+    | Some probs -> probs
+    | None ->
+        let v = view st in
+        let n = View.size v in
+        Array.map (fun c -> ratio c n) (View.pattern_counts v preds)
 
   let restrict_range st attr r =
-    {
-      view = View.restrict_range st.view ~attr r;
-      cond = Cond.narrow_range st.cond attr r;
-    }
+    fresh_state
+      (Narrowed { parent = st; attr; range = r })
+      (Cond.narrow_range st.cond attr r)
 
   let restrict_pred st p truth =
-    {
-      view = View.restrict_pred st.view p truth;
-      cond = Cond.narrow_pred st.cond p truth;
-    }
+    fresh_state
+      (Rows (View.restrict_pred (view st) p truth))
+      (Cond.narrow_pred st.cond p truth)
 
   include Exact (struct
     type nonrec state = state
@@ -130,7 +322,7 @@ let domains_of_view view =
   Acq_data.Schema.domains (Acq_data.Dataset.schema (View.dataset view))
 
 let of_view view =
-  B ((module Empirical_impl), { view; cond = Cond.full (domains_of_view view) })
+  B ((module Empirical_impl), fresh_state (Rows view) (Cond.full (domains_of_view view)))
 
 let empirical ds = of_view (View.of_dataset ds)
 

@@ -3,8 +3,8 @@
 
     Every planner consumes a packed backend {!t}: a module conforming
     to {!S} paired with its state. Four implementations are provided —
-    {!empirical} (view counting over the training data, restriction by
-    row-index narrowing; the paper's primary method), {!dense} (the
+    {!empirical} (view counting over the training data from per-node
+    count tables; the paper's primary method), {!dense} (the
     full joint table as one flat float array with per-attribute
     prefix-sum marginals, shared un-copied across the restriction
     tree), {!chow_liu} (the Section 7 tree graphical model, with
@@ -111,8 +111,15 @@ val cond_signature : t -> string
 
 val empirical : Acq_data.Dataset.t -> t
 (** View counting: every probability is a count ratio over the
-    training rows consistent with the conditioning; restriction
-    narrows the view's row-id list and never copies tuple data. *)
+    training rows consistent with the conditioning, bit-identical to
+    {!View}'s scans. Counts come from per-state count tables — per
+    attribute, a prefix-summed histogram for each truth pattern of the
+    predicates the state's deferred children have been asked about,
+    built in one pass. [restrict_range]
+    returns a deferred child answered from its parent's table (weight,
+    the restricted attribute, [pattern_probs]); it filters the
+    parent's row ids, never copying tuple data, only when asked
+    anything else. Safe to read from several domains at once. *)
 
 val of_view : View.t -> t
 (** Same, over an existing view (e.g. a sliding window's rows). *)

@@ -12,11 +12,17 @@ let of_view view ~attr = of_counts (View.histogram view ~attr)
 
 let total t = t.total
 
-let count_range t (r : Acq_plan.Range.t) = t.prefix.(r.hi + 1) - t.prefix.(r.lo)
+let count t v = t.prefix.(v + 1) - t.prefix.(v)
+
+(* Ranges may reach past the domain ([Range.make] allows it); only the
+   in-domain part holds samples. *)
+let count_range t (r : Acq_plan.Range.t) =
+  let lo = max 0 r.lo and hi = min (Array.length t.prefix - 2) r.hi in
+  if lo > hi then 0 else t.prefix.(hi + 1) - t.prefix.(lo)
 
 let ratio t c = if t.total = 0 then 0.0 else float_of_int c /. float_of_int t.total
 
-let prob t v = ratio t (t.prefix.(v + 1) - t.prefix.(v))
+let prob t v = ratio t (count t v)
 
 let prob_below t x = ratio t t.prefix.(x)
 

@@ -2,9 +2,11 @@
     probabilities via prefix sums — Equation (7)'s incremental rule
     [P_{<x+1} = P_{<x} + P(x | R_1..R_n)] in closed form.
 
-    The planners build one histogram per attribute per subproblem (one
-    pass over the view) and then read off the probability of every
-    candidate split point in constant time each. *)
+    The empirical backend ({!Backend.empirical}) builds, per attribute
+    per subproblem, one histogram for every truth pattern of the
+    predicates it has been asked about (one pass over the view), and
+    then answers the split probability and the pattern counts of every
+    candidate split point in constant time per pattern. *)
 
 type t
 
@@ -14,6 +16,9 @@ val of_view : View.t -> attr:int -> t
 
 val total : t -> int
 (** Number of samples behind the histogram. *)
+
+val count : t -> int -> int
+(** Samples with value [v]. *)
 
 val prob : t -> int -> float
 (** [prob h v] is [P(X = v)]. *)
@@ -25,3 +30,6 @@ val prob_range : t -> Acq_plan.Range.t -> float
 (** [P(lo <= X <= hi)]. *)
 
 val count_range : t -> Acq_plan.Range.t -> int
+(** Samples in the range. Only the part of the range inside the domain
+    counts: a range past either end is clamped, one wholly outside
+    counts 0. *)

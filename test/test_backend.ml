@@ -554,11 +554,166 @@ let test_of_dataset_spec () =
       ("sampled(8,0.2),memo", "memo");
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Deferred empirical children: every answer equals the count ratio a
+   direct View scan of the materialized rows gives, bit for bit, over
+   random trees of range and predicate restrictions queried in random
+   order (so parents' count tables grow by new predicates or, past
+   their size bound, fall back to scanning). *)
+
+type deferred_instance = {
+  d_domains : int array;
+  d_rows : int;
+  d_seed : int;
+  d_ops : (int * int array) list;  (** (op kind, raw operands) *)
+}
+
+let deferred_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 4 in
+    let* d_domains = array_repeat n (int_range 2 8) in
+    let* d_rows = int_range 0 300 in
+    let* d_seed = int_range 0 1_000_000 in
+    let* d_ops =
+      list_size (int_range 1 40)
+        (pair (int_range 0 6) (array_repeat 6 (int_range 0 1000)))
+    in
+    return { d_domains; d_rows; d_seed; d_ops })
+
+let deferred_print i =
+  Printf.sprintf "{domains=[%s]; rows=%d; seed=%d; ops=[%s]}"
+    (String.concat ";" (Array.to_list (Array.map string_of_int i.d_domains)))
+    i.d_rows i.d_seed
+    (String.concat ";"
+       (List.map
+          (fun (k, raw) ->
+            Printf.sprintf "%d:%s" k
+              (String.concat ","
+                 (Array.to_list (Array.map string_of_int raw))))
+          i.d_ops))
+
+(* Correlated random rows: each attribute copies attribute 0's value
+   (folded into its own domain) half the time. *)
+let deferred_dataset domains rows seed =
+  let rng = Rng.create seed in
+  let data =
+    Array.init rows (fun _ ->
+        let v0 = Rng.int rng domains.(0) in
+        Array.mapi
+          (fun k d ->
+            if k = 0 then v0
+            else if Rng.bernoulli rng 0.5 then v0 mod d
+            else Rng.int rng d)
+          domains)
+  in
+  DS.create (named_schema domains) data
+
+(* A range that may reach one value past either end of a domain. *)
+let raw_range k a b =
+  let lo = (a mod (k + 2)) - 1 in
+  R.make lo (lo + (b mod (k + 2 - lo)))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let ratio_of_counts counts n =
+  Array.map
+    (fun c -> if n = 0 then 0.0 else float_of_int c /. float_of_int n)
+    counts
+
+let prop_deferred_children =
+  QCheck2.Test.make ~count:500 ~print:deferred_print
+    ~name:"deferred empirical children answer like a scan of their rows"
+    deferred_gen
+    (fun inst ->
+      let domains = inst.d_domains in
+      let n = Array.length domains in
+      let ds = deferred_dataset domains inst.d_rows inst.d_seed in
+      let rng = Rng.create (inst.d_seed + 1) in
+      let pool =
+        Array.init 6 (fun _ ->
+            let attr = Rng.int rng n in
+            let k = domains.(attr) in
+            let lo = Rng.int rng k in
+            let hi = lo + Rng.int rng (k - lo) in
+            if Rng.bernoulli rng 0.5 then Pred.inside ~attr ~lo ~hi
+            else Pred.outside ~attr ~lo ~hi)
+      in
+      (* Every state the script has built, with its oracle view. *)
+      let states = ref [| (B.empirical ds, Acq_prob.View.of_dataset ds) |] in
+      let pick raw = !states.(raw mod Array.length !states) in
+      let add st = states := Array.append !states [| st |] in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s differs from the scan" what
+      in
+      let same_floats what a b =
+        if
+          Array.length a <> Array.length b
+          || not (Array.for_all2 bits_equal a b)
+        then fail what
+      in
+      List.iter
+        (fun (kind, raw) ->
+          let b, v = pick raw.(0) in
+          let size = Acq_prob.View.size v in
+          match kind with
+          | 0 ->
+              let attr = raw.(1) mod n in
+              let r = raw_range domains.(attr) raw.(2) raw.(3) in
+              add
+                ( B.restrict_range b attr r,
+                  Acq_prob.View.restrict_range v ~attr r )
+          | 1 ->
+              let p = pool.(raw.(1) mod 6) and truth = raw.(2) mod 2 = 0 in
+              add (B.restrict_pred b p truth, Acq_prob.View.restrict_pred v p truth)
+          | 2 ->
+              if not (bits_equal (B.weight b) (float_of_int size)) then
+                fail "weight"
+          | 3 ->
+              let attr = raw.(1) mod n in
+              let r = raw_range domains.(attr) raw.(2) raw.(3) in
+              if
+                not
+                  (bits_equal (B.range_prob b attr r)
+                     (Acq_prob.View.range_prob v ~attr r))
+              then fail "range_prob"
+          | 4 ->
+              let attr = raw.(1) mod n in
+              same_floats "value_probs" (B.value_probs b attr)
+                (ratio_of_counts (Acq_prob.View.histogram v ~attr) size)
+          | 5 ->
+              let p = pool.(raw.(1) mod 6) in
+              if not (bits_equal (B.pred_prob b p) (Acq_prob.View.pred_prob v p))
+              then fail "pred_prob"
+          | _ ->
+              (* Up to four pool predicates (duplicates allowed); now
+                 and then 21, which both sides must refuse. *)
+              let m = if raw.(1) mod 23 = 0 then 21 else raw.(1) mod 5 in
+              let preds =
+                Array.init m (fun j -> pool.((raw.(2 + (j mod 4)) + j) mod 6))
+              in
+              let got =
+                match B.pattern_probs b preds with
+                | probs -> Some probs
+                | exception Invalid_argument _ -> None
+              in
+              let want =
+                match Acq_prob.View.pattern_counts v preds with
+                | counts -> Some (ratio_of_counts counts size)
+                | exception Invalid_argument _ -> None
+              in
+              match (got, want) with
+              | Some g, Some w -> same_floats "pattern_probs" g w
+              | None, None -> ()
+              | Some _, None | None, Some _ -> fail "pattern_probs refusal")
+        inst.d_ops;
+      true)
+
 let () =
   Alcotest.run "backend"
     [
       ( "agreement",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
+      ("deferred", [ QCheck_alcotest.to_alcotest prop_deferred_children ]);
       ( "memo",
         [
           Alcotest.test_case "hit/miss counters" `Quick test_memo_counters;

@@ -454,6 +454,72 @@ let test_shard_merge () =
     (total "acqp_par_task_ms" > 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* Concurrent reads of one empirical backend. Its count tables and its
+   deferred children's rows are caches filled on first use, and
+   tier-parallel Exhaustive reads one root backend from several
+   domains, so workers race to fill the same slots. Every worker must
+   read exactly the sequential answers, and none may raise. *)
+
+let test_shared_empirical_reads () =
+  let ds = Acq_data.Lab_gen.generate (Rng.create 11) ~rows:6000 in
+  let q = Acq_workload.Query_gen.lab_query (Rng.create 12) ~train:ds in
+  let domains = S.domains (DS.schema ds) in
+  let n = Array.length domains in
+  let preds = Q.predicates q in
+  let dup = [| preds.(0); preds.(0); preds.(Array.length preds - 1) |] in
+  let half a = Acq_plan.Range.make 0 (domains.(a) / 2) in
+  let upper a = Acq_plan.Range.make (domains.(a) / 2) (domains.(a) - 1) in
+  (* A root, both halves of every attribute, and one grandchild each. *)
+  let family () =
+    let root = Acq_prob.Backend.empirical ds in
+    let children =
+      List.concat
+        (List.init n (fun a ->
+             let lo = Acq_prob.Backend.restrict_range root a (half a) in
+             let hi = Acq_prob.Backend.restrict_range root a (upper a) in
+             let b = (a + 1) mod n in
+             [ lo; hi; Acq_prob.Backend.restrict_range lo b (upper b) ]))
+    in
+    root :: children
+  in
+  let read states =
+    List.concat_map
+      (fun st ->
+        let w = Acq_prob.Backend.weight st in
+        let ranges =
+          List.init n (fun a -> Acq_prob.Backend.range_prob st a (half a))
+        in
+        let patterns =
+          Array.to_list (Acq_prob.Backend.pattern_probs st preds)
+          @ Array.to_list (Acq_prob.Backend.pattern_probs st dup)
+        in
+        let values =
+          List.concat
+            (List.init n (fun a ->
+                 Array.to_list (Acq_prob.Backend.value_probs st a)))
+        in
+        List.map Int64.bits_of_float ((w :: ranges) @ patterns @ values))
+      states
+  in
+  let expected = read (family ()) in
+  Dp.with_pool ~domains:(test_domains ()) @@ fun pool ->
+  for round = 1 to 5 do
+    (* A fresh family per round: every cache starts empty. *)
+    let shared = family () in
+    let futures =
+      List.init (2 * Dp.size pool) (fun _ ->
+          Dp.submit pool (fun _tele -> read shared))
+    in
+    List.iteri
+      (fun i f ->
+        let here = Printf.sprintf "round %d, reader %d" round i in
+        match Dp.await pool f with
+        | Ok got -> Alcotest.(check (list int64)) here expected got
+        | Error e -> Alcotest.failf "%s raised %s" here (Printexc.to_string e))
+      futures
+  done
+
+(* ------------------------------------------------------------------ *)
 (* RNG stream splitting: streams depend on (seed, index) only. *)
 
 let test_split_n_deterministic () =
@@ -490,6 +556,8 @@ let () =
             test_parallel_experiment_determinism;
           Alcotest.test_case "Experiment.run pool = sequential" `Quick
             test_experiment_pool_matches_sequential;
+          Alcotest.test_case "shared empirical backend, concurrent reads"
+            `Quick test_shared_empirical_reads;
         ] );
       ( "cancellation",
         [

@@ -250,7 +250,8 @@ let prop_predicate_truth_sound =
           List.exists (Pred.eval p) vals
           && List.exists (fun v -> not (Pred.eval p v)) vals)
 
-(* Histogram prefix sums. *)
+(* Histogram prefix sums, including ranges that reach past either end
+   of the domain: only the in-domain part counts. *)
 let prop_histogram_ranges =
   QCheck2.Gen.(list_size (int_range 2 12) (int_range 0 50)) |> fun gen ->
   QCheck2.Test.make ~count:300 ~name:"histogram range = sum of value probs" gen
@@ -259,26 +260,24 @@ let prop_histogram_ranges =
       let h = Acq_prob.Histogram.of_counts counts in
       let k = Array.length counts in
       let total = Acq_util.Array_util.sum_int counts in
-      if total = 0 then Acq_prob.Histogram.prob_range h (R.make 0 (k - 1)) = 0.0
-      else begin
-        let ok = ref true in
-        for lo = 0 to k - 1 do
-          for hi = lo to k - 1 do
-            let direct =
-              let s = ref 0 in
-              for v = lo to hi do
-                s := !s + counts.(v)
-              done;
-              float_of_int !s /. float_of_int total
-            in
-            if
-              Float.abs (Acq_prob.Histogram.prob_range h (R.make lo hi) -. direct)
-              > 1e-9
-            then ok := false
-          done
-        done;
-        !ok
-      end)
+      let ok = ref true in
+      for lo = -2 to k + 1 do
+        for hi = lo to k + 2 do
+          let r = R.make lo hi in
+          let c = ref 0 in
+          for v = max 0 lo to min (k - 1) hi do
+            c := !c + counts.(v)
+          done;
+          let direct =
+            if total = 0 then 0.0 else float_of_int !c /. float_of_int total
+          in
+          if
+            Acq_prob.Histogram.count_range h r <> !c
+            || Float.abs (Acq_prob.Histogram.prob_range h r -. direct) > 1e-9
+          then ok := false
+        done
+      done;
+      !ok)
 
 (* Stats sanity. *)
 let prop_percentile_bounds =
