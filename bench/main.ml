@@ -719,16 +719,11 @@ let adapt_section () =
 
 (* ------------------------------------------------------------------ *)
 (* par: the garden5 workload fanned across a 4-domain pool versus run
-   sequentially, a repeated portfolio race, and three sharded
-   data-plane kernels. The fan-out headline is the deterministic
-   work-balance speedup (total work units / busiest domain's units —
-   what wall-clock speedup converges to given enough cores); wall
-   times are recorded beside it. Every parallel result must be
-   byte-identical to its sequential twin. The sharded wall gate (best
-   kernel >= 1.5x) is evaluated only with ACQP_TEST_DOMAINS >= 4 on a
-   host with >= 4 cores — on a saturated 1- or 2-core box wall clocks
-   measure scheduler contention, not the data plane — and is recorded
-   as "waived" otherwise, never as a pass. *)
+   sequentially, and a repeated portfolio race. The fan-out headline
+   is the deterministic work-balance speedup (total work units /
+   busiest domain's units — what wall-clock speedup converges to given
+   enough cores); wall times are recorded beside it. Every parallel
+   report must be byte-identical to its sequential twin. *)
 
 let par_jobs = 4
 let par_queries = 8
@@ -789,112 +784,7 @@ let par_section () =
   in
   let work_speedup = Pe.work_speedup par in
   let units = Pe.work_units par.Pe.report in
-  let shard_domains =
-    match Sys.getenv_opt "ACQP_TEST_DOMAINS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
-    | None -> 4
-  in
   let cores = Domain.recommended_domain_count () in
-  let wall_floor = 1.5 in
-  (* Each kernel: an identity check of one sequential and one parallel
-     result, then paired wall-clock trials. *)
-  let kernel name seqf parf ident =
-    let identical = ident (seqf ()) (parf ()) in
-    let s, p, sp =
-      paired (fun () -> ignore (seqf ())) (fun () -> ignore (parf ()))
-    in
-    (name, s, p, sp, identical)
-  in
-  let shard_kernels =
-    Pool.with_pool ~domains:shard_domains (fun pool ->
-        let fanout = Pool.fanout pool in
-        let module Sh = Acq_prob.Sharded in
-        let module B = Acq_prob.Backend in
-        let k = shard_domains in
-        (* garden5 rows cycled into a big batch: ingest + merge. *)
-        let g5n = Acq_data.Dataset.nrows garden5 in
-        let cap = 10_000 * k in
-        let batch =
-          Array.init (15_000 * k) (fun i -> Acq_data.Dataset.row garden5 (i mod g5n))
-        in
-        let seq_win = Sh.create schema ~capacity:cap ~shards:1 in
-        let par_win = Sh.create schema ~capacity:cap ~shards:k in
-        let ds_rows ds =
-          List.init (Acq_data.Dataset.nrows ds) (fun r ->
-              Array.to_list (Acq_data.Dataset.row ds r))
-        in
-        let ingest_k =
-          kernel "sharded_ingest"
-            (fun () ->
-              Sh.clear seq_win;
-              Sh.ingest seq_win batch;
-              seq_win)
-            (fun () ->
-              Sh.clear par_win;
-              Sh.ingest ~fanout par_win batch;
-              par_win)
-            (fun a b ->
-              Sh.marginals a = Sh.marginals b
-              && ds_rows (Sh.to_dataset a) = ds_rows (Sh.to_dataset ~fanout b))
-        in
-        (* lab-coarse rows (small domains, dense-table friendly) cycled
-           into both windows; the dense build scans each shard into a
-           partial joint table. *)
-        let lc_schema = Acq_data.Dataset.schema lab_coarse in
-        let lc_n = Acq_data.Dataset.nrows lab_coarse in
-        let lc_cap = 8_000 * k in
-        let lc_seq = Sh.create lc_schema ~capacity:lc_cap ~shards:1 in
-        let lc_par = Sh.create lc_schema ~capacity:lc_cap ~shards:k in
-        for i = 0 to (2 * lc_cap) - 1 do
-          let row = Acq_data.Dataset.row lab_coarse (i mod lc_n) in
-          Sh.push lc_seq row;
-          Sh.push lc_par row
-        done;
-        let dense_spec = { B.kind = B.Dense; memoize = false } in
-        let probe_queries = List.map (K.lab_query lab_coarse) [ 93; 94; 95 ] in
-        let probe est =
-          List.concat_map
-            (fun q ->
-              List.init (Acq_plan.Query.n_predicates q) (fun j ->
-                  B.pred_prob est (Acq_plan.Query.predicate q j)))
-            probe_queries
-        in
-        let backend_k =
-          kernel "dense_backend_build"
-            (fun () -> Sh.backend ~spec:dense_spec lc_seq)
-            (fun () -> Sh.backend ~spec:dense_spec ~fanout lc_par)
-            (fun a b -> probe a = probe b)
-        in
-        (* Tier-parallel Exhaustive: the fig8a problem, root DP tier
-           fanned one branch attribute per task. *)
-        let dp_costs = Acq_data.Schema.costs lc_schema in
-        let dp_est = B.of_dataset lab_coarse in
-        let dp_canon (r : P.result) =
-          (Acq_plan.Printer.to_string pq r.P.plan, r.P.est_cost)
-        in
-        let dp_k =
-          kernel "tier_parallel_dp"
-            (fun () ->
-              P.plan_with_backend ~options:popts P.Exhaustive pq ~costs:dp_costs dp_est)
-            (fun () ->
-              P.plan_with_backend ~options:popts ~fanout P.Exhaustive pq
-                ~costs:dp_costs dp_est)
-            (fun a b -> dp_canon a = dp_canon b)
-        in
-        [ ingest_k; backend_k; dp_k ])
-  in
-  let best_wall =
-    List.fold_left
-      (fun acc (_, _, _, sp, _) -> if sp.median > acc.median then sp else acc)
-      { q1 = 0.0; median = 0.0; q3 = 0.0 }
-      shard_kernels
-  in
-  let shard_identical = List.for_all (fun (_, _, _, _, id) -> id) shard_kernels in
-  let wall_gate =
-    if shard_domains < 4 || cores < 4 then "waived"
-    else if best_wall.median >= wall_floor then "pass"
-    else "fail"
-  in
   J.Obj
     [
       ("version", J.Num 1.0);
@@ -944,29 +834,6 @@ let par_section () =
                        ])
                    first_race.Pf.arms) );
           ] );
-      ( "sharded",
-        J.Obj
-          [
-            ("domains", jint shard_domains);
-            ("machine_cores", jint cores);
-            ("wall_floor", J.Num wall_floor);
-            ("wall_gate", J.Str wall_gate);
-            ("best_wall_speedup", spread_json best_wall);
-            ("identical", J.Bool shard_identical);
-            ( "kernels",
-              J.Arr
-                (List.map
-                   (fun (name, s, p, sp, id) ->
-                     J.Obj
-                       [
-                         ("name", J.Str name);
-                         ("sequential_wall_ms", ms s);
-                         ("parallel_wall_ms", ms p);
-                         ("wall_speedup", spread_json sp);
-                         ("identical", J.Bool id);
-                       ])
-                   shard_kernels) );
-          ] );
       ("pool_metrics", Acq_obs.Metrics.to_json reg);
       ( "summary",
         J.Obj
@@ -974,9 +841,7 @@ let par_section () =
             ("fanout_speedup", J.Num work_speedup);
             ("speedup_kind", J.Str "work-balance");
             ("wall_speedup", spread_json fan_speedup);
-            ("sharded_wall_speedup", spread_json best_wall);
-            ("sharded_wall_gate", J.Str wall_gate);
-            ("deterministic", J.Bool (deterministic && shard_identical));
+            ("deterministic", J.Bool deterministic);
           ] );
     ]
 

@@ -52,7 +52,11 @@ let tcp_arg =
 
 let serve_cmd =
   let run kind rows seed socket tcp max_conns max_sessions quota replan_budget
-      ticks tick_domains =
+      tick_domains =
+    if tick_domains <> 1 then begin
+      Printf.eprintf "acqpd: --tick-domains must be 1 (ticks are sequential)\n";
+      exit 1
+    end;
     let limits =
       {
         Serve.Limits.default with
@@ -73,18 +77,7 @@ let serve_cmd =
             exit 1
         | _ ->
             let spec = { Serve.Source.kind; rows; seed } in
-            (* One worker pool for the lifetime of the daemon: each
-               tick fans execute/observe one task per subscribed
-               session. 0 or 1 domains = sequential, no pool. *)
-            let fanout, shards =
-              if tick_domains > 1 then
-                let pool =
-                  Acq_par.Domain_pool.create ~domains:tick_domains ()
-                in
-                (Acq_par.Domain_pool.fanout pool, tick_domains)
-              else (Acq_util.Fanout.sequential, 1)
-            in
-            let engine = Serve.Engine.create ~limits ~fanout ~shards spec in
+            let engine = Serve.Engine.create ~limits spec in
             let listeners = ref [] in
             (match socket with
             | Some path ->
@@ -104,8 +97,8 @@ let serve_cmd =
             | None -> ());
             Printf.printf "serving %s\n%!" (Serve.Source.spec_to_string spec);
             let server =
-              Serve.Server.create ~ticks_per_poll:ticks ?unix_path:socket
-                ~listeners:!listeners engine limits
+              Serve.Server.create ?unix_path:socket ~listeners:!listeners
+                engine limits
             in
             let drain = ref false in
             List.iter
@@ -145,22 +138,13 @@ let serve_cmd =
       & info [ "replan-budget" ] ~docv:"NODES"
           ~doc:"Shared drift-replanning budget across all tenants.")
   in
-  let ticks_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "ticks-per-poll" ] ~docv:"N"
-          ~doc:"Live-trace tuples served to subscriptions per loop turn.")
-  in
   let tick_domains_arg =
     Arg.(
       value & opt int 1
       & info [ "tick-domains" ] ~docv:"K"
           ~doc:
-            "Worker domains for the serving tick: each live tuple's \
-             execute/observe phase fans one task per subscribed session, \
-             and the tenant/subscription tables are split into K shards. 1 \
-             (default) serves sequentially. Outcomes and events are \
-             identical either way.")
+            "Accepted for compatibility; must be 1. The serving tick runs \
+             sequentially, and any other value exits 1.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -169,7 +153,7 @@ let serve_cmd =
           sockets; SIGTERM drains gracefully.")
     Term.(
       const run $ dataset_arg $ rows_arg $ seed_arg $ socket_arg $ tcp_arg
-      $ max_conns_arg $ max_sessions_arg $ quota_arg $ replan_arg $ ticks_arg
+      $ max_conns_arg $ max_sessions_arg $ quota_arg $ replan_arg
       $ tick_domains_arg)
 
 (* loadgen *)

@@ -87,35 +87,25 @@ let unregister t id =
       set_session_gauge t;
       true
 
-let step ?(fanout = Acq_util.Fanout.sequential) t row =
+let step t row =
   t.epoch <- t.epoch + 1;
   let entries = Array.of_list t.entries in
-  (* Execute + observe touch only session-owned state (plan runner,
-     window, cost accumulators, audit pipeline), so they fan out one
-     task per session. Telemetry registries are shared and not
-     domain-safe, so a concurrent fanout drops the per-tuple executor
-     observer — outcomes are unaffected, only exec metrics differ. *)
-  let obs =
-    if fanout.Acq_util.Fanout.concurrent then T.noop else t.telemetry
-  in
   let outcomes =
-    Acq_util.Fanout.map fanout
+    Array.map
       (fun e ->
         (* Through the session's prepared runner (byte-identical to
            the direct tree interpretation), so an attached audit
            pipeline sees every supervised tuple too. *)
-        let o = Session.execute ~obs e.session ~lookup:(fun at -> row.(at)) in
+        let o =
+          Session.execute ~obs:t.telemetry e.session
+            ~lookup:(fun at -> row.(at))
+        in
         Session.observe e.session ~cost:o.Ex.cost row;
+        t.acquisition <- t.acquisition +. o.Ex.cost;
+        if o.Ex.verdict then t.matches <- t.matches + 1;
         o)
       entries
   in
-  (* Supervisor totals accumulate sequentially over the ordered
-     outcome array, so they are identical under every fanout. *)
-  Array.iter
-    (fun o ->
-      t.acquisition <- t.acquisition +. o.Ex.cost;
-      if o.Ex.verdict then t.matches <- t.matches + 1)
-    outcomes;
   Array.iter
     (fun e ->
       let s = e.session in

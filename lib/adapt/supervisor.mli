@@ -63,26 +63,12 @@ val ids : t -> int list
 val session : t -> int -> Session.t option
 (** Lookup by id. *)
 
-val step :
-  ?fanout:Acq_util.Fanout.t -> t -> int array -> Acq_plan.Executor.outcome array
+val step : t -> int array -> Acq_plan.Executor.outcome array
 (** Serve one stream tuple to every live session (outcomes in
     registration order): execute through each session's prepared
     runner (so a session-attached audit pipeline sees every supervised
     tuple), meter, observe, and run any due trigger checks under the
-    shared budget.
-
-    [fanout] (default sequential) fans the execute-and-observe phase
-    one task per session — every piece of state that phase touches is
-    owned by exactly one session, and supervisor-level totals
-    accumulate afterwards in registration order, so outcomes, costs,
-    match counts, and window contents are identical under every
-    fanout. The trigger/replan ledger phase always runs sequentially
-    (it contends on the shared planning budget, whose
-    first-come-first-served semantics are registration order by
-    definition). Under a {e concurrent} fanout the per-tuple executor
-    telemetry observer is dropped — shared metric registries are not
-    domain-safe — so exec metrics undercount while outcomes stay
-    exact. *)
+    shared budget (first come, first served in registration order). *)
 
 val run_dataset : t -> Acq_data.Dataset.t -> unit
 (** {!step} every row in order. *)

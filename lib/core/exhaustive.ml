@@ -7,23 +7,7 @@ type memo =
 
 let default_budget = 2_000_000
 
-(* Fold one parallel branch's memo shard into the parent table.
-   Exact entries are bound-independent optima, so any copy wins (and
-   two shards can only disagree on Lower_bound tightness, where the
-   larger bound is the stronger fact). Iterating shards in branch
-   order keeps the merged table deterministic. *)
-let merge_memo ~into src =
-  Hashtbl.iter
-    (fun key v ->
-      match (Hashtbl.find_opt into key, v) with
-      | None, v -> Hashtbl.replace into key v
-      | Some (Exact _), _ -> ()
-      | Some (Lower_bound _), Exact _ -> Hashtbl.replace into key v
-      | Some (Lower_bound a), Lower_bound b ->
-          if b > a then Hashtbl.replace into key v)
-    src
-
-let plan ?search ?fanout ?model q ~costs ~grid base_est =
+let plan ?search ?model q ~costs ~grid base_est =
   let search =
     match search with
     | Some s -> s
@@ -61,210 +45,133 @@ let plan ?search ?fanout ?model q ~costs ~grid base_est =
           (Acq_plan.Plan.Seq
              (Array.of_list (Acq_plan.Query.unknown_predicates q ranges)))
   in
-  (* The recursive solver over one search context. Parallel branches
-     each instantiate their own copy over a forked context (private
-     memo shard, private counters), so nothing mutable crosses a
-     domain boundary; the sequential path instantiates it once over
-     [search]. [solve ranges lazy_est bound] returns
-     [(cost, Some plan)] when an optimum strictly below [bound]
-     exists, [(bound, None)] otherwise. The estimator is a thunk so
-     that memo hits never pay for view restriction. *)
-  let solver ctx =
-    let memo = Search.memo ctx in
-    let rec solve ranges lazy_est bound =
-      match Acq_plan.Query.truth_under q ranges with
-      | Acq_plan.Predicate.True -> (0.0, Some (Acq_plan.Plan.const true))
-      | Acq_plan.Predicate.False -> (0.0, Some (Acq_plan.Plan.const false))
-      | Acq_plan.Predicate.Unknown ->
-          if Subproblem.all_query_attrs_acquired ranges ~domains q then
-            (0.0, Some (fallback_leaf ranges))
-          else begin
-            let key = Subproblem.key ranges in
-            match Hashtbl.find_opt memo key with
-            | Some (Exact (cost, plan)) ->
-                Search.hit ctx;
-                if cost < bound then (cost, Some plan) else (bound, None)
-            | Some (Lower_bound lb) when bound <= lb ->
-                Search.hit ctx;
-                (bound, None)
-            | Some (Lower_bound _) | None ->
-                let est = Lazy.force lazy_est in
-                if Acq_prob.Backend.is_empty est then
-                  (0.0, Some (fallback_leaf ranges))
-                else begin
-                  Search.solved ctx;
-                  let obs = Search.telemetry ctx in
-                  let instrumented = Acq_obs.Telemetry.enabled obs in
-                  let t0 = if instrumented then Unix.gettimeofday () else 0.0 in
-                  let c_min = ref bound and best = ref None in
-                  Array.iter (fun i -> explore ranges est i c_min best) attr_order;
-                  let result =
-                    match !best with
-                    | Some plan when !c_min < bound ->
-                        Hashtbl.replace memo key (Exact (!c_min, plan));
-                        (!c_min, Some plan)
-                    | Some _ | None ->
-                        Search.pruned ctx;
-                        let prev =
-                          match Hashtbl.find_opt memo key with
-                          | Some (Lower_bound lb) -> lb
-                          | Some (Exact _) | None -> neg_infinity
-                        in
-                        Hashtbl.replace memo key
-                          (Lower_bound (Float.max prev bound));
-                        (bound, None)
-                  in
-                  if instrumented then begin
-                    (* Tier = attributes acquired so far; the DP's depth
-                       in the subproblem lattice. Inclusive solve time:
-                       children are timed inside their parents. *)
-                    let tier = ref 0 in
-                    Array.iteri
-                      (fun i _ ->
-                        if Subproblem.acquired ranges ~domains i then incr tier)
-                      ranges;
-                    Acq_obs.Telemetry.incr obs
-                      ~labels:[ ("tier", string_of_int !tier) ]
-                      "acqp_planner_subproblems_total";
-                    Acq_obs.Telemetry.observe obs "acqp_planner_subproblem_ms"
-                      ((Unix.gettimeofday () -. t0) *. 1000.0)
-                  end;
-                  result
-                end
-          end
-    and explore ranges est i c_min best =
-      let candidates = Spsf.candidates grid i ranges.(i) in
-      if candidates <> [] then begin
-        let atomic = atomic_of ranges i in
-        if atomic >= !c_min then Search.pruned ctx
+  let memo = Search.memo search in
+  (* [solve ranges lazy_est bound] returns [(cost, Some plan)] when an
+     optimum strictly below [bound] exists, [(bound, None)] otherwise.
+     The estimator is a thunk so that memo hits never pay for view
+     restriction. *)
+  let rec solve ranges lazy_est bound =
+    match Acq_plan.Query.truth_under q ranges with
+    | Acq_plan.Predicate.True -> (0.0, Some (Acq_plan.Plan.const true))
+    | Acq_plan.Predicate.False -> (0.0, Some (Acq_plan.Plan.const false))
+    | Acq_plan.Predicate.Unknown ->
+        if Subproblem.all_query_attrs_acquired ranges ~domains q then
+          (0.0, Some (fallback_leaf ranges))
         else begin
-          (* One conditional histogram per attribute gives every split
-             probability in O(1) — Equation (7)'s prefix-sum rule. *)
-          let vp = Acq_prob.Backend.value_probs est i in
-          let prefix = Array.make (Array.length vp + 1) 0.0 in
-          Array.iteri (fun v p -> prefix.(v + 1) <- prefix.(v) +. p) vp;
-          List.iter
-            (fun x ->
-              let lo_range, hi_range = Acq_plan.Range.split ranges.(i) x in
-              let p_lo = prefix.(lo_range.hi + 1) -. prefix.(lo_range.lo) in
-              let p_hi = 1.0 -. p_lo in
-              let running = ref atomic in
-              let side range p =
-                let ranges' = Subproblem.with_range ranges i range in
-                if p <= 0.0 then Some (0.0, fallback_leaf ranges')
-                else begin
-                  let child_bound = (!c_min -. !running) /. p in
-                  let child_est =
-                    lazy (Acq_prob.Backend.restrict_range est i range)
-                  in
-                  match solve ranges' child_est child_bound with
-                  | cost, Some plan -> Some (p *. cost, plan)
-                  | _, None -> None
-                end
-              in
-              match side lo_range p_lo with
-              | None -> ()
-              | Some (w_lo, plan_lo) -> (
-                  running := !running +. w_lo;
-                  if !running < !c_min then
-                    match side hi_range p_hi with
-                    | None -> ()
-                    | Some (w_hi, plan_hi) ->
-                        running := !running +. w_hi;
-                        if !running < !c_min then begin
-                          c_min := !running;
-                          best :=
-                            Some
-                              (Acq_plan.Plan.Test
-                                 {
-                                   attr = i;
-                                   threshold = x;
-                                   low = plan_lo;
-                                   high = plan_hi;
-                                 })
-                        end))
-            candidates
+          let key = Subproblem.key ranges in
+          match Hashtbl.find_opt memo key with
+          | Some (Exact (cost, plan)) ->
+              Search.hit search;
+              if cost < bound then (cost, Some plan) else (bound, None)
+          | Some (Lower_bound lb) when bound <= lb ->
+              Search.hit search;
+              (bound, None)
+          | Some (Lower_bound _) | None ->
+              let est = Lazy.force lazy_est in
+              if Acq_prob.Backend.is_empty est then
+                (0.0, Some (fallback_leaf ranges))
+              else begin
+                Search.solved search;
+                let obs = Search.telemetry search in
+                let instrumented = Acq_obs.Telemetry.enabled obs in
+                let t0 = if instrumented then Unix.gettimeofday () else 0.0 in
+                let c_min = ref bound and best = ref None in
+                Array.iter (fun i -> explore ranges est i c_min best) attr_order;
+                let result =
+                  match !best with
+                  | Some plan when !c_min < bound ->
+                      Hashtbl.replace memo key (Exact (!c_min, plan));
+                      (!c_min, Some plan)
+                  | Some _ | None ->
+                      Search.pruned search;
+                      let prev =
+                        match Hashtbl.find_opt memo key with
+                        | Some (Lower_bound lb) -> lb
+                        | Some (Exact _) | None -> neg_infinity
+                      in
+                      Hashtbl.replace memo key
+                        (Lower_bound (Float.max prev bound));
+                      (bound, None)
+                in
+                if instrumented then begin
+                  (* Tier = attributes acquired so far; the DP's depth
+                     in the subproblem lattice. Inclusive solve time:
+                     children are timed inside their parents. *)
+                  let tier = ref 0 in
+                  Array.iteri
+                    (fun i _ ->
+                      if Subproblem.acquired ranges ~domains i then incr tier)
+                    ranges;
+                  Acq_obs.Telemetry.incr obs
+                    ~labels:[ ("tier", string_of_int !tier) ]
+                    "acqp_planner_subproblems_total";
+                  Acq_obs.Telemetry.observe obs "acqp_planner_subproblem_ms"
+                    ((Unix.gettimeofday () -. t0) *. 1000.0)
+                end;
+                result
+              end
         end
+  and explore ranges est i c_min best =
+    let candidates = Spsf.candidates grid i ranges.(i) in
+    if candidates <> [] then begin
+      let atomic = atomic_of ranges i in
+      if atomic >= !c_min then Search.pruned search
+      else begin
+        (* One conditional histogram per attribute gives every split
+           probability in O(1) — Equation (7)'s prefix-sum rule. *)
+        let vp = Acq_prob.Backend.value_probs est i in
+        let prefix = Array.make (Array.length vp + 1) 0.0 in
+        Array.iteri (fun v p -> prefix.(v + 1) <- prefix.(v) +. p) vp;
+        List.iter
+          (fun x ->
+            let lo_range, hi_range = Acq_plan.Range.split ranges.(i) x in
+            let p_lo = prefix.(lo_range.hi + 1) -. prefix.(lo_range.lo) in
+            let p_hi = 1.0 -. p_lo in
+            let running = ref atomic in
+            let side range p =
+              let ranges' = Subproblem.with_range ranges i range in
+              if p <= 0.0 then Some (0.0, fallback_leaf ranges')
+              else begin
+                let child_bound = (!c_min -. !running) /. p in
+                let child_est =
+                  lazy (Acq_prob.Backend.restrict_range est i range)
+                in
+                match solve ranges' child_est child_bound with
+                | cost, Some plan -> Some (p *. cost, plan)
+                | _, None -> None
+              end
+            in
+            match side lo_range p_lo with
+            | None -> ()
+            | Some (w_lo, plan_lo) -> (
+                running := !running +. w_lo;
+                if !running < !c_min then
+                  match side hi_range p_hi with
+                  | None -> ()
+                  | Some (w_hi, plan_hi) ->
+                      running := !running +. w_hi;
+                      if !running < !c_min then begin
+                        c_min := !running;
+                        best :=
+                          Some
+                            (Acq_plan.Plan.Test
+                               {
+                                 attr = i;
+                                 threshold = x;
+                                 low = plan_lo;
+                                 high = plan_hi;
+                               })
+                      end))
+          candidates
       end
-    in
-    (solve, explore)
+    end
+
   in
   let est = Search.wrap_backend search base_est in
   let ranges0 = Subproblem.initial schema in
   let seq_order, seq_cost = Seq_planner.order ~search ?model q ~costs est in
   (* Seed with the sequential optimum; only a strictly better
      conditional plan displaces it, so ties keep the smaller plan. *)
-  let bound0 = seq_cost -. 1e-9 in
-  (* The parallel root path fans the DP's widest tier — one task per
-     root branch attribute — across the fanout, each branch running
-     the full recursion in a forked context. Exact subproblem costs
-     are bound-independent, so branches searched under the root bound
-     (instead of the sequentially-tightened one) find the same branch
-     optima; the strict-< merge in [attr_order] then reproduces the
-     sequential tie-breaking exactly, making the plan and cost
-     bit-for-bit equal to the sequential sweep. Effort counters
-     differ (branches forgo cross-branch bound tightening) but merge
-     deterministically. The memo combinator's shared cache is the one
-     backend that mutates on read, so fanning is refused over it. *)
-  let parallel_root f =
-    match Acq_plan.Query.truth_under q ranges0 with
-    | Acq_plan.Predicate.True | Acq_plan.Predicate.False -> None
-    | Acq_plan.Predicate.Unknown ->
-        if
-          Subproblem.all_query_attrs_acquired ranges0 ~domains q
-          || Acq_prob.Backend.is_empty est
-        then None
-        else begin
-          Search.solved search;
-          let branches =
-            Acq_util.Fanout.map f
-              (fun i ->
-                let ctx = Search.fork search in
-                let est_i = Search.wrap_backend ctx base_est in
-                let _, explore = solver ctx in
-                let c_min = ref bound0 and best = ref None in
-                explore ranges0 est_i i c_min best;
-                (ctx, !c_min, !best))
-              attr_order
-          in
-          let memo = Search.memo search in
-          Array.iter
-            (fun (ctx, _, _) ->
-              merge_memo ~into:memo (Search.memo ctx);
-              Search.absorb search ctx)
-            branches;
-          let c_min = ref bound0 and best = ref None in
-          Array.iter
-            (fun (_, c, b) ->
-              match b with
-              | Some p when c < !c_min ->
-                  c_min := c;
-                  best := Some p
-              | Some _ | None -> ())
-            branches;
-          let key = Subproblem.key ranges0 in
-          match !best with
-          | Some plan ->
-              Hashtbl.replace memo key (Exact (!c_min, plan));
-              Some (!c_min, Some plan)
-          | None ->
-              Search.pruned search;
-              Hashtbl.replace memo key (Lower_bound bound0);
-              Some (bound0, None)
-        end
-  in
-  let root =
-    match fanout with
-    | Some f when Acq_prob.Backend.name base_est <> "memo" -> (
-        match parallel_root f with
-        | Some r -> r
-        | None ->
-            let solve, _ = solver search in
-            solve ranges0 (lazy est) bound0)
-    | Some _ | None ->
-        let solve, _ = solver search in
-        solve ranges0 (lazy est) bound0
-  in
-  match root with
+  match solve ranges0 (lazy est) (seq_cost -. 1e-9) with
   | cost, Some plan -> (plan, cost)
   | _, None -> (Acq_plan.Plan.sequential seq_order, seq_cost)

@@ -32,7 +32,6 @@ val default_budget : int
 
 val plan :
   ?search:memo Search.t ->
-  ?fanout:Acq_util.Fanout.t ->
   ?model:Acq_plan.Cost_model.t ->
   Acq_plan.Query.t ->
   costs:float array ->
@@ -50,18 +49,4 @@ val plan :
     private to the context, so back-to-back calls with fresh contexts
     are fully independent. The backend is wrapped with the context's
     estimator-call accounting internally — pass it {e unwrapped}.
-    @raise Budget_exceeded when the context's budget is exhausted.
-
-    [fanout] (default: none — fully sequential) fans the root tier of
-    the DP one branch attribute per task, each branch running in a
-    {!Search.fork}ed context with a private memo shard, merged
-    deterministically afterwards. The returned plan and cost are {e
-    bit-for-bit identical} to the sequential sweep (exact subproblem
-    costs are bound-independent and the strict-< merge reproduces
-    sequential tie-breaking); the effort counters are deterministic
-    but larger (parallel branches forgo cross-branch bound
-    tightening). Refused (silently sequential) over a memoized
-    backend, whose shared cache mutates on read and is not
-    domain-safe. Budget/deadline overruns re-raise after all branches
-    finish, from merged totals — each branch may individually spend
-    up to the remaining budget. *)
+    @raise Budget_exceeded when the context's budget is exhausted. *)

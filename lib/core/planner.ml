@@ -45,7 +45,7 @@ type result = {
 }
 
 let plan_with_backend ?(options = default_options)
-    ?(telemetry = Acq_obs.Telemetry.noop) ?fanout algorithm q ~costs est =
+    ?(telemetry = Acq_obs.Telemetry.noop) algorithm q ~costs est =
   let domains = Acq_data.Schema.domains (Acq_plan.Query.schema q) in
   let grid =
     Spsf.for_query ~domains ~points_per_attr:options.split_points_per_attr q
@@ -110,9 +110,9 @@ let plan_with_backend ?(options = default_options)
            ~max_splits:options.max_splits est)
   | Exhaustive ->
       let search = context ~default_budget:options.exhaustive_budget () in
-      (* Exhaustive wraps the backend itself (per forked branch when a
-         fanout is supplied), so the raw backend passes through. *)
-      finish search (Exhaustive.plan ~search ?fanout ?model q ~costs ~grid est)
+      (* Exhaustive wraps the backend itself, so the raw backend passes
+         through. *)
+      finish search (Exhaustive.plan ~search ?model q ~costs ~grid est)
   | Pac ->
       let search = context () in
       let est = Search.wrap_backend search est in
@@ -123,7 +123,7 @@ let plan_with_backend ?(options = default_options)
       finish ~certificate search (plan, est_cost)
 
 let plan ?(options = default_options) ?(telemetry = Acq_obs.Telemetry.noop)
-    ?fanout algorithm q ~train =
+    algorithm q ~train =
   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in
   let spec =
     (* Pac plans against confidence intervals; every backend except
@@ -140,4 +140,4 @@ let plan ?(options = default_options) ?(telemetry = Acq_obs.Telemetry.noop)
     | _ -> options.prob_model
   in
   let est = Acq_prob.Backend.of_dataset ~telemetry ~spec train in
-  plan_with_backend ~options ~telemetry ?fanout algorithm q ~costs est
+  plan_with_backend ~options ~telemetry algorithm q ~costs est

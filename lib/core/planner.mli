@@ -94,20 +94,12 @@ type result = {
 val plan :
   ?options:options ->
   ?telemetry:Acq_obs.Telemetry.t ->
-  ?fanout:Acq_util.Fanout.t ->
   algorithm ->
   Acq_plan.Query.t ->
   train:Acq_data.Dataset.t ->
   result
 (** Plan with the backend [options.prob_model] selects, built over
     [train] (default: the empirical backend — the seed behavior).
-
-    [fanout] (default: none) lets {!Exhaustive} fan its root DP tier
-    across a worker pool ({!Acq_par.Domain_pool.fanout}); plans and
-    costs stay bit-for-bit identical to the sequential search (see
-    {!Exhaustive.plan}). Other algorithms, and Exhaustive over a
-    memoized backend (whose shared cache is not domain-safe), ignore
-    it.
 
     [telemetry] (default noop) observes the whole call: a
     ["planner.plan"] span (attributes: algorithm, predicate count),
@@ -120,14 +112,12 @@ val plan :
 val plan_with_backend :
   ?options:options ->
   ?telemetry:Acq_obs.Telemetry.t ->
-  ?fanout:Acq_util.Fanout.t ->
   algorithm ->
   Acq_plan.Query.t ->
   costs:float array ->
   Acq_prob.Backend.t ->
   result
 (** Same, against an arbitrary packed backend. The backend is wrapped
-    by {!Search.wrap_backend} for the duration of the call (per
-    forked branch context under an {!Exhaustive} fanout) — the
+    by {!Search.wrap_backend} for the duration of the call — the
     caller's backend is untouched and reusable. [options.prob_model]
     is ignored (the backend is already built). *)

@@ -54,36 +54,6 @@ let solved (t : _ t) =
   | Some d when elapsed_ms t > d -> raise Deadline_exceeded
   | Some _ | None -> ()
 
-(* Child context for one parallel branch: private memo table and
-   counters (so branches never share mutable state across domains),
-   the parent's *remaining* budget and deadline (each branch may
-   spend up to what is left — the cumulative re-check happens at
-   [absorb]), and no telemetry (tracers are not domain-safe; the
-   parent reports merged effort instead). *)
-let fork (t : 'm t) : 'm t =
-  {
-    budget =
-      (if t.budget = max_int then max_int else max 0 (t.budget - t.nodes_solved));
-    deadline_ms = Option.map (fun d -> d -. elapsed_ms t) t.deadline_ms;
-    started = Unix.gettimeofday ();
-    memo = Hashtbl.create 1024;
-    nodes_solved = 0;
-    memo_hits = 0;
-    estimator_calls = 0;
-    pruned_branches = 0;
-    obs = Telemetry.noop;
-  }
-
-let absorb (t : _ t) (child : _ t) =
-  t.nodes_solved <- t.nodes_solved + child.nodes_solved;
-  t.memo_hits <- t.memo_hits + child.memo_hits;
-  t.estimator_calls <- t.estimator_calls + child.estimator_calls;
-  t.pruned_branches <- t.pruned_branches + child.pruned_branches;
-  if t.nodes_solved > t.budget then raise Budget_exceeded;
-  match t.deadline_ms with
-  | Some d when elapsed_ms t > d -> raise Deadline_exceeded
-  | Some _ | None -> ()
-
 let hit (t : _ t) = t.memo_hits <- t.memo_hits + 1
 let pruned (t : _ t) = t.pruned_branches <- t.pruned_branches + 1
 let memo (t : 'm t) = t.memo

@@ -9,7 +9,7 @@
     counters that {!stats} snapshots. Because no planner touches
     shared mutable state anymore, interleaved and repeated [plan]
     calls are deterministic and independent — the prerequisite for
-    parallel or sharded planning.
+    racing planners on several domains ([Acq_par.Portfolio]).
 
     The type parameter is the memo-entry payload; planners that keep
     no memo (everything except {!Exhaustive}) are polymorphic in it. *)
@@ -74,25 +74,6 @@ val create :
 val solved : _ t -> unit
 (** Record one expanded search node; raises {!Budget_exceeded} or
     {!Deadline_exceeded} when a limit is hit. *)
-
-val fork : 'memo t -> 'memo t
-(** A child context for one parallel search branch: fresh (empty)
-    memo table, zeroed counters, no telemetry, and the parent's {e
-    remaining} budget and deadline. Branches forked from the same
-    parent share no mutable state, so they may run on different
-    domains; each may individually spend up to the parent's remaining
-    budget — the cumulative check happens at {!absorb}, which makes
-    the overrun deterministic (it depends only on merged totals,
-    never on scheduling). *)
-
-val absorb : _ t -> _ t -> unit
-(** [absorb parent child] folds the child's effort counters into the
-    parent, then re-checks the parent's budget and deadline — raising
-    {!Budget_exceeded} / {!Deadline_exceeded} exactly as {!solved}
-    would. Absorb children in a fixed (submission) order so the merged
-    totals, and hence any overrun, are deterministic. The child's memo
-    table is {e not} merged here; the caller owns that (payload
-    semantics differ per planner). *)
 
 val hit : _ t -> unit
 (** Record one memo-table hit. *)

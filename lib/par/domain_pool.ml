@@ -148,21 +148,6 @@ let ran_on fut = fut.ran_on
 
 let run t f = await_exn t (submit t f)
 
-let map_array t ~f a =
-  let futures = Array.mapi (fun i x -> submit t (fun _tele -> f i x)) a in
-  let outcomes = Array.map (await t) futures in
-  Array.map
-    (function Ok v -> v | Error e -> raise e)
-    outcomes
-
-let parallel_map t f a = map_array t ~f:(fun _ x -> f x) a
-
-let fanout t =
-  {
-    Acq_util.Fanout.concurrent = Array.length t.deques > 1;
-    map = (fun f a -> parallel_map t f a);
-  }
-
 type stats = {
   domains : int;
   submitted : int;

@@ -1,10 +1,10 @@
 (** A fixed-size pool of OCaml 5 domains with work-stealing deques.
 
     The pool is the one piece of the system that owns threads: every
-    other parallel facility ({!Portfolio}, {!Parallel_experiment},
-    [Acq_workload.Experiment.run ?pool]) submits thunks here. Each
-    worker domain owns a deque; {!submit} places tasks round-robin at
-    the deques' steal ends, workers pop their own deque LIFO and steal
+    other parallel facility ({!Portfolio}, {!Parallel_experiment})
+    submits thunks here. Each worker domain owns a deque; {!submit}
+    places tasks round-robin at the deques' steal ends, workers pop
+    their own deque LIFO and steal
     FIFO from a sibling when theirs runs dry. Tasks are coarse
     (planning one query, racing one portfolio arm), so scheduling
     overhead is irrelevant next to task cost — what matters is that
@@ -59,28 +59,6 @@ val ran_on : 'a future -> int
 
 val run : t -> (Acq_obs.Telemetry.t -> 'a) -> 'a
 (** [submit] + {!await_exn}. *)
-
-val map_array : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
-(** Submit [f i a.(i)] for every index, await all, and return results
-    in input order. If any task raised, re-raises the exception of the
-    lowest-index failing task — after every task has finished, so no
-    work is abandoned mid-flight. *)
-
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Scoped fan-out: one task per element, awaited before returning,
-    results in input order, lowest-index exception re-raised after
-    every task finished — {!map_array} without the index. The call is
-    {e scoped}: no task it spawned outlives it. Like every await, it
-    must not be called from inside a task of the same pool. *)
-
-val fanout : t -> Acq_util.Fanout.t
-(** The pool as a first-class {!Acq_util.Fanout.t} — the handle the
-    layers below [acq_par] (sharded windows, the Exhaustive DP tiers,
-    the adaptive supervisor) accept without depending on this
-    library. [map] is {!parallel_map}; [concurrent] is true whenever
-    the pool has more than one domain. Subject to the same
-    no-await-from-a-task rule: never hand a pool's fanout to work
-    running on that pool. *)
 
 type stats = {
   domains : int;

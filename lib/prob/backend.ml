@@ -94,8 +94,7 @@ end
    node from one table per attribute instead of rescanning the node's
    rows per candidate.
 
-   One backend may be read from several domains (tier-parallel
-   Exhaustive shares the root). Every cache is an [Atomic.t] slot that
+   One backend may be read from several domains at once. Every cache is an [Atomic.t] slot that
    receives immutable values computed in full before they are
    published; domains racing on one slot may each compute a value, and
    whichever is kept answers every query identically. *)
@@ -447,14 +446,8 @@ module Dense_impl = struct
   let cond_signature st = Cond.signature st.masks
 end
 
-type dense_partial = {
-  dp_cells : float array;
-  dp_marg : float array array;
-  dp_rows : int;
-}
-
-let dense_layout schema =
-  let domains = Acq_data.Schema.domains schema in
+let dense ds =
+  let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
   let n = Array.length domains in
   let ncells = Array.fold_left ( * ) 1 domains in
   if ncells > dense_max_cells then
@@ -463,16 +456,6 @@ let dense_layout schema =
   for i = n - 2 downto 0 do
     strides.(i) <- strides.(i + 1) * domains.(i + 1)
   done;
-  (domains, strides, ncells)
-
-(* One data shard's contribution to the joint table: packed cell
-   counts plus marginal counts, in the canonical row-major layout.
-   All counts are integer-valued floats, so summing partials is exact
-   arithmetic — merging in shard order yields bit-for-bit the table a
-   single pass over the concatenated rows would have produced. *)
-let dense_partial ds =
-  let domains, strides, ncells = dense_layout (Acq_data.Dataset.schema ds) in
-  let n = Array.length domains in
   let cells = Array.make ncells 0.0 in
   let marg = Array.map (fun k -> Array.make k 0.0) domains in
   Acq_data.Dataset.iter_rows ds (fun r ->
@@ -483,28 +466,6 @@ let dense_partial ds =
         marg.(a).(v) <- marg.(a).(v) +. 1.0
       done;
       cells.(!idx) <- cells.(!idx) +. 1.0);
-  { dp_cells = cells; dp_marg = marg; dp_rows = Acq_data.Dataset.nrows ds }
-
-let dense_of_partials schema partials =
-  let domains, strides, ncells = dense_layout schema in
-  let n = Array.length domains in
-  let cells = Array.make ncells 0.0 in
-  let marg = Array.map (fun k -> Array.make k 0.0) domains in
-  let rows = ref 0 in
-  Array.iter
-    (fun p ->
-      if Array.length p.dp_cells <> ncells then
-        invalid_arg "Backend.dense_of_partials: layout mismatch";
-      for c = 0 to ncells - 1 do
-        cells.(c) <- cells.(c) +. p.dp_cells.(c)
-      done;
-      for a = 0 to n - 1 do
-        for v = 0 to domains.(a) - 1 do
-          marg.(a).(v) <- marg.(a).(v) +. p.dp_marg.(a).(v)
-        done
-      done;
-      rows := !rows + p.dp_rows)
-    partials;
   let prefix =
     Array.map
       (fun h ->
@@ -516,7 +477,7 @@ let dense_of_partials schema partials =
         p)
       marg
   in
-  let total = float_of_int !rows in
+  let total = float_of_int (Acq_data.Dataset.nrows ds) in
   B
     ( (module Dense_impl),
       {
@@ -529,9 +490,6 @@ let dense_of_partials schema partials =
         pristine = Array.make n true;
         cweight = total;
       } )
-
-let dense ds =
-  dense_of_partials (Acq_data.Dataset.schema ds) [| dense_partial ds |]
 
 (* ------------------------------------------------------------------ *)
 (* Independence: product of per-attribute histograms — the

@@ -133,24 +133,6 @@ val dense : Acq_data.Dataset.t -> t
     @raise Invalid_argument when the domain product exceeds [2^22]
     cells. *)
 
-type dense_partial
-(** One data shard's contribution to the dense joint table: packed
-    cell counts plus marginal counts in the canonical layout. *)
-
-val dense_partial : Acq_data.Dataset.t -> dense_partial
-(** Scan one shard's rows into a partial table. Independent shards
-    can be scanned on different domains concurrently — partials share
-    nothing. @raise Invalid_argument on an oversized domain product
-    (same bound as {!dense}). *)
-
-val dense_of_partials : Acq_data.Schema.t -> dense_partial array -> t
-(** Merge partials (summed in array order) into a dense backend. All
-    counts are integer-valued floats, so the sums are exact and the
-    result is bit-for-bit the backend {!dense} builds over the
-    shards' concatenated rows — the identity the sharded-window
-    differentials pin. @raise Invalid_argument on a layout mismatch
-    or an oversized domain product. *)
-
 val independence : Acq_data.Dataset.t -> t
 (** Product of per-attribute histograms; [pattern_probs] factorizes
     across attributes (predicates on the same attribute stay jointly

@@ -98,11 +98,6 @@ let to_dataset t =
       t.cached <- Some ds;
       ds
 
-let blit_row t i dst pos =
-  let n = Array.length t.domains in
-  let start = if t.size = t.capacity then t.head else 0 in
-  Array.blit t.ring.((start + i) mod t.capacity) 0 dst pos n
-
 let identity_ids t =
   if Array.length t.ids <> t.size then t.ids <- Array.init t.size (fun i -> i);
   t.ids
@@ -125,12 +120,13 @@ let backend ?telemetry ?(spec = Backend.default_spec) t =
   | Backend.Dense | Backend.Chow_liu | Backend.Independence ->
       Backend.of_dataset ?telemetry ~spec ds
 
-let drift_of_counts ~counts ~size ~reference ~rows =
+let drift_marginals t ~reference ~rows =
+  let counts = t.counts in
   let n = Array.length counts in
   if Array.length reference <> n then
-    invalid_arg "Sliding.drift_of_counts: arity mismatch";
+    invalid_arg "Sliding.drift_marginals: arity mismatch";
   let ref_rows = float_of_int rows in
-  let win_rows = float_of_int size in
+  let win_rows = float_of_int t.size in
   if ref_rows = 0.0 || win_rows = 0.0 then 0.0
   else begin
     let total = ref 0.0 in
@@ -148,9 +144,6 @@ let drift_of_counts ~counts ~size ~reference ~rows =
     done;
     !total /. float_of_int n
   end
-
-let drift_marginals t ~reference ~rows =
-  drift_of_counts ~counts:t.counts ~size:t.size ~reference ~rows
 
 let marginals_of ds =
   let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in

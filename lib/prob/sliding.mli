@@ -87,26 +87,6 @@ val drift : t -> reference:Acq_data.Dataset.t -> float
     emptiness; replanning triggers built on [drift] therefore stay
     quiet until the window has data, which is the safe direction. *)
 
-val blit_row : t -> int -> int array -> int -> unit
-(** [blit_row t i dst pos] copies the [i]-th oldest window row
-    (0-based) into [dst] starting at [pos] — the raw accessor the
-    sharded window ({!Sharded}) uses to interleave shard rings into
-    one packed buffer without materializing per-shard datasets.
-    No bounds check beyond the blit's own; [i] must be in
-    [0, size t). *)
-
-val drift_of_counts :
-  counts:int array array ->
-  size:int ->
-  reference:int array array ->
-  rows:int ->
-  float
-(** The drift score of {!drift_marginals} computed from an explicit
-    marginal snapshot ([counts] over [size] tuples) instead of a
-    window — shared by the sharded window, whose counts are merged
-    across shards before scoring.
-    @raise Invalid_argument on an arity mismatch. *)
-
 val drift_marginals : t -> reference:int array array -> rows:int -> float
 (** Same score against a pre-computed reference marginal snapshot
     (shape of {!marginals}, counting [rows] tuples) — O(sum of

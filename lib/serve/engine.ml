@@ -38,11 +38,9 @@ type t = {
   registry : Acq_obs.Metrics.t;
   telemetry : T.t;
   supervisor : Supervisor.t;
-  fanout : Acq_util.Fanout.t;
-      (** fans the tick's execute/observe phase across sessions *)
-  tenants : (string, tenant) Shard_tbl.t;
-  subs : (int, sub) Shard_tbl.t;
-  by_sup : (int, sub) Shard_tbl.t;  (** supervisor id -> sub, for tick routing *)
+  tenants : (string, tenant) Hashtbl.t;
+  subs : (int, sub) Hashtbl.t;
+  by_sup : (int, sub) Hashtbl.t;  (** supervisor id -> sub, for tick routing *)
   mutable next_sub : int;
   mutable cursor : int;  (** next live row the tick loop serves *)
   mutable draining : bool;
@@ -52,8 +50,7 @@ type t = {
 
 let err code msg = Error (code, msg)
 
-let create ?(limits = Limits.default) ?registry
-    ?(fanout = Acq_util.Fanout.sequential) ?(shards = 1) spec =
+let create ?(limits = Limits.default) ?registry spec =
   let registry =
     match registry with Some r -> r | None -> Acq_obs.Metrics.create ()
   in
@@ -70,10 +67,9 @@ let create ?(limits = Limits.default) ?registry
     supervisor =
       Supervisor.create_empty ~telemetry ~planning_budget:limits.replan_budget
         ();
-    fanout;
-    tenants = Shard_tbl.create ~shards 16;
-    subs = Shard_tbl.create ~shards 64;
-    by_sup = Shard_tbl.create ~shards 64;
+    tenants = Hashtbl.create 16;
+    subs = Hashtbl.create 64;
+    by_sup = Hashtbl.create 64;
     next_sub = 0;
     cursor = 0;
     draining = false;
@@ -84,11 +80,11 @@ let create ?(limits = Limits.default) ?registry
 let telemetry t = t.telemetry
 let registry t = t.registry
 let draining t = t.draining
-let live_subscriptions t = Shard_tbl.length t.subs
+let live_subscriptions t = Hashtbl.length t.subs
 let spec t = t.spec
 
 let tenant t name =
-  match Shard_tbl.find_opt t.tenants name with
+  match Hashtbl.find_opt t.tenants name with
   | Some tn -> tn
   | None ->
       let capacity = max 4 (t.limits.Limits.max_sessions_per_tenant / 4) in
@@ -103,13 +99,13 @@ let tenant t name =
           races = Hashtbl.create 8;
         }
       in
-      Shard_tbl.replace t.tenants name tn;
+      Hashtbl.replace t.tenants name tn;
       T.set t.telemetry ~labels:[ ("tenant", name) ] "acqpd_tenant_quota_nodes"
         (float_of_int tn.nodes_left);
       tn
 
 let tenants t =
-  Shard_tbl.fold (fun _ tn acc -> tn :: acc) t.tenants []
+  Hashtbl.fold (fun _ tn acc -> tn :: acc) t.tenants []
   |> List.sort (fun a b -> compare a.name b.name)
 
 let count t (tn : tenant) verb =
@@ -336,8 +332,8 @@ let subscribe t ~tenant:name ~owner (opts : Protocol.opts) sql =
                 let sub =
                   { sub_id; sup_id; owner; tn; sql; events = 0 }
                 in
-                Shard_tbl.replace t.subs sub_id sub;
-                Shard_tbl.replace t.by_sup sup_id sub;
+                Hashtbl.replace t.subs sub_id sub;
+                Hashtbl.replace t.by_sup sup_id sub;
                 tn.live_subs <- tn.live_subs + 1;
                 T.set t.telemetry
                   ~labels:[ ("tenant", tn.name) ]
@@ -352,8 +348,8 @@ let subscribe t ~tenant:name ~owner (opts : Protocol.opts) sql =
 
 let remove_sub t (sub : sub) =
   ignore (Supervisor.unregister t.supervisor sub.sup_id : bool);
-  Shard_tbl.remove t.subs sub.sub_id;
-  Shard_tbl.remove t.by_sup sub.sup_id;
+  Hashtbl.remove t.subs sub.sub_id;
+  Hashtbl.remove t.by_sup sub.sup_id;
   sub.tn.live_subs <- sub.tn.live_subs - 1;
   T.set t.telemetry
     ~labels:[ ("tenant", sub.tn.name) ]
@@ -363,7 +359,7 @@ let remove_sub t (sub : sub) =
 let unsubscribe t ~tenant:name ~owner id =
   let tn = tenant t name in
   count t tn "unsubscribe";
-  match Shard_tbl.find_opt t.subs id with
+  match Hashtbl.find_opt t.subs id with
   | Some sub when sub.owner = owner ->
       remove_sub t sub;
       Ok (Printf.sprintf "unsubscribed %d\n" id)
@@ -371,9 +367,12 @@ let unsubscribe t ~tenant:name ~owner id =
       reject t tn 404;
       err 404 (Printf.sprintf "no subscription %d on this connection" id)
 
+let has_subscription t ~owner =
+  Seq.exists (fun sub -> sub.owner = owner) (Hashtbl.to_seq_values t.subs)
+
 let drop_owner t owner =
   let mine =
-    Shard_tbl.fold
+    Hashtbl.fold
       (fun _ sub acc -> if sub.owner = owner then sub :: acc else acc)
       t.subs []
   in
@@ -395,19 +394,19 @@ let render_event t row (o : Ex.outcome) =
   Printf.sprintf "match cost=%.2f %s\n" o.Ex.cost (String.concat " " cells)
 
 let tick t =
-  if Shard_tbl.length t.subs = 0 || D.nrows t.live = 0 then []
+  if Hashtbl.length t.subs = 0 || D.nrows t.live = 0 then []
   else begin
     let row = D.row t.live t.cursor in
     t.cursor <- (t.cursor + 1) mod D.nrows t.live;
     T.incr t.telemetry "acqpd_ticks_total";
-    let outcomes = Supervisor.step ~fanout:t.fanout t.supervisor row in
+    let outcomes = Supervisor.step t.supervisor row in
     let ids = Supervisor.ids t.supervisor in
     let events = ref [] in
     List.iteri
       (fun i sup_id ->
         let o = outcomes.(i) in
         if o.Ex.verdict then
-          match Shard_tbl.find_opt t.by_sup sup_id with
+          match Hashtbl.find_opt t.by_sup sup_id with
           | None -> ()
           | Some sub ->
               sub.events <- sub.events + 1;
@@ -432,7 +431,7 @@ let stats t =
   Printf.bprintf b
     "requests=%d subscriptions=%d supervisor_epoch=%d replan_budget_left=%d \
      parked=%d deferred=%d switches=%d\n"
-    t.requests (Shard_tbl.length t.subs)
+    t.requests (Hashtbl.length t.subs)
     (Supervisor.epoch t.supervisor)
     (Supervisor.budget_remaining t.supervisor)
     (Supervisor.parked_sessions t.supervisor)

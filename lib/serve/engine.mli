@@ -19,20 +19,11 @@ type tenant
 val create :
   ?limits:Limits.t ->
   ?registry:Acq_obs.Metrics.t ->
-  ?fanout:Acq_util.Fanout.t ->
-  ?shards:int ->
   Source.spec ->
   t
 (** Materializes the dataset spec, splits history/live 50/50, and
     starts with no tenants, no subscriptions, an idle cursor at the
-    head of the live trace.
-
-    [fanout] (default sequential) fans each {!tick}'s execute/observe
-    phase one task per subscribed session
-    ({!Acq_adapt.Supervisor.step}); outcomes and event payloads are
-    identical under every fanout. [shards] (default 1) splits the
-    tenant and subscription tables into that many shard-local
-    {!Shard_tbl} slices — normally the fanout's worker count. *)
+    head of the live trace. *)
 
 val telemetry : t -> Acq_obs.Telemetry.t
 val registry : t -> Acq_obs.Metrics.t
@@ -70,6 +61,9 @@ val unsubscribe :
 (** Only the owning connection may unsubscribe (else 404). Releases
     the supervisor registration — parked deferred replans settle per
     {!Acq_adapt.Supervisor.unregister}. *)
+
+val has_subscription : t -> owner:int -> bool
+(** Whether the connection holds at least one live subscription. *)
 
 val drop_owner : t -> int -> int
 (** Disconnect cleanup: unregister every subscription the connection

@@ -6,10 +6,14 @@
     exhausted quota rejects with [ERR 429]. Drift replans across {e
     all} tenants share one supervisor ledger of [replan_budget] nodes.
 
-    Backpressure: each connection owns a bounded write queue. Crossing
-    [write_soft_limit] bytes sheds that connection's subscription
-    events (one [OVERLOAD] frame announces the gap — the slow-consumer
-    policy is drop-with-notice, not unbounded buffering); crossing
+    Backpressure: each connection owns a bounded write queue. The
+    server runs a poll's tick batch only if some connection that owns
+    a live subscription has an empty write queue, so a lone subscriber
+    that stops reading pauses the stream instead of losing events.
+    While another subscriber keeps up, crossing [write_soft_limit]
+    bytes sheds that connection's subscription events (one [OVERLOAD]
+    frame announces the gap — the slow-consumer policy is
+    drop-with-notice, not unbounded buffering); crossing
     [write_hard_limit] disconnects the consumer outright. *)
 
 type t = {

@@ -6,14 +6,13 @@ type conn = {
   peer : string;
   reader : Protocol.Reader.t;
   mutable tenant : string option;
-  mutable outq : string list;  (** pending chunks, oldest first *)
-  mutable outq_rev : string list;  (** staging, newest first *)
-  mutable head_off : int;  (** bytes of the head chunk already written *)
-  mutable out_bytes : int;
+  mutable head : string;  (** frames being written, coalesced *)
+  mutable head_off : int;  (** bytes of [head] already written *)
+  mutable staged : string list;  (** frames queued since, newest first *)
+  mutable out_bytes : int;  (** queued bytes not yet written *)
   mutable shedding : bool;  (** soft limit crossed: events are dropped *)
-  mutable dropped_events : int;
   mutable discarding : bool;  (** resynchronizing after a 413 line *)
-  mutable closing : bool;  (** flush outq, then close *)
+  mutable closing : bool;  (** flush the queue, then close *)
 }
 
 type t = {
@@ -26,7 +25,6 @@ type t = {
   mutable draining : bool;
   mutable drain_started : float;
   mutable accepted : int;
-  ticks_per_poll : int;
   unix_path : string option;  (** unlinked on close *)
 }
 
@@ -54,7 +52,12 @@ let bound_port fd =
   | Unix.ADDR_INET (_, port) -> Some port
   | Unix.ADDR_UNIX _ -> None
 
-let create ?(ticks_per_poll = 4) ?unix_path ~listeners engine limits =
+(* Live-trace tuples served to subscriptions per poll: a few keep
+   request latency bounded while continuous queries make steady
+   progress. *)
+let ticks_per_poll = 4
+
+let create ?unix_path ~listeners engine limits =
   {
     engine;
     limits;
@@ -65,7 +68,6 @@ let create ?(ticks_per_poll = 4) ?unix_path ~listeners engine limits =
     draining = false;
     drain_started = 0.0;
     accepted = 0;
-    ticks_per_poll;
     unix_path;
   }
 
@@ -87,7 +89,7 @@ let close_conn t c reason =
   set_conn_gauge t
 
 let enqueue_raw c s =
-  c.outq_rev <- s :: c.outq_rev;
+  c.staged <- s :: c.staged;
   c.out_bytes <- c.out_bytes + String.length s
 
 (* A reply to an explicit request always queues (the client is owed an
@@ -108,7 +110,6 @@ let send t c frame =
    fresh OVERLOAD on the next gap) once the queue drains. *)
 let send_event t c sub_id payload =
   if c.out_bytes > t.limits.Limits.write_soft_limit then begin
-    c.dropped_events <- c.dropped_events + 1;
     T.incr t.telemetry "acqpd_shed_events_total";
     if not c.shedding then begin
       c.shedding <- true;
@@ -126,32 +127,23 @@ let send_event t c sub_id payload =
 let flush_writes t c =
   let progress = ref true in
   (try
-     while !progress && (c.outq <> [] || c.outq_rev <> []) do
-       if c.outq = [] then begin
-         c.outq <- List.rev c.outq_rev;
-         c.outq_rev <- []
+     while !progress && c.out_bytes > 0 do
+       if c.head_off = String.length c.head then begin
+         (* One write per batch of frames, not one per frame: fewer
+            syscalls, and the socket buffer holds more of the stream. *)
+         c.head <- String.concat "" (List.rev c.staged);
+         c.head_off <- 0;
+         c.staged <- []
        end;
-       match c.outq with
-       | [] -> ()
-       | chunk :: rest -> (
-           let len = String.length chunk - c.head_off in
-           match
-             Unix.single_write_substring c.fd chunk c.head_off len
-           with
-           | n ->
-               c.out_bytes <- c.out_bytes - n;
-               T.add t.telemetry "acqpd_bytes_out_total" (float_of_int n);
-               if n = len then begin
-                 c.outq <- rest;
-                 c.head_off <- 0
-               end
-               else begin
-                 c.head_off <- c.head_off + n;
-                 progress := false
-               end
-           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-             ->
-               progress := false)
+       let len = String.length c.head - c.head_off in
+       match Unix.single_write_substring c.fd c.head c.head_off len with
+       | n ->
+           c.out_bytes <- c.out_bytes - n;
+           T.add t.telemetry "acqpd_bytes_out_total" (float_of_int n);
+           c.head_off <- c.head_off + n;
+           if n < len then progress := false
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+           progress := false
      done
    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
      close_conn t c "write_error");
@@ -301,12 +293,11 @@ let accept_conns t listener =
               peer;
               reader = Protocol.Reader.create ();
               tenant = None;
-              outq = [];
-              outq_rev = [];
+              head = "";
               head_off = 0;
+              staged = [];
               out_bytes = 0;
               shedding = false;
-              dropped_events = 0;
               discarding = false;
               closing = false;
             }
@@ -330,11 +321,20 @@ let route_events t events =
       | Some _ | None -> ())
     events
 
+(* Tick only while some subscriber has caught up: at least one
+   connection that owns a live subscription has an empty write queue.
+   A lone subscriber that stops reading then pauses the stream instead
+   of being shed; a silent consumer next to a reading one is still shed
+   past the soft limit. *)
+let can_tick t =
+  List.exists
+    (fun c -> c.out_bytes = 0 && Engine.has_subscription t.engine ~owner:c.id)
+    t.conns
+
 let poll ?(timeout_ms = 50) t =
   let want_write = List.filter (fun c -> c.out_bytes > 0) t.conns in
   let busy =
     Engine.live_subscriptions t.engine > 0
-    || want_write <> []
     || List.exists (fun c -> Protocol.Reader.buffered c.reader > 0) t.conns
   in
   let timeout = if busy then 0.0 else float_of_int timeout_ms /. 1000.0 in
@@ -370,10 +370,11 @@ let poll ?(timeout_ms = 50) t =
         && Protocol.Reader.buffered c.reader > 0
       then process_input t c)
     t.conns;
-  (* Serve subscriptions: a few stream tuples per poll keeps request
-     latency bounded while continuous queries make steady progress. *)
-  if Engine.live_subscriptions t.engine > 0 then
-    for _ = 1 to t.ticks_per_poll do
+  (* Decided once for the whole batch, after this poll's flushes and
+     requests: each tick queues events, so a per-tick check would cut
+     every batch to one tick. *)
+  if can_tick t then
+    for _ = 1 to ticks_per_poll do
       route_events t (Engine.tick t.engine)
     done;
   (* Opportunistic flush so request/response latency is one poll, not

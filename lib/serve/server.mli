@@ -4,8 +4,10 @@
     whole daemon is one loop calling into {!Engine}.
 
     Backpressure per {!Limits}: request replies always queue (crossing
-    the hard cap disconnects the slow consumer); subscription events
-    shed past the soft cap, announced by one [OVERLOAD] frame per gap.
+    the hard cap disconnects the slow consumer); the stream advances
+    only while some subscriber has an empty write queue; subscription
+    events shed past the soft cap, announced by one [OVERLOAD] frame
+    per gap.
 
     Drain ({!request_shutdown}, the SIGTERM path): listeners close
     immediately, new work is refused with 503, every client gets a
@@ -26,21 +28,20 @@ val listen_tcp : string -> int -> Unix.file_descr
 val bound_port : Unix.file_descr -> int option
 
 val create :
-  ?ticks_per_poll:int ->
   ?unix_path:string ->
   listeners:Unix.file_descr list ->
   Engine.t ->
   Limits.t ->
   t
-(** [ticks_per_poll] (default 4) is how many live-trace tuples the
-    engine serves to subscriptions per loop iteration. [unix_path] is
-    unlinked on shutdown. *)
+(** [unix_path] is unlinked on shutdown. *)
 
 val poll : ?timeout_ms:int -> t -> unit
 (** One loop iteration: select, accept, read + dispatch complete
-    request lines, tick subscriptions, flush writes. [timeout_ms]
-    (default 50) only applies when fully idle — with subscriptions or
-    pending I/O the select is non-blocking. Exposed so tests and the
+    request lines, tick subscriptions, flush writes. The tick batch
+    (four live-trace tuples) runs only if a connection that owns a
+    live subscription has an empty write queue. [timeout_ms] (default
+    50) only applies without subscriptions or buffered request lines;
+    otherwise the select is non-blocking. Exposed so tests and the
     in-process bench can interleave server and client determinism-
     friendly, single-threaded. *)
 

@@ -14,9 +14,7 @@ type query_run = {
   metrics : Acq_obs.Metrics.snapshot;
 }
 
-(* Everything about one query except its metrics delta, computed with
-   whichever telemetry handle the caller hands us: the shared [obs]
-   sequentially, a task-private handle under a pool. *)
+(* Everything about one query except its metrics delta. *)
 let eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test =
   let costs = Acq_data.Schema.costs (Acq_plan.Query.schema q) in
   let results = Array.map (fun s -> s.build q) specs in
@@ -72,65 +70,24 @@ let eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test =
     metrics = [];
   }
 
-let run ?(obs = Acq_obs.Telemetry.noop) ?pool ?audit
+let run ?(obs = Acq_obs.Telemetry.noop) ?audit
     ?(audit_options = Acq_core.Planner.default_options) ~specs ~queries
     ~train ~test () =
   let specs = Array.of_list specs in
-  match pool with
-  | None ->
-      let snapshot () =
-        match Acq_obs.Telemetry.metrics obs with
-        | Some m -> Acq_obs.Metrics.snapshot m
-        | None -> []
-      in
-      let before = ref (snapshot ()) in
-      List.mapi
-        (fun qi q ->
-          let r =
-            eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test
-          in
-          let after = snapshot () in
-          let metrics = Acq_obs.Metrics.diff after !before in
-          before := after;
-          { r with metrics })
-        queries
-  | Some pool ->
-      (* A single probe's cells are not safe to feed from concurrent
-         domains; audited runs are sequential by construction. *)
-      if audit <> None then
-        invalid_arg "Experiment.run: audit requires the sequential path";
-      let live = Acq_obs.Telemetry.metrics obs in
-      let futures =
-        List.mapi
-          (fun qi q ->
-            Acq_par.Domain_pool.submit pool (fun _worker_tele ->
-                (* Task-private registry: per-query deltas need no
-                   cross-domain coordination and stay exact. *)
-                let reg =
-                  match live with
-                  | Some _ -> Some (Acq_obs.Metrics.create ())
-                  | None -> None
-                in
-                let tele =
-                  match reg with
-                  | Some m -> Acq_obs.Telemetry.create ~metrics:m ()
-                  | None -> Acq_obs.Telemetry.noop
-                in
-                ( eval_query ~audit_options specs ~obs:tele ~qi q ~train ~test,
-                  reg )))
-          queries
-      in
-      (* Collect in submission order; merging shards in that order
-         keeps the caller's registry deterministic. *)
-      List.map
-        (fun fut ->
-          let r, reg = Acq_par.Domain_pool.await_exn pool fut in
-          match (reg, live) with
-          | Some src, Some dst ->
-              Acq_obs.Metrics.merge_into ~src ~dst;
-              { r with metrics = Acq_obs.Metrics.snapshot src }
-          | _ -> r)
-        futures
+  let snapshot () =
+    match Acq_obs.Telemetry.metrics obs with
+    | Some m -> Acq_obs.Metrics.snapshot m
+    | None -> []
+  in
+  let before = ref (snapshot ()) in
+  List.mapi
+    (fun qi q ->
+      let r = eval_query ?audit ~audit_options specs ~obs ~qi q ~train ~test in
+      let after = snapshot () in
+      let metrics = Acq_obs.Metrics.diff after !before in
+      before := after;
+      { r with metrics })
+    queries
 
 let gains runs ~baseline ~target =
   Array.of_list

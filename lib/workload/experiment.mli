@@ -26,7 +26,6 @@ type query_run = {
 
 val run :
   ?obs:Acq_obs.Telemetry.t ->
-  ?pool:Acq_par.Domain_pool.t ->
   ?audit:Acq_audit.Audit.t ->
   ?audit_options:Acq_core.Planner.options ->
   specs:algo_spec list ->
@@ -35,22 +34,10 @@ val run :
   test:Acq_data.Dataset.t ->
   unit ->
   query_run list
-(** Plan and measure every query with every spec. Results are in query
-    order in both modes. Cost sweeps run on the compiled executor
-    ({!Acq_exec.Runner}); consistency is audited on the tree
-    interpreter.
-
-    With [pool], queries are planned and measured as parallel domain
-    tasks. Because planning is re-entrant, the returned plans, costs,
-    and search stats are identical to a sequential run — the
-    [test/test_par.ml] differential suite holds this. Two caveats,
-    both about telemetry rather than results: each task records into a
-    private registry (merged into [obs]'s registry in query order once
-    the task is collected), so the per-query [metrics] delta covers
-    the harness's own instruments — executor sweeps — while anything a
-    spec closure captured goes wherever that closure sends it; and for
-    that reason specs must not capture a live telemetry handle when a
-    pool is used (plain [Planner.plan ~options] closures are safe).
+(** Plan and measure every query with every spec, in query order
+    (parallel fan-out lives in [Acq_par.Parallel_experiment]). Cost
+    sweeps run on the compiled executor ({!Acq_exec.Runner});
+    consistency is audited on the tree interpreter.
 
     [audit] arms an {!Acq_audit.Audit} pipeline per query on the {e
     first} spec's plan: predictions come from a train-data backend
@@ -58,9 +45,7 @@ val run :
     {!Acq_core.Planner.default_options}), the plan's test sweep feeds
     the calibration probe, and a checkpoint (with the test set as the
     regret window) runs after each query. Measured costs are
-    unchanged. Audit is sequential-only: combining [audit] with
-    [pool] raises [Invalid_argument], because one probe's cells must
-    not be fed from concurrent domains. *)
+    unchanged. *)
 
 val gains : query_run list -> baseline:int -> target:int -> float array
 (** Per-query ratio [cost baseline / cost target] (> 1 when the target

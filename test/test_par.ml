@@ -120,60 +120,6 @@ let test_planner_differential () =
       algos
   done
 
-(* Tier-parallel Exhaustive: fanning the root DP tier across the pool
-   (one branch attribute per forked search context, deterministic
-   memo/counter merge) returns the bit-identical plan and cost, and
-   two independent fanned runs agree with each other — including on
-   the merged effort counters, which may exceed the sequential ones
-   (parallel branches forgo cross-branch bound tightening) but must be
-   the same number every run. *)
-let test_exhaustive_tier_fanout () =
-  Dp.with_pool ~domains:(test_domains ()) @@ fun pool ->
-  let fanout = Dp.fanout pool in
-  for seed = 0 to 49 do
-    let ds, q = make_instance seed in
-    let here = Printf.sprintf "seed%d" seed in
-    let seq = P.plan ~options P.Exhaustive q ~train:ds in
-    let par = P.plan ~options ~fanout P.Exhaustive q ~train:ds in
-    let par' = P.plan ~options ~fanout P.Exhaustive q ~train:ds in
-    Alcotest.(check bool)
-      (here ^ " plan tree") true
-      (Plan.equal seq.P.plan par.P.plan);
-    Alcotest.(check (float 0.0)) (here ^ " est cost") seq.P.est_cost par.P.est_cost;
-    Alcotest.(check int) (here ^ " plan size") (plan_size seq) (plan_size par);
-    Alcotest.(check bool)
-      (here ^ " rerun plan tree") true
-      (Plan.equal par.P.plan par'.P.plan);
-    Alcotest.(check int)
-      (here ^ " counters deterministic across fanned runs")
-      par.P.stats.Acq_core.Search.nodes_solved
-      par'.P.stats.Acq_core.Search.nodes_solved
-  done
-
-(* Over a memoized backend the fanout must be refused (the memo
-   combinator's shared cache mutates on read), silently falling back
-   to the sequential sweep. *)
-let test_exhaustive_fanout_memo_guard () =
-  Dp.with_pool ~domains:(test_domains ()) @@ fun pool ->
-  let fanout = Dp.fanout pool in
-  let memo_opts =
-    {
-      options with
-      P.prob_model =
-        { Acq_prob.Backend.default_spec with Acq_prob.Backend.memoize = true };
-    }
-  in
-  for seed = 0 to 9 do
-    let ds, q = make_instance seed in
-    let here = Printf.sprintf "memo/seed%d" seed in
-    let seq = P.plan ~options:memo_opts P.Exhaustive q ~train:ds in
-    let par = P.plan ~options:memo_opts ~fanout P.Exhaustive q ~train:ds in
-    Alcotest.(check bool)
-      (here ^ " plan tree") true
-      (Plan.equal seq.P.plan par.P.plan);
-    Alcotest.(check (float 0.0)) (here ^ " est cost") seq.P.est_cost par.P.est_cost
-  done
-
 (* Portfolio: racing in parallel picks exactly the plan a sequential
    sweep would — cheapest est cost, ties to the earlier arm. *)
 let test_portfolio_matches_sequential () =
@@ -248,53 +194,6 @@ let test_parallel_experiment_determinism () =
   let n = test_domains () in
   let once () = Dp.with_pool ~domains:n (fun pool -> canon (fan ~pool ())) in
   Alcotest.(check string) "two pool runs byte-identical" (once ()) (once ())
-
-(* Experiment.run ?pool (the workload harness) agrees with its own
-   sequential path on every per-query number. *)
-let test_experiment_pool_matches_sequential () =
-  let ds, _ = make_instance 1001 in
-  let train, test = DS.split_by_time ds ~train_fraction:0.5 in
-  let schema = DS.schema ds in
-  let domains = S.domains schema in
-  let rng = Rng.create 11 in
-  let queries =
-    List.init 10 (fun _ ->
-        let n_preds = 1 + Rng.int rng (min 3 (S.arity schema)) in
-        Q.create schema (random_preds rng ~domains ~n_preds))
-  in
-  let module E = Acq_workload.Experiment in
-  let specs =
-    [
-      {
-        E.name = "heuristic";
-        build = (fun q -> P.plan ~options P.Heuristic q ~train);
-      };
-      {
-        E.name = "exhaustive";
-        build = (fun q -> P.plan ~options P.Exhaustive q ~train);
-      };
-    ]
-  in
-  let run ?pool () = E.run ?pool ~specs ~queries ~train ~test () in
-  let seq = run () in
-  let par =
-    Dp.with_pool ~domains:(test_domains ()) (fun pool -> run ~pool ())
-  in
-  List.iteri
-    (fun i ((s : E.query_run), (p : E.query_run)) ->
-      let here = Printf.sprintf "query %d" i in
-      Alcotest.(check bool) (here ^ " est") true (s.E.est_costs = p.E.est_costs);
-      Alcotest.(check bool)
-        (here ^ " test costs") true
-        (s.E.test_costs = p.E.test_costs);
-      Alcotest.(check bool)
-        (here ^ " train costs") true
-        (s.E.train_costs = p.E.train_costs);
-      Alcotest.(check bool)
-        (here ^ " plan tests") true
-        (s.E.plan_tests = p.E.plan_tests);
-      Alcotest.(check bool) (here ^ " consistent") s.E.consistent p.E.consistent)
-    (List.combine seq par)
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation: losing arms lose gracefully. *)
@@ -455,9 +354,9 @@ let test_shard_merge () =
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent reads of one empirical backend. Its count tables and its
-   deferred children's rows are caches filled on first use, and
-   tier-parallel Exhaustive reads one root backend from several
-   domains, so workers race to fill the same slots. Every worker must
+   deferred children's rows are caches filled on first use, and the
+   backend promises safe reads from several domains at once, so
+   workers race to fill the same slots. Every worker must
    read exactly the sequential answers, and none may raise. *)
 
 let test_shared_empirical_reads () =
@@ -546,18 +445,12 @@ let () =
         [
           Alcotest.test_case "every planner, pool = sequential, 50 seeds"
             `Quick test_planner_differential;
-          Alcotest.test_case "exhaustive tier fanout = sequential, 50 seeds"
-            `Quick test_exhaustive_tier_fanout;
-          Alcotest.test_case "fanout refused over memoized backend" `Quick
-            test_exhaustive_fanout_memo_guard;
-          Alcotest.test_case "portfolio = sequential argmin, 50 seeds" `Quick
-            test_portfolio_matches_sequential;
           Alcotest.test_case "fan-out reports byte-identical" `Quick
             test_parallel_experiment_determinism;
-          Alcotest.test_case "Experiment.run pool = sequential" `Quick
-            test_experiment_pool_matches_sequential;
           Alcotest.test_case "shared empirical backend, concurrent reads"
             `Quick test_shared_empirical_reads;
+          Alcotest.test_case "portfolio = sequential argmin, 50 seeds" `Quick
+            test_portfolio_matches_sequential;
         ] );
       ( "cancellation",
         [

@@ -272,6 +272,148 @@ let test_engine_subscribe_tick () =
   Alcotest.(check int) "dropped" 2 (Engine.drop_owner engine 3);
   Alcotest.(check int) "all released" 0 (Engine.live_subscriptions engine)
 
+(* Every counter the daemon exports for a fixed engine script: two
+   tenants, five heuristic subscriptions over two shapes, 300 ticks,
+   one RUN, one UNSUBSCRIBE, 50 more ticks. The literals are the
+   script's sorted Prometheus series, generated once and checked in;
+   time-valued [*_ms] series and their buckets are left out. Counters
+   are identities, so any change to how they are resolved or
+   accumulated must leave every value as it is. *)
+let heuristic_opts =
+  { Protocol.no_opts with Protocol.planner = Some (Protocol.Fixed P.Heuristic) }
+
+let pinned_series =
+  [
+    {|acqp_adapt_cache_hits_total 5|};
+    {|acqp_adapt_cache_size 2|};
+    {|acqp_adapt_drift{algorithm="Heuristic"} 0.204375|};
+    {|acqp_adapt_supervised_sessions 4|};
+    {|acqp_executor_acquisitions_total{attr="hour"} 0|};
+    {|acqp_executor_acquisitions_total{attr="humidity"} 1000|};
+    {|acqp_executor_acquisitions_total{attr="light"} 900|};
+    {|acqp_executor_acquisitions_total{attr="nodeid"} 0|};
+    {|acqp_executor_acquisitions_total{attr="temp"} 0|};
+    {|acqp_executor_acquisitions_total{attr="voltage"} 0|};
+    {|acqp_executor_matches_total 1000|};
+    {|acqp_executor_traversal_depth_bucket{le="+Inf"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="1"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="128"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="16"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="2"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="32"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="4"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="64"} 1900|};
+    {|acqp_executor_traversal_depth_bucket{le="8"} 1900|};
+    {|acqp_executor_traversal_depth_count 1900|};
+    {|acqp_executor_traversal_depth_sum 0|};
+    {|acqp_executor_tuples_total 1900|};
+    {|acqp_mote_acquisition_energy_total{mote="0"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="1"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="10"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="11"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="2"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="3"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="4"} 1600|};
+    {|acqp_mote_acquisition_energy_total{mote="5"} 1600|};
+    {|acqp_mote_acquisition_energy_total{mote="6"} 1600|};
+    {|acqp_mote_acquisition_energy_total{mote="7"} 1600|};
+    {|acqp_mote_acquisition_energy_total{mote="8"} 1700|};
+    {|acqp_mote_acquisition_energy_total{mote="9"} 1700|};
+    {|acqp_mote_radio_energy_total{mote="0"} 0|};
+    {|acqp_mote_radio_energy_total{mote="1"} 0|};
+    {|acqp_mote_radio_energy_total{mote="10"} 0|};
+    {|acqp_mote_radio_energy_total{mote="11"} 0|};
+    {|acqp_mote_radio_energy_total{mote="2"} 0|};
+    {|acqp_mote_radio_energy_total{mote="3"} 0|};
+    {|acqp_mote_radio_energy_total{mote="4"} 0|};
+    {|acqp_mote_radio_energy_total{mote="5"} 0|};
+    {|acqp_mote_radio_energy_total{mote="6"} 0|};
+    {|acqp_mote_radio_energy_total{mote="7"} 0|};
+    {|acqp_mote_radio_energy_total{mote="8"} 0|};
+    {|acqp_mote_radio_energy_total{mote="9"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="0"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="1"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="10"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="11"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="2"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="3"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="4"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="5"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="6"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="7"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="8"} 0|};
+    {|acqp_mote_tx_bytes_total{mote="9"} 0|};
+    {|acqp_par_portfolio_arm_total{algorithm="Heuristic",status="finished"} 4|};
+    {|acqp_par_portfolio_races_total 4|};
+    {|acqp_par_portfolio_wins_total{algorithm="Heuristic"} 4|};
+    {|acqp_planner_estimator_calls_total{algorithm="Heuristic"} 707|};
+    {|acqp_planner_memo_hits_total{algorithm="Heuristic"} 0|};
+    {|acqp_planner_nodes_solved_total{algorithm="Heuristic"} 700|};
+    {|acqp_planner_plan_bytes_total{algorithm="Heuristic"} 18|};
+    {|acqp_planner_plans_total{algorithm="Heuristic"} 5|};
+    {|acqp_planner_pruned_total{algorithm="Heuristic"} 0|};
+    {|acqp_runtime_epochs_total 200|};
+    {|acqp_runtime_plan_bytes 4|};
+    {|acqpd_events_total{tenant="t0"} 650|};
+    {|acqpd_events_total{tenant="t1"} 350|};
+    {|acqpd_requests_total{tenant="t0",verb="subscribe"} 3|};
+    {|acqpd_requests_total{tenant="t0",verb="unsubscribe"} 1|};
+    {|acqpd_requests_total{tenant="t1",verb="run"} 1|};
+    {|acqpd_requests_total{tenant="t1",verb="subscribe"} 2|};
+    {|acqpd_sessions{tenant="t0"} 2|};
+    {|acqpd_sessions{tenant="t1"} 2|};
+    {|acqpd_tenant_quota_nodes{tenant="t0"} 1999731|};
+    {|acqpd_tenant_quota_nodes{tenant="t1"} 1999569|};
+    {|acqpd_ticks_total 350|};
+  ]
+
+let timeless_series prom =
+  String.split_on_char '\n' prom
+  |> List.filter (fun l ->
+         l <> ""
+         && l.[0] <> '#'
+         &&
+         let name =
+           match String.index_opt l '{' with
+           | Some i -> String.sub l 0 i
+           | None -> List.hd (String.split_on_char ' ' l)
+         in
+         not
+           (List.exists
+              (fun suffix -> String.ends_with ~suffix name)
+              [ "_ms"; "_ms_bucket"; "_ms_sum"; "_ms_count"; "_ms_total" ]))
+  |> List.sort compare
+
+let test_engine_counters_pinned () =
+  let engine = Engine.create small_spec in
+  let shape_a = chatty and shape_b = "SELECT * WHERE light >= 100 AND temp <= 25" in
+  let sub tenant owner sql =
+    match Engine.subscribe engine ~tenant ~owner heuristic_opts sql with
+    | Ok (id, _) -> id
+    | Error (c, m) -> Alcotest.failf "subscribe: %d %s" c m
+  in
+  let first = sub "t0" 1 shape_a in
+  ignore (sub "t0" 1 shape_b : int);
+  ignore (sub "t0" 2 shape_a : int);
+  ignore (sub "t1" 3 shape_b : int);
+  ignore (sub "t1" 3 shape_a : int);
+  let tick n =
+    for _ = 1 to n do
+      ignore (Engine.tick engine : (int * int * string) list)
+    done
+  in
+  tick 300;
+  (match Engine.run engine ~tenant:"t1" heuristic_opts shape_b with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.failf "run: %d %s" c m);
+  (match Engine.unsubscribe engine ~tenant:"t0" ~owner:1 first with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.failf "unsubscribe: %d %s" c m);
+  tick 50;
+  Alcotest.(check (list string))
+    "Prometheus series" pinned_series
+    (timeless_series (Engine.prometheus engine))
+
 (* ------------------------------------------------------------------ *)
 (* Server + Loadgen, in-process over a real Unix socket *)
 
@@ -463,6 +605,128 @@ let test_server_slow_consumer_sheds () =
     (saw_overload ());
   Alcotest.(check int) "connection still open" 1 (Server.connections server)
 
+(* Sum of every series of one counter family in a Prometheus dump. *)
+let counter engine name =
+  String.split_on_char '\n' (Engine.prometheus engine)
+  |> List.fold_left
+       (fun acc l ->
+         match String.split_on_char ' ' l with
+         | [ series; v ]
+           when series = name || String.starts_with ~prefix:(name ^ "{") series
+           ->
+             acc +. float_of_string v
+         | _ -> acc)
+       0.0
+
+let epoch engine = Acq_adapt.Supervisor.epoch (Engine.supervisor engine)
+
+let count_frames c pred = List.length (List.filter pred c.cframes)
+let is_event = function Protocol.Event _ -> true | _ -> false
+let is_overload = function Protocol.Overload _ -> true | _ -> false
+let is_reply = function Protocol.Reply _ -> true | _ -> false
+
+(* HELLO plus [n] chatty heuristic subscriptions; returns the ids. *)
+let subscribe_chatty server c ~tenant n =
+  cli_send c ("HELLO " ^ tenant);
+  for _ = 1 to n do
+    cli_send c ("SUBSCRIBE algo=heuristic " ^ chatty)
+  done;
+  pump_until server c ~frames:(1 + n);
+  List.rev c.cframes
+  |> List.filter_map (function
+       | Protocol.Reply p when String.starts_with ~prefix:"subscribed " p ->
+           Some (Scanf.sscanf p "subscribed %d" Fun.id)
+       | _ -> None)
+
+(* A lone subscriber that stops reading pauses the stream instead of
+   losing events: the tick batch runs only while some subscriber has
+   an empty write queue, so the queue never grows past one batch. *)
+let test_server_stalled_subscriber_pauses () =
+  with_server "acqpd_test_stall.sock" @@ fun path engine server ->
+  let c = cli_connect path in
+  Fun.protect ~finally:(fun () -> cli_close c) @@ fun () ->
+  let ids = subscribe_chatty server c ~tenant:"t0" 50 in
+  Alcotest.(check int) "subscribed" 50 (List.length ids);
+  (* Go silent: the kernel buffer absorbs a few batches, then the
+     epoch must stop advancing. *)
+  let still = ref 0 and polls = ref 0 in
+  while !still < 200 && !polls < 20_000 do
+    let before = epoch engine in
+    Server.poll ~timeout_ms:0 server;
+    if epoch engine = before then incr still else still := 0;
+    incr polls
+  done;
+  Alcotest.(check bool) "stream paused for the stalled subscriber" true
+    (!still >= 200);
+  Alcotest.(check (float 0.0)) "nothing shed while paused" 0.0
+    (counter engine "acqpd_shed_events_total");
+  (* Read again: the stream resumes. *)
+  let paused = epoch engine in
+  let steps = ref 0 in
+  while epoch engine < paused + 100 && !steps < 20_000 do
+    Server.poll ~timeout_ms:0 server;
+    cli_pump c;
+    incr steps
+  done;
+  Alcotest.(check bool) "stream resumed once the client read" true
+    (epoch engine >= paused + 100);
+  (* Unsubscribe everything; once every reply is read, no event is in
+     flight and the client has read every event the engine produced. *)
+  List.iter (fun id -> cli_send c (Printf.sprintf "UNSUBSCRIBE %d" id)) ids;
+  let replies = 1 + (2 * List.length ids) in
+  let steps = ref 0 in
+  while count_frames c is_reply < replies && !steps < 20_000 do
+    Server.poll ~timeout_ms:0 server;
+    cli_pump c;
+    incr steps
+  done;
+  Alcotest.(check int) "every request answered" replies
+    (count_frames c is_reply);
+  Alcotest.(check int) "no OVERLOAD" 0 (count_frames c is_overload);
+  Alcotest.(check (float 0.0)) "nothing shed" 0.0
+    (counter engine "acqpd_shed_events_total");
+  Alcotest.(check (float 0.0)) "every event delivered"
+    (counter engine "acqpd_events_total")
+    (float_of_int (count_frames c is_event))
+
+(* Beside a subscriber that keeps reading, the stream keeps advancing
+   and a silent one is shed with notice, still connected. *)
+let test_server_silent_beside_reader_shed () =
+  with_server "acqpd_test_pair.sock" @@ fun path engine server ->
+  let silent = cli_connect path and reader = cli_connect path in
+  Fun.protect
+    ~finally:(fun () ->
+      cli_close silent;
+      cli_close reader)
+  @@ fun () ->
+  ignore (subscribe_chatty server silent ~tenant:"t0" 50 : int list);
+  ignore (subscribe_chatty server reader ~tenant:"t1" 1 : int list);
+  let steps = ref 0 in
+  while counter engine "acqpd_shed_events_total" = 0.0 && !steps < 20_000 do
+    Server.poll ~timeout_ms:0 server;
+    cli_pump reader;
+    incr steps
+  done;
+  Alcotest.(check bool) "silent consumer shed" true
+    (counter engine "acqpd_shed_events_total" > 0.0);
+  let before = epoch engine in
+  for _ = 1 to 100 do
+    Server.poll ~timeout_ms:0 server;
+    cli_pump reader
+  done;
+  Alcotest.(check bool) "stream still advancing" true (epoch engine > before);
+  Alcotest.(check int) "both connections open" 2 (Server.connections server);
+  (* The silent client finds the gap announced in its stream. *)
+  let steps = ref 0 in
+  while count_frames silent is_overload = 0 && !steps < 5_000 do
+    Server.poll ~timeout_ms:0 server;
+    cli_pump silent;
+    cli_pump reader;
+    incr steps
+  done;
+  Alcotest.(check bool) "OVERLOAD notice delivered in-stream" true
+    (count_frames silent is_overload > 0)
+
 (* The headline scenario: >= 1000 concurrent continuous sessions from
    one load generator, malformed clients sprinkled in, then a graceful
    drain that BYEs everyone. *)
@@ -556,6 +820,8 @@ let () =
             test_engine_admission;
           Alcotest.test_case "subscribe, tick, unsubscribe" `Quick
             test_engine_subscribe_tick;
+          Alcotest.test_case "counters pinned for a fixed script" `Quick
+            test_engine_counters_pinned;
         ] );
       ( "server",
         [
@@ -567,6 +833,10 @@ let () =
             test_server_removed_exec_option;
           Alcotest.test_case "slow consumer sheds with OVERLOAD" `Quick
             test_server_slow_consumer_sheds;
+          Alcotest.test_case "stalled lone subscriber pauses, loses nothing"
+            `Quick test_server_stalled_subscriber_pauses;
+          Alcotest.test_case "silent subscriber beside a reader is shed"
+            `Quick test_server_silent_beside_reader_shed;
           Alcotest.test_case "1000+ sessions, then graceful drain" `Slow
             test_server_thousand_sessions_and_drain;
         ] );
