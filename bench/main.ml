@@ -874,12 +874,10 @@ let queries4 seed ~lo_range n =
       Acq_plan.Query.create schema4 [ pred 0; pred 1; pred 2; pred 3 ])
 
 (* ------------------------------------------------------------------ *)
-(* prob: (1) the packed dense table's O(1) unconditioned range_prob
-   against the empirical backend's O(rows) view scan, and (2) the memo
-   combinator's hit rate when one shared memoized backend serves an
-   exhaustive-planner workload over a 4-attribute problem, with a
-   differential check that memoization leaves every plan and expected
-   cost byte-identical. Floors: speedup >= 3, hit rate >= 0.5. *)
+(* prob: the memo combinator's hit rate when one shared memoized
+   backend serves an exhaustive-planner workload over a 4-attribute
+   problem, with a differential check that memoization leaves every
+   plan and expected cost byte-identical. Floor: hit rate >= 0.5. *)
 
 let prob_memo_queries = 12
 
@@ -887,47 +885,6 @@ let prob_section () =
   let module P = Acq_core.Planner in
   let module B = Acq_prob.Backend in
   let module Rng = Acq_util.Rng in
-  (* -- kernel 1: range_prob, dense vs empirical --------------------- *)
-  let ds = Lazy.force K.lab_coarse in
-  let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
-  let n = Array.length domains in
-  let rng = Rng.create 771 in
-  let probes =
-    Array.init 1024 (fun _ ->
-        let a = Rng.int rng n in
-        let k = domains.(a) in
-        let lo = Rng.int rng k in
-        let hi = lo + Rng.int rng (k - lo) in
-        (a, Acq_plan.Range.make lo hi))
-  in
-  let empirical_b = B.empirical ds in
-  let dense_b = B.dense ds in
-  (* Paranoia: the two paths must agree before we compare their speed. *)
-  Array.iter
-    (fun (a, r) ->
-      let e = B.range_prob empirical_b a r in
-      let d = B.range_prob dense_b a r in
-      if Float.abs (e -. d) > 1e-9 then
-        failwith
-          (Printf.sprintf "dense disagrees with empirical on range_prob: %g vs %g" e d))
-    probes;
-  let sink = ref 0.0 in
-  let sweep reps range_prob () =
-    for _ = 1 to reps do
-      Array.iter (fun (a, r) -> sink := !sink +. range_prob a r) probes
-    done
-  in
-  let empirical_reps = 8 and dense_reps = 2048 in
-  let empirical_s, dense_s, ratio =
-    paired ~rounds:empirical_reps
-      (sweep 1 (B.range_prob empirical_b))
-      (sweep (dense_reps / empirical_reps) (B.range_prob dense_b))
-  in
-  let ns_per_query reps s =
-    spread_json (scale (1e9 /. float_of_int (reps * Array.length probes)) s)
-  in
-  let speedup = scale (float_of_int dense_reps /. float_of_int empirical_reps) ratio in
-  (* -- kernel 2: memo hit rate on an exhaustive 4-attribute workload - *)
   let ds4 =
     corr4 772 (fun rng base ->
         [|
@@ -973,16 +930,6 @@ let prob_section () =
   J.Obj
     [
       ("version", J.Num 1.0);
-      ( "range_prob",
-        J.Obj
-          [
-            ("dataset", J.Str "lab-coarse");
-            ("rows", jint (Acq_data.Dataset.nrows ds));
-            ("probes", jint (Array.length probes));
-            ("empirical_ns_per_query", ns_per_query empirical_reps empirical_s);
-            ("dense_ns_per_query", ns_per_query dense_reps dense_s);
-            ("speedup", spread_json speedup);
-          ] );
       ( "memo",
         J.Obj
           [
@@ -996,7 +943,6 @@ let prob_section () =
       ( "summary",
         J.Obj
           [
-            ("dense_speedup", spread_json speedup);
             ("memo_hit_rate", J.Num hit_rate);
             ("plans_identical_with_memo", J.Bool identical);
           ] );
@@ -1157,7 +1103,7 @@ let exec_section () =
    3. Calibration ordering: on a correlated synthetic workload the
       pooled calibration gap ranks the estimators as the paper's
       ablation predicts — independence (correlation-blind) worst,
-      Chow-Liu between, dense (exact joint on its own data) ~0 — plus
+      Chow-Liu between, empirical (exact counts on its own data) ~0 — plus
       a regret assessment showing the independence-planned plan pays
       realized regret against the replanned arms. *)
 
@@ -1193,7 +1139,11 @@ let audit_section () =
   let backends =
     List.map
       (fun (name, kind) -> (name, B.of_dataset ~spec:{ B.kind; memoize = false } ds4))
-      [ ("independence", B.Independence); ("chow-liu", B.Chow_liu); ("dense", B.Dense) ]
+      [
+        ("independence", B.Independence);
+        ("chow-liu", B.Chow_liu);
+        ("empirical", B.Empirical);
+      ]
   in
   let trackers = List.map (fun (name, _) -> (name, Cal.create names4)) backends in
   List.iter
@@ -1225,9 +1175,9 @@ let audit_section () =
   let err name = Cal.calibration_error (List.assoc name trackers) in
   let indep_err = err "independence" in
   let cl_err = err "chow-liu" in
-  let dense_err = err "dense" in
+  let empirical_err = err "empirical" in
   let independence_gt_chow_liu = indep_err > cl_err in
-  let chow_liu_ge_dense = cl_err >= dense_err -. 1e-9 in
+  let chow_liu_ge_empirical = cl_err >= empirical_err -. 1e-9 in
   (* -- regret: price the independence-planned plan against the arms -- *)
   let regret_q = List.hd queries4 in
   let indep_plan =
@@ -1263,12 +1213,12 @@ let audit_section () =
             ("queries", jint audit_calib_queries);
             ("independence_error", J.Num indep_err);
             ("chow_liu_error", J.Num cl_err);
-            ("dense_error", J.Num dense_err);
+            ("empirical_error", J.Num empirical_err);
             ( "ordering",
               J.Obj
                 [
                   ("independence_gt_chow_liu", J.Bool independence_gt_chow_liu);
-                  ("chow_liu_ge_dense", J.Bool chow_liu_ge_dense);
+                  ("chow_liu_ge_empirical", J.Bool chow_liu_ge_empirical);
                 ] );
           ] );
       ( "regret",
@@ -1296,7 +1246,7 @@ let audit_section () =
             ("audit_overhead", comp_slowdown);
             ("identical", J.Bool identical);
             ( "calibration_ordering_holds",
-              J.Bool (independence_gt_chow_liu && chow_liu_ge_dense) );
+              J.Bool (independence_gt_chow_liu && chow_liu_ge_empirical) );
             ("regret_ratio", J.Num regret.R.regret_ratio);
           ] );
     ]

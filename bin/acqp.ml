@@ -138,20 +138,20 @@ let model_conv =
   in
   Arg.conv (parse, print)
 
-(* A model the dataset can't support (e.g. --model dense on a joint
-   domain beyond the packed-table cap) is a usage error, not a crash;
-   backend-construction guards all raise with a "Backend." prefix. *)
-let or_model_error f =
-  try f ()
-  with
-  | Invalid_argument msg
-    when String.length msg >= 8 && String.sub msg 0 8 = "Backend." ->
-    Printf.eprintf
-      "acqp: %s\n\
-       the selected --model cannot represent this dataset's joint \
-       domain; try empirical, chow-liu, or independence.\n"
-      msg;
+(* A planner that runs out of its search budget or its --deadline-ms
+   before finding a plan fails the command with the daemon's 429 texts;
+   it is not an internal error. stdout is flushed first so the line
+   follows the query header it belongs to. *)
+let or_planning_failure f =
+  let fail msg =
+    flush stdout;
+    prerr_endline ("acqp: " ^ msg);
     exit 1
+  in
+  try f () with
+  | Acq_core.Search.Budget_exceeded ->
+      fail "planning budget exhausted before a plan was found"
+  | Acq_core.Search.Deadline_exceeded -> fail "planning deadline exceeded"
 
 let model_arg =
   Arg.(
@@ -160,12 +160,11 @@ let model_arg =
     & info [ "model"; "m" ] ~docv:"MODEL"
         ~doc:
           "Probability backend the planner estimates selectivities with: \
-           $(b,empirical) (raw training counts), $(b,dense) (packed joint \
-           table with O(1) marginal range queries), $(b,chow-liu) \
+           $(b,empirical) (raw training counts), $(b,chow-liu) \
            (smoothed dependency-tree model), or $(b,independence) \
            (marginals only, the correlation-blind baseline). Append \
            $(b,,memo) to cache estimates per conditioning context, e.g. \
-           'dense,memo'.")
+           'empirical,memo'.")
 
 (* Telemetry plumbing shared by plan/run: build a live handle only
    when an output file was requested, flush on completion. *)
@@ -429,7 +428,7 @@ let plan_cmd =
       (if portfolio then "portfolio (exhaustive / heuristic / corrseq / pac)"
        else Acq_core.Planner.algorithm_name algo)
       (Acq_prob.Backend.spec_to_string model);
-    or_model_error @@ fun () ->
+    or_planning_failure @@ fun () ->
     with_telemetry ~metrics_out ~trace_out @@ fun obs ->
     if not portfolio then
       let r = Acq_core.Planner.plan ~options ~telemetry:obs algo q ~train in
@@ -572,7 +571,7 @@ let run_cmd =
       (Acq_plan.Query.describe q)
       (Acq_core.Planner.algorithm_name algo)
       (Acq_prob.Backend.spec_to_string model);
-    or_model_error @@ fun () ->
+    or_planning_failure @@ fun () ->
     with_telemetry ~metrics_out ~trace_out @@ fun obs ->
     let audit =
       if audit || audit_out <> None || flight_out <> None then
@@ -674,7 +673,7 @@ let audit_cmd =
       (Acq_plan.Query.describe q)
       (Acq_core.Planner.algorithm_name algo)
       (Acq_prob.Backend.spec_to_string model);
-    or_model_error @@ fun () ->
+    or_planning_failure @@ fun () ->
     with_telemetry ~metrics_out ~trace_out @@ fun obs ->
     let audit =
       Acq_audit.Audit.create ~telemetry:obs ~regret_every

@@ -9,7 +9,7 @@
     {!Acq_exec.Probe.t} the executors feed. Prediction [i] is
     P(node i's band | path to node i) — the same conditional the
     planner used at that node — so on the estimator's own training
-    distribution, empirical and dense backends calibrate to ~0 gap. *)
+    distribution, the empirical backend calibrates to ~0 gap. *)
 
 type t
 

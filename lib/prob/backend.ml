@@ -326,172 +326,6 @@ let of_view view =
 let empirical ds = of_view (View.of_dataset ds)
 
 (* ------------------------------------------------------------------ *)
-(* Dense: the full joint table packed as one flat float array, shared
-   (never copied) across the whole restriction tree; conditioning is
-   the mask vector alone. Per-attribute prefix-sum marginals answer
-   the unconditioned [range_prob] in O(1) — the hot query of the
-   split-grid scans at the DP root. *)
-
-type dense_state = {
-  d_domains : int array;
-  strides : int array;
-  cells : float array;  (* packed counts, row-major, immutable *)
-  total : float;
-  prefix : float array array;  (* unconditioned marginal prefix sums *)
-  masks : Cond.t;
-  pristine : bool array;  (* masks.(a) is all-true *)
-  cweight : float;  (* rows consistent with the masks *)
-}
-
-let dense_max_cells = 1 lsl 22
-
-module Dense_impl = struct
-  type state = dense_state
-
-  let name = "dense"
-  let weight st = st.cweight
-
-  (* Fold the packed counts of every cell consistent with the masks —
-     with one attribute's mask optionally tightened by [extra] — into
-     [f]. [f] receives the cell's coordinates and its count. *)
-  let iter_cells ?(oattr = -1) ?(extra = fun _ -> true) st f =
-    let n = Array.length st.d_domains in
-    let vals = Array.make n 0 in
-    let rec walk a base =
-      if a = n then f vals st.cells.(base)
-      else begin
-        let mask = st.masks.(a) in
-        for v = 0 to st.d_domains.(a) - 1 do
-          if mask.(v) && (a <> oattr || extra v) then begin
-            vals.(a) <- v;
-            walk (a + 1) (base + (st.strides.(a) * v))
-          end
-        done
-      end
-    in
-    walk 0 0
-
-  let count_where ?oattr ?extra st =
-    let acc = ref 0.0 in
-    iter_cells ?oattr ?extra st (fun _ c -> acc := !acc +. c);
-    !acc
-
-  let range_prob st attr (r : Acq_plan.Range.t) =
-    if st.cweight <= 0.0 then 0.0
-    else if Array.for_all Fun.id st.pristine then begin
-      (* Unconditioned: O(1) from the prefix-sum marginal. *)
-      let k = st.d_domains.(attr) in
-      let lo = max 0 r.lo and hi = min (k - 1) r.hi in
-      if lo > hi then 0.0
-      else (st.prefix.(attr).(hi + 1) -. st.prefix.(attr).(lo)) /. st.total
-    end
-    else
-      count_where ~oattr:attr ~extra:(Acq_plan.Range.contains r) st
-      /. st.cweight
-
-  let value_probs st attr =
-    let k = st.d_domains.(attr) in
-    let h = Array.make k 0.0 in
-    if st.cweight <= 0.0 then h
-    else begin
-      iter_cells st (fun vals c -> h.(vals.(attr)) <- h.(vals.(attr)) +. c);
-      Array.map (fun c -> c /. st.cweight) h
-    end
-
-  let pred_prob st (p : Acq_plan.Predicate.t) =
-    if st.cweight <= 0.0 then 0.0
-    else
-      count_where ~oattr:p.attr ~extra:(Acq_plan.Predicate.eval p) st
-      /. st.cweight
-
-  let pattern_probs st preds =
-    let m = Array.length preds in
-    if m > 20 then invalid_arg "Backend.dense: too many predicates";
-    let counts = Array.make (1 lsl m) 0.0 in
-    iter_cells st (fun vals c ->
-        let mask = ref 0 in
-        for j = 0 to m - 1 do
-          let p = preds.(j) in
-          if Acq_plan.Predicate.eval p vals.(p.attr) then
-            mask := !mask lor (1 lsl j)
-        done;
-        counts.(!mask) <- counts.(!mask) +. c);
-    if st.cweight <= 0.0 then counts
-    else Array.map (fun c -> c /. st.cweight) counts
-
-  let with_masks st masks =
-    let st' =
-      {
-        st with
-        masks;
-        pristine = Array.map (Array.for_all Fun.id) masks;
-        cweight = 0.0;
-      }
-    in
-    { st' with cweight = count_where st' }
-
-  let restrict_range st attr r =
-    with_masks st (Cond.narrow_range st.masks attr r)
-
-  let restrict_pred st p truth = with_masks st (Cond.narrow_pred st.masks p truth)
-
-  include Exact (struct
-    type nonrec state = state
-
-    let range_prob = range_prob
-    let pred_prob = pred_prob
-  end)
-
-  let max_pattern_preds _ = None
-  let cond_signature st = Cond.signature st.masks
-end
-
-let dense ds =
-  let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
-  let n = Array.length domains in
-  let ncells = Array.fold_left ( * ) 1 domains in
-  if ncells > dense_max_cells then
-    invalid_arg "Backend.dense: joint table too large";
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * domains.(i + 1)
-  done;
-  let cells = Array.make ncells 0.0 in
-  let marg = Array.map (fun k -> Array.make k 0.0) domains in
-  Acq_data.Dataset.iter_rows ds (fun r ->
-      let idx = ref 0 in
-      for a = 0 to n - 1 do
-        let v = Acq_data.Dataset.get ds r a in
-        idx := !idx + (strides.(a) * v);
-        marg.(a).(v) <- marg.(a).(v) +. 1.0
-      done;
-      cells.(!idx) <- cells.(!idx) +. 1.0);
-  let prefix =
-    Array.map
-      (fun h ->
-        let k = Array.length h in
-        let p = Array.make (k + 1) 0.0 in
-        for v = 0 to k - 1 do
-          p.(v + 1) <- p.(v) +. h.(v)
-        done;
-        p)
-      marg
-  in
-  let total = float_of_int (Acq_data.Dataset.nrows ds) in
-  B
-    ( (module Dense_impl),
-      {
-        d_domains = domains;
-        strides;
-        cells;
-        total;
-        prefix;
-        masks = Cond.full domains;
-        pristine = Array.make n true;
-        cweight = total;
-      } )
-
-(* ------------------------------------------------------------------ *)
 (* Independence: product of per-attribute histograms — the
    correlation-blind model a traditional optimizer assumes.
    Restriction narrows only the restricted attribute's mask; the
@@ -996,7 +830,6 @@ let memo ?telemetry b = fst (memo_with_handle ?telemetry b)
 
 type kind =
   | Empirical
-  | Dense
   | Chow_liu
   | Independence
   | Sampled of { n : int; delta : float }
@@ -1017,7 +850,6 @@ let float_to_string f =
 
 let kind_to_string = function
   | Empirical -> "empirical"
-  | Dense -> "dense"
   | Chow_liu -> "chow-liu"
   | Independence -> "independence"
   | Sampled { n; delta } ->
@@ -1032,7 +864,7 @@ let spec_error_to_string e =
   Printf.sprintf "unknown model %S: %s" e.input e.reason
 
 let spec_grammar =
-  "expected empirical|dense|chow-liu|independence|sampled[(n,delta)], \
+  "expected empirical|chow-liu|independence|sampled[(n,delta)], \
    optionally followed by \",memo\""
 
 let parse_sampled_args body =
@@ -1051,7 +883,6 @@ let spec_of_string str =
   let err reason = Error { input = str; reason } in
   let kind_of = function
     | "empirical" -> Some Empirical
-    | "dense" -> Some Dense
     | "chow-liu" | "chow_liu" | "chowliu" -> Some Chow_liu
     | "independence" | "indep" -> Some Independence
     | "sampled" -> Some default_sampled_kind
@@ -1087,7 +918,6 @@ let of_dataset ?telemetry ?(spec = default_spec) ds =
   let base =
     match spec.kind with
     | Empirical -> empirical ds
-    | Dense -> dense ds
     | Chow_liu ->
         chow_liu (Chow_liu.learn ds)
           ~weight:(float_of_int (Acq_data.Dataset.nrows ds))

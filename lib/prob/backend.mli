@@ -4,15 +4,14 @@
     Every planner consumes a packed backend {!t}: a module conforming
     to {!S} paired with its state. Four implementations are provided —
     {!empirical} (view counting over the training data from per-node
-    count tables; the paper's primary method), {!dense} (the
-    full joint table as one flat float array with per-attribute
-    prefix-sum marginals, shared un-copied across the restriction
-    tree), {!chow_liu} (the Section 7 tree graphical model, with
-    incremental pattern inference), and {!independence} (product of
-    per-attribute histograms — the correlation-blind baseline) — plus
-    two combinators: {!counting} (effort accounting) and {!memo} (a
-    cache over (conditioning signature, query) pairs shared by the
-    whole restriction tree). *)
+    count tables; the paper's primary method), {!chow_liu} (the
+    Section 7 tree graphical model, with incremental pattern
+    inference), {!independence} (product of per-attribute histograms —
+    the correlation-blind baseline), and {!sampled} (counting over a
+    tuple sample, with confidence intervals) — plus two combinators:
+    {!counting} (effort accounting) and {!memo} (a cache over
+    (conditioning signature, query) pairs shared by the whole
+    restriction tree). *)
 
 type sampling = { samples : int; delta : float }
 (** Sampling parameters a statistical backend reports: [samples] rows
@@ -124,15 +123,6 @@ val empirical : Acq_data.Dataset.t -> t
 val of_view : View.t -> t
 (** Same, over an existing view (e.g. a sliding window's rows). *)
 
-val dense : Acq_data.Dataset.t -> t
-(** Full joint table packed as a flat float array (row-major, the
-    last attribute varying fastest), with per-attribute prefix-sum
-    marginals making the unconditioned [range_prob] O(1). The table
-    is built once and shared by every restriction; conditioning is a
-    per-attribute boolean mask vector.
-    @raise Invalid_argument when the domain product exceeds [2^22]
-    cells. *)
-
 val independence : Acq_data.Dataset.t -> t
 (** Product of per-attribute histograms; [pattern_probs] factorizes
     across attributes (predicates on the same attribute stay jointly
@@ -190,7 +180,6 @@ val memo_with_handle : ?telemetry:Acq_obs.Telemetry.t -> t -> t * memo_handle
 
 type kind =
   | Empirical
-  | Dense
   | Chow_liu
   | Independence
   | Sampled of { n : int; delta : float }
@@ -224,7 +213,7 @@ type spec_error = { input : string; reason : string }
 val spec_error_to_string : spec_error -> string
 
 val spec_of_string : string -> (spec, spec_error) result
-(** Parse [empirical|dense|chow-liu|independence|sampled], optionally
+(** Parse [empirical|chow-liu|independence|sampled], optionally
     parameterized as [sampled(n,delta)] (a bare [sampled] gets the
     defaults above; [n >= 1], [delta] in (0,1)) and optionally
     followed by [,memo] — the [acqp --model] syntax. *)

@@ -1,12 +1,12 @@
 (** Canonical conditioning state: one allowed-value boolean mask per
     attribute.
 
-    Every mask-based backend ({!Backend.dense}, {!Backend.independence},
-    {!Backend.empirical}, {!Sampled}) reduces its conditioning to this
-    shape, so any two restriction orders that reach the same value sets
-    share a {!signature} — the prefix of the memo combinator's cache
-    keys, and the replay record the sampled backend narrows again after
-    a refinement redraws its sample. *)
+    Every mask-based backend ({!Backend.empirical},
+    {!Backend.independence}, {!Sampled}) reduces its conditioning to
+    this shape, so any two restriction orders that reach the same value
+    sets share a {!signature} — the prefix of the memo combinator's
+    cache keys, and the replay record the sampled backend narrows again
+    after a refinement redraws its sample. *)
 
 type t = bool array array
 

@@ -117,7 +117,7 @@ let backend ?telemetry ?(spec = Backend.default_spec) t =
         Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t))
       in
       if spec.Backend.memoize then Backend.memo ?telemetry b else b
-  | Backend.Dense | Backend.Chow_liu | Backend.Independence ->
+  | Backend.Chow_liu | Backend.Independence ->
       Backend.of_dataset ?telemetry ~spec ds
 
 let drift_marginals t ~reference ~rows =

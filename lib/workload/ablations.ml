@@ -280,8 +280,8 @@ let ablate_prob s =
     "Probability-backend ablation: planning speed vs plan quality per \
      selectivity kernel";
   let rows = pick s ~quick:8_000 ~full:24_000 in
-  (* Coarsened lab: the joint is small enough (~12k cells) for the
-     dense packed table, and queries vary per seed. *)
+  (* Coarsened lab (~12k joint cells) keeps Chow-Liu learning and
+     every arm's planning fast; queries vary per seed. *)
   let ds =
     Acq_data.Dataset.coarsen
       (Acq_data.Lab_gen.generate (Rng.create 71) ~rows)
@@ -352,19 +352,15 @@ let ablate_prob s =
     [
       "empirical";
       "empirical,memo";
-      "dense";
-      "dense,memo";
       "chow-liu";
       "chow-liu,memo";
       "independence";
     ];
   Report.table t;
   Report.note
-    "Reading: empirical and dense agree on every estimate (dense is the \
-     packed O(1)-marginal layout of the same counts), so their plans and \
-     test costs match; memoization leaves plans untouched and pays off \
-     where the planner re-queries the same conditioning context. Chow-Liu \
-     smooths sparse deep-conditioning counts; independence is the \
+    "Reading: memoization leaves plans and test costs untouched and pays \
+     off only where the planner re-queries the same conditioning context. \
+     Chow-Liu smooths sparse deep-conditioning counts; independence is the \
      correlation-blind floor."
 
 (* ------------------------------------------------------------------ *)

@@ -17,10 +17,11 @@ val ablate_model : Figures.scale -> unit
     tree model as the training window shrinks. *)
 
 val ablate_prob : Figures.scale -> unit
-(** Probability-backend ablation: every selectivity kernel (empirical,
-    dense, Chow-Liu, independence, each with and without the memo
-    combinator) planning the same garden workload — planning time,
-    held-out plan cost, estimator calls, and memo hit rate per model. *)
+(** Probability-backend ablation: the empirical, Chow-Liu, and
+    independence kernels (the first two also under the memo
+    combinator) planning the same coarsened-lab workload — planning
+    time, held-out plan cost, estimator calls, and memo hit rate per
+    model. *)
 
 val ablate_spsf : Figures.scale -> unit
 (** Heuristic plan quality vs split-point budget. *)

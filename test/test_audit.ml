@@ -211,8 +211,8 @@ let test_cell_rejects_bad_counts () =
 
 (* ------------------------------------------------------------------ *)
 (* Prediction exactness: on the estimator's own training distribution,
-   the empirical and dense backends calibrate to ~0 gap, because the
-   prediction walk conditions exactly the way the executor filters. *)
+   the empirical backend calibrates to ~0 gap, because the prediction
+   walk conditions exactly the way the executor filters. *)
 
 let correlated_instance seed =
   build_instance
@@ -242,9 +242,8 @@ let test_prediction_exact_on_train () =
       let gap = Cal.calibration_error (Rec.snapshot r) in
       if gap > 0.02 then
         Alcotest.failf "%s backend miscalibrated on its own data: gap %.4f"
-          (match kind with B.Empirical -> "empirical" | _ -> "dense")
-          gap)
-    [ B.Empirical; B.Dense ]
+          (B.kind_to_string kind) gap)
+    [ B.Empirical ]
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: fixed-capacity ring, oldest-first eviction,

@@ -59,7 +59,6 @@ let contenders ds =
       ("independence", B.independence ds);
       ( "chow-liu",
         B.chow_liu (CL.learn ds) ~weight:(float_of_int (DS.nrows ds)) );
-      ("dense", B.dense ds);
       (* Budget >= window: the sample is the window itself, so the
          sampling backend must agree with empirical to the bit. *)
       ("sampled", B.sampled ~n:(DS.nrows ds) ~delta:0.05 ds);
@@ -85,8 +84,8 @@ let correlated_dataset seed domains rows =
 
 (* ------------------------------------------------------------------ *)
 (* Agreement property: every backend (and its memo wrapper) matches
-   Dense on range_prob / value_probs / pred_prob / pattern_probs, to
-   1e-9, before and after an arbitrary restriction chain. *)
+   Empirical on range_prob / value_probs / pred_prob / pattern_probs,
+   to 1e-9, before and after an arbitrary restriction chain. *)
 
 type agree_instance = {
   domains : int array;
@@ -139,18 +138,18 @@ let apply_ops b ops =
 
 let agree what expect got =
   if Float.abs (expect -. got) > 1e-9 then
-    QCheck2.Test.fail_reportf "%s: dense=%.12g got=%.12g" what expect got
+    QCheck2.Test.fail_reportf "%s: empirical=%.12g got=%.12g" what expect got
 
 let prop_backends_agree =
   QCheck2.Test.make ~count:60 ~print:agree_print
-    ~name:"all backends agree with dense on factorial domains"
+    ~name:"all backends agree with empirical on factorial domains"
     agree_gen
     (fun inst ->
       let domains = inst.domains in
       let n = Array.length domains in
       let ds = factorial_dataset domains in
       let ops = normalize_ops domains inst.raw_ops in
-      let reference = apply_ops (B.dense ds) ops in
+      let reference = apply_ops (B.empirical ds) ops in
       let preds =
         Array.init (min n 3) (fun k ->
             Pred.inside ~attr:k ~lo:0 ~hi:(domains.(k) / 2))
@@ -215,7 +214,7 @@ let test_memo_counters () =
 
 let test_memo_restriction_scopes () =
   let ds = factorial_dataset [| 4; 4 |] in
-  let b, h = B.memo_with_handle (B.dense ds) in
+  let b, h = B.memo_with_handle (B.empirical ds) in
   let p = Pred.inside ~attr:1 ~lo:0 ~hi:1 in
   ignore (B.pred_prob b p);
   let b' = B.restrict_range b 0 (R.make 0 1) in
@@ -240,7 +239,7 @@ let test_memo_order_independent_scopes () =
      sets reached in a different restriction order share cache
      entries. *)
   let ds = factorial_dataset [| 4; 4 |] in
-  let b, h = B.memo_with_handle (B.dense ds) in
+  let b, h = B.memo_with_handle (B.empirical ds) in
   let r0 = R.make 0 1 and r1 = R.make 1 3 in
   let ab = B.restrict_range (B.restrict_range b 0 r0) 1 r1 in
   ignore (B.value_probs ab 0);
@@ -421,7 +420,7 @@ let spec_gen =
     let* kind =
       oneof
         [
-          oneofl [ B.Empirical; B.Dense; B.Chow_liu; B.Independence ];
+          oneofl [ B.Empirical; B.Chow_liu; B.Independence ];
           (let* n = int_range 1 100_000 in
            let* delta = float_range 1e-9 0.999 in
            return (B.Sampled { n; delta }));
@@ -470,7 +469,7 @@ let test_spec_errors () =
     [
       "";
       "bogus";
-      "dense,turbo";
+      "empirical,turbo";
       "sampled(";
       "sampled()";
       "sampled(10)";
@@ -495,19 +494,18 @@ let test_spec_parsing () =
       Alcotest.(check string) ("round-trip " ^ s) s (B.spec_to_string (ok s)))
     [
       "empirical";
-      "dense";
       "chow-liu";
       "independence";
       "empirical,memo";
-      "dense,memo";
       "chow-liu,memo";
       "independence,memo";
       "sampled(4,0.1)";
       "sampled(4,0.1),memo";
       "sampled(256,0.05)";
     ];
-  Alcotest.(check bool) "memo flag parsed" true (ok "dense,memo").B.memoize;
-  Alcotest.(check bool) "kind parsed" true ((ok "dense,memo").B.kind = B.Dense);
+  Alcotest.(check bool) "memo flag parsed" true (ok "chow-liu,memo").B.memoize;
+  Alcotest.(check bool) "kind parsed" true
+    ((ok "chow-liu,memo").B.kind = B.Chow_liu);
   Alcotest.(check string) "default spec is the seed behavior" "empirical"
     (B.spec_to_string B.default_spec);
   Alcotest.(check bool) "bare sampled takes the defaults" true
@@ -518,17 +516,9 @@ let test_spec_parsing () =
   (match B.spec_of_string "bogus" with
   | Ok _ -> Alcotest.fail "accepted bogus model"
   | Error _ -> ());
-  match B.spec_of_string "dense,turbo" with
+  match B.spec_of_string "empirical,turbo" with
   | Ok _ -> Alcotest.fail "accepted bogus suffix"
   | Error _ -> ()
-
-let test_dense_capacity_guard () =
-  (* 64^4 joint cells exceed the 2^22 cap. *)
-  let schema = named_schema (Array.make 4 64) in
-  let ds = DS.create schema [| [| 0; 1; 2; 3 |] |] in
-  Alcotest.check_raises "guarded"
-    (Invalid_argument "Backend.dense: joint table too large") (fun () ->
-      ignore (B.dense ds))
 
 let test_of_dataset_spec () =
   let ds = factorial_dataset [| 3; 3 |] in
@@ -545,12 +535,10 @@ let test_of_dataset_spec () =
         (B.name (B.of_dataset ~spec ds)))
     [
       ("empirical", "empirical");
-      ("dense", "dense");
       ("chow-liu", "chow-liu");
       ("independence", "independence");
       ("sampled(8,0.2)", "sampled");
       ("empirical,memo", "memo");
-      ("dense,memo", "memo");
       ("sampled(8,0.2),memo", "memo");
     ]
 
@@ -740,8 +728,6 @@ let () =
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
           QCheck_alcotest.to_alcotest prop_spec_round_trip;
           Alcotest.test_case "spec structured errors" `Quick test_spec_errors;
-          Alcotest.test_case "dense capacity guard" `Quick
-            test_dense_capacity_guard;
           Alcotest.test_case "of_dataset honors spec" `Quick test_of_dataset_spec;
         ] );
     ]

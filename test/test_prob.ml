@@ -37,34 +37,6 @@ let mk_dataset () =
     |]
 
 (* ------------------------------------------------------------------ *)
-(* Index *)
-
-let test_index_counts () =
-  let ds = mk_dataset () in
-  let idx = Acq_prob.Index.build ds in
-  Alcotest.(check (array int)) "rows with a=1" [| 1; 5 |]
-    (Acq_prob.Index.rows_with_value idx ~attr:0 ~value:1);
-  Alcotest.(check int) "count a in [1,2]" 4
-    (Acq_prob.Index.count_in_range idx ~attr:0 (R.make 1 2));
-  Alcotest.(check (array int)) "rows a in [1,2]" [| 1; 2; 5; 6 |]
-    (Acq_prob.Index.rows_in_range idx ~attr:0 (R.make 1 2))
-
-let test_index_matches_scan () =
-  let rng = Rng.create 1 in
-  let schema = mk_schema () in
-  let rows =
-    Array.init 500 (fun _ ->
-        [| Rng.int rng 4; Rng.int rng 3; Rng.int rng 2 |])
-  in
-  let ds = DS.create schema rows in
-  let idx = Acq_prob.Index.build ds in
-  let r = R.make 1 2 in
-  let scan = ref 0 in
-  DS.iter_rows ds (fun row -> if R.contains r (DS.get ds row 0) then incr scan);
-  Alcotest.(check int) "index count = scan count" !scan
-    (Acq_prob.Index.count_in_range idx ~attr:0 r)
-
-(* ------------------------------------------------------------------ *)
 (* View *)
 
 let test_view_full () =
@@ -276,63 +248,6 @@ let test_chow_liu_impossible_evidence () =
   check_float "P(impossible) = 0" 0.0 (Acq_prob.Chow_liu.evidence_prob m e)
 
 (* ------------------------------------------------------------------ *)
-(* Joint *)
-
-let test_joint_matches_view () =
-  let rng = Rng.create 5 in
-  let schema = mk_schema () in
-  let ds =
-    DS.create schema
-      (Array.init 2_000 (fun _ ->
-           [| Rng.int rng 4; Rng.int rng 3; Rng.int rng 2 |]))
-  in
-  let j = Acq_prob.Joint.build ds ~attrs:[ 0; 1; 2 ] in
-  Alcotest.(check int) "cells" 24 (Acq_prob.Joint.cells j);
-  let v = V.of_dataset ds in
-  (* Any conditional the planner would ask must agree with counting. *)
-  check_float "marginal range"
-    (V.range_prob v ~attr:0 (R.make 1 2))
-    (Acq_prob.Joint.prob j [ (0, R.make 1 2) ]);
-  let v' = V.restrict_range v ~attr:1 (R.make 0 1) in
-  check_float "conditional"
-    (V.range_prob v' ~attr:2 (R.make 1 1))
-    (Acq_prob.Joint.cond_prob j
-       ~given:[ (1, R.make 0 1) ]
-       [ (2, R.make 1 1) ])
-
-let test_joint_marginalizes_uncovered_dims () =
-  let ds = mk_dataset () in
-  let j = Acq_prob.Joint.build ds ~attrs:[ 0; 2 ] in
-  check_float "marginal of a" 0.25 (Acq_prob.Joint.prob j [ (0, R.make 1 1) ]);
-  Alcotest.(check (list int)) "attrs ascending" [ 0; 2 ] (Acq_prob.Joint.attrs j);
-  let m = Acq_prob.Joint.marginal j 2 in
-  check_float "marginal vector sums to 1" 1.0 (Acq_util.Array_util.sum_float m)
-
-let test_joint_intersects_duplicate_constraints () =
-  let ds = mk_dataset () in
-  let j = Acq_prob.Joint.build ds ~attrs:[ 0 ] in
-  check_float "intersection" 0.25
-    (Acq_prob.Joint.prob j [ (0, R.make 0 1); (0, R.make 1 3) ]);
-  check_float "disjoint ranges" 0.0
-    (Acq_prob.Joint.prob j [ (0, R.make 0 0); (0, R.make 2 3) ])
-
-let test_joint_validation () =
-  let ds = mk_dataset () in
-  (try
-     ignore (Acq_prob.Joint.build ds ~attrs:[]);
-     Alcotest.fail "expected empty-attrs failure"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Acq_prob.Joint.build ds ~attrs:[ 9 ]);
-     Alcotest.fail "expected out-of-schema failure"
-   with Invalid_argument _ -> ());
-  let j = Acq_prob.Joint.build ds ~attrs:[ 0 ] in
-  (try
-     ignore (Acq_prob.Joint.prob j [ (1, R.make 0 0) ]);
-     Alcotest.fail "expected uncovered-attr failure"
-   with Invalid_argument _ -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Estimator: the empirical and Chow-Liu backends *)
 
 let test_estimator_empirical_basics () =
@@ -411,11 +326,6 @@ let test_estimator_chow_liu_pattern_limit () =
 let () =
   Alcotest.run "prob"
     [
-      ( "index",
-        [
-          Alcotest.test_case "counts" `Quick test_index_counts;
-          Alcotest.test_case "matches scan" `Quick test_index_matches_scan;
-        ] );
       ( "view",
         [
           Alcotest.test_case "full" `Quick test_view_full;
@@ -448,15 +358,6 @@ let () =
             test_chow_liu_marginal_normalized;
           Alcotest.test_case "impossible evidence" `Quick
             test_chow_liu_impossible_evidence;
-        ] );
-      ( "joint",
-        [
-          Alcotest.test_case "matches view counts" `Quick test_joint_matches_view;
-          Alcotest.test_case "marginalizes" `Quick
-            test_joint_marginalizes_uncovered_dims;
-          Alcotest.test_case "duplicate constraints" `Quick
-            test_joint_intersects_duplicate_constraints;
-          Alcotest.test_case "validation" `Quick test_joint_validation;
         ] );
       ( "estimator",
         [

@@ -489,34 +489,6 @@ let prop_existential_consistent =
           Acq_core.Existential.plan ~max_depth:2 q ~costs ds;
         ])
 
-let prop_joint_equals_view =
-  QCheck2.Test.make ~count:60 ~name:"joint table = view counting"
-    ~print:instance_print instance_gen (fun i ->
-      let ds, q = build_instance i in
-      let attrs = List.init i.n_attrs (fun a -> a) in
-      let j = Acq_prob.Joint.build ds ~attrs in
-      let v = Acq_prob.View.of_dataset ds in
-      (* Check every query predicate's band probability and one
-         conditional. *)
-      Array.for_all
-        (fun (p : Pred.t) ->
-          let r = R.make p.Pred.lo p.Pred.hi in
-          Float.abs
-            (Acq_prob.Joint.prob j [ (p.Pred.attr, r) ]
-            -. Acq_prob.View.range_prob v ~attr:p.Pred.attr r)
-          < 1e-9)
-        (Q.predicates q)
-      &&
-      let r0 = R.make 0 (i.domains.(0) - 1) in
-      let half = R.make 0 (i.domains.(0) / 2) in
-      ignore r0;
-      let v' = Acq_prob.View.restrict_range v ~attr:0 half in
-      let r1 = R.make 0 (i.domains.(1) / 2) in
-      Float.abs
-        (Acq_prob.Joint.cond_prob j ~given:[ (0, half) ] [ (1, r1) ]
-        -. Acq_prob.View.range_prob v' ~attr:1 r1)
-      < 1e-9)
-
 (* Brute-force executor oracle. On a dataset that enumerates a small
    discrete domain exhaustively — every possible tuple exactly once —
    the analytic expected cost (Eq. 3) of any planner's plan must equal
@@ -749,7 +721,6 @@ let () =
             prop_boards_dominance;
             prop_board_awareness_never_hurts;
             prop_sliding_window_histogram;
-            prop_joint_equals_view;
             prop_existential_consistent;
             prop_cache_key_order_insensitive;
           ] );

@@ -534,22 +534,36 @@ let test_server_malformed_never_disconnects () =
         "want OK ERR ERR ERR OK (connection alive throughout), got: %s"
         (String.concat " | " (List.map Protocol.frame_kind frames))
 
-(* The execution-path option is gone: a client still sending it gets a
-   structured 400 naming the option, and the connection stays usable. *)
-let test_server_removed_exec_option () =
+(* Removed options — the execution path (exec=) and the dense model
+   (model=dense) — get a structured 400 naming what was refused, and the
+   connection stays usable. *)
+let test_server_removed_options () =
   with_server "acqpd_test_exec_opt.sock" @@ fun path _engine server ->
   let c = cli_connect path in
   Fun.protect ~finally:(fun () -> cli_close c) @@ fun () ->
   cli_send c "HELLO t0";
   cli_send c ("RUN exec=tree " ^ chatty);
+  cli_send c ("RUN model=dense " ^ chatty);
   cli_send c "PING";
-  pump_until server c ~frames:3;
+  pump_until server c ~frames:4;
+  let unknown_model =
+    match Acq_prob.Backend.spec_of_string "dense" with
+    | Ok _ -> Alcotest.fail "dense still parses as a model"
+    | Error e -> Acq_prob.Backend.spec_error_to_string e ^ "\n"
+  in
   match List.rev c.cframes with
-  | [ Protocol.Reply _; Protocol.Failure (code, msg); Protocol.Reply _ ] ->
-      Alcotest.(check int) "code" 400 code;
-      Alcotest.(check string) "message" "unknown option: exec\n" msg
+  | [
+   Protocol.Reply _;
+   Protocol.Failure (exec_code, exec_msg);
+   Protocol.Failure (model_code, model_msg);
+   Protocol.Reply _;
+  ] ->
+      Alcotest.(check int) "exec code" 400 exec_code;
+      Alcotest.(check string) "exec message" "unknown option: exec\n" exec_msg;
+      Alcotest.(check int) "model code" 400 model_code;
+      Alcotest.(check string) "model message" unknown_model model_msg
   | frames ->
-      Alcotest.failf "want OK ERR OK, got: %s"
+      Alcotest.failf "want OK ERR ERR OK, got: %s"
         (String.concat " | " (List.map Protocol.frame_kind frames))
 
 let test_server_slow_consumer_sheds () =
@@ -829,8 +843,8 @@ let () =
             test_server_run_identity_over_socket;
           Alcotest.test_case "malformed input never disconnects" `Quick
             test_server_malformed_never_disconnects;
-          Alcotest.test_case "removed exec option is a structured 400" `Quick
-            test_server_removed_exec_option;
+          Alcotest.test_case "removed exec and dense options are 400s" `Quick
+            test_server_removed_options;
           Alcotest.test_case "slow consumer sheds with OVERLOAD" `Quick
             test_server_slow_consumer_sheds;
           Alcotest.test_case "stalled lone subscriber pauses, loses nothing"
