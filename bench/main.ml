@@ -495,6 +495,85 @@ let emit s =
    executor acquisitions, and per-mote runtime energy. The schema's
    requiredMetricNames pins the families that must appear. *)
 
+(* tick_overhead: the serving tick's cost under a live registry over
+   its cost under Telemetry.noop. Two populations of tick-selective-like
+   sessions — 25 lab shapes x 20 sessions, window 512, as acqpd
+   subscribes them — each stepped by its own Supervisor once the
+   windows are full. They are built and warmed side by side, session by
+   session and row by row, so neither inherits a worse heap layout, and
+   they see the same rows, so they do the same work apart from the
+   telemetry. Replans are off (Policy.static_): the timed work is the
+   serving path alone — execute, observe and the due trigger checks.
+   Gate: the median paired ratio live / noop <= 1.10. *)
+let tick_shapes = 25
+let tick_sessions_per_shape = 20
+let tick_window = 512
+let tick_steps = 20 (* Supervisor.step calls per side per round *)
+let tick_rounds = 10
+
+let tick_overhead () =
+  let module Ad = Acq_adapt in
+  let history, live =
+    Acq_data.Dataset.split_by_time (Lazy.force K.lab) ~train_fraction:0.5
+  in
+  let n = Acq_data.Dataset.nrows live in
+  let queries = List.init tick_shapes (fun i -> K.lab_query history (300 + i)) in
+  let side telemetry =
+    ( telemetry,
+      Ad.Plan_cache.create ~capacity:tick_shapes (),
+      Ad.Supervisor.create_empty ~telemetry () )
+  in
+  let live_side =
+    side (Acq_obs.Telemetry.create ~metrics:(Acq_obs.Metrics.create ()) ())
+  and noop_side = side Acq_obs.Telemetry.noop in
+  List.iter
+    (fun q ->
+      for _ = 1 to tick_sessions_per_shape do
+        List.iter
+          (fun (telemetry, cache, sup) ->
+            ignore
+              (Ad.Supervisor.register sup
+                 (Ad.Session.create ~telemetry ~cache ~policy:Ad.Policy.static_
+                    ~algorithm:Acq_core.Planner.Heuristic ~window:tick_window
+                    ~history q)
+                : int))
+          [ live_side; noop_side ]
+      done)
+    queries;
+  let stepper (_, _, sup) =
+    let cursor = ref 0 in
+    fun k ->
+      for _ = 1 to k do
+        ignore
+          (Ad.Supervisor.step sup (Acq_data.Dataset.row live (!cursor mod n))
+            : Acq_plan.Executor.outcome array);
+        incr cursor
+      done
+  in
+  let live_step = stepper live_side and noop_step = stepper noop_side in
+  for _ = 1 to tick_window do
+    live_step 1;
+    noop_step 1
+  done;
+  let live_s, noop_s, ratio =
+    paired ~rounds:tick_rounds
+      (fun () -> live_step tick_steps)
+      (fun () -> noop_step tick_steps)
+  in
+  let us_per_tick s =
+    spread_json (scale (1e6 /. float_of_int (tick_rounds * tick_steps)) s)
+  in
+  ( J.Obj
+      [
+        ("sessions", jint (tick_shapes * tick_sessions_per_shape));
+        ("window", jint tick_window);
+        ("ticks_per_trial", jint (tick_rounds * tick_steps));
+        ("live_us_per_tick", us_per_tick live_s);
+        ("noop_us_per_tick", us_per_tick noop_s);
+        ("ratio", spread_json ratio);
+      ],
+    ratio )
+
 let obs_section () =
   let module P = Acq_core.Planner in
   let module S = Acq_core.Search in
@@ -554,9 +633,11 @@ let obs_section () =
       runs
   in
   let total f = jint (List.fold_left (fun acc (_, _, s, _) -> acc + f s) 0 results) in
+  let tick, tick_ratio = tick_overhead () in
   J.Obj
     [
       ("version", J.Num 1.0);
+      ("tick_overhead", tick);
       ( "entries",
         J.Arr
           (List.map
@@ -583,6 +664,7 @@ let obs_section () =
             ("runs", jint (List.length results));
             ("nodes_solved", total (fun s -> s.S.nodes_solved));
             ("estimator_calls", total (fun s -> s.S.estimator_calls));
+            ("tick_overhead", spread_json tick_ratio);
           ] );
     ]
 

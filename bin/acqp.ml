@@ -161,10 +161,13 @@ let model_arg =
         ~doc:
           "Probability backend the planner estimates selectivities with: \
            $(b,empirical) (raw training counts), $(b,chow-liu) \
-           (smoothed dependency-tree model), or $(b,independence) \
-           (marginals only, the correlation-blind baseline). Append \
-           $(b,,memo) to cache estimates per conditioning context, e.g. \
-           'empirical,memo'.")
+           (smoothed dependency-tree model), $(b,independence) \
+           (marginals only, the correlation-blind baseline), or \
+           $(b,sampled) / 'sampled(n,delta)' (counts over a random sample \
+           of n rows with a Hoeffding interval at confidence 1-delta; a \
+           bare $(b,sampled) is 'sampled(256,0.05)'; the backend \
+           $(b,--algo pac) plans with). Append $(b,,memo) to cache \
+           estimates per conditioning context, e.g. 'empirical,memo'.")
 
 (* Telemetry plumbing shared by plan/run: build a live handle only
    when an output file was requested, flush on completion. *)

@@ -78,7 +78,6 @@ let run ?instr ?probe t ~lookup =
         t.stamp.(at) <- tid;
         t.order.(t.n_acq) <- at;
         t.n_acq <- t.n_acq + 1;
-        (match instr with Some i -> E.Instr.acquisition i at | None -> ());
         let c =
           if Array.length t.board = 0 then t.uniform.(at)
           else begin
@@ -104,7 +103,9 @@ let run ?instr ?probe t ~lookup =
   in
   let verdict = go a.Compile.entry in
   (match instr with
-  | Some i -> E.Instr.tuple i ~verdict ~tests:t.tests
+  | Some i ->
+      E.Instr.acquired i t.order t.n_acq;
+      E.Instr.tuple i ~verdict ~tests:t.tests
   | None -> ());
   (match probe with Some p -> Probe.observe_cost p t.acc.(0) | None -> ());
   {

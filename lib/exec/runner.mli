@@ -9,6 +9,9 @@
     differential tests hold this path byte-identical to. *)
 
 type prepared
+(** Mutable: it caches the executor instruments it last resolved. A
+    prepared plan is owned by one session or mote and is never shared
+    across domains. *)
 
 val prepare :
   ?model:Acq_plan.Cost_model.t ->
@@ -26,9 +29,14 @@ val run :
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
 (** Same contract as {!Acq_plan.Executor.run}: identical verdict, cost,
-    acquisition order, and lookup call pattern. Instruments resolve per
-    call. [probe] feeds the per-node / per-tuple audit cells without
-    changing any outcome. *)
+    acquisition order, and lookup call pattern. Instruments resolve
+    once per prepared plan and registry: on the first run under a
+    registry, and again only when a run comes under a different one
+    (compared physically), so counters always land in the registry
+    [obs] carries. Resolving at first use, not at {!prepare}, keeps
+    registration order — and every dump — what per-call lookups
+    produced. [probe] feeds the per-node / per-tuple audit cells
+    without changing any outcome. *)
 
 val run_tuple :
   ?obs:Acq_obs.Telemetry.t ->
@@ -45,8 +53,8 @@ val average_cost_prepared :
   float
 (** Eq.-4 mean over the dataset, [Float.equal] to
     {!Acq_plan.Executor.average_cost}. The sweep runs inside an
-    ["executor.average_cost"] span with instruments resolved once per
-    sweep and counter updates batched. *)
+    ["executor.average_cost"] span with counter updates batched;
+    instruments come from the same per-registry cache as {!run}. *)
 
 val average_cost :
   ?model:Acq_plan.Cost_model.t ->

@@ -5,7 +5,9 @@ type histogram = {
   bounds : float array;  (* upper bounds of the finite buckets *)
   counts : int array;  (* length = Array.length bounds + 1; last = overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
+  h_sum : float array;
+      (* one cell: a mutable float field of this mixed record would
+         box a fresh float on every observation *)
 }
 
 type instrument =
@@ -83,7 +85,12 @@ let histogram t ?(help = "") ?(labels = []) ?(lowest = default_lowest)
       bounds.(i) <- bounds.(i - 1) *. growth
     done;
     Histogram
-      { bounds; counts = Array.make (buckets + 1) 0; h_count = 0; h_sum = 0.0 }
+      {
+        bounds;
+        counts = Array.make (buckets + 1) 0;
+        h_count = 0;
+        h_sum = [| 0.0 |];
+      }
   in
   match series f labels make with
   | Histogram h -> h
@@ -100,7 +107,7 @@ let set g v = g.g_value <- v
 let add_gauge g v = g.g_value <- g.g_value +. v
 let gauge_value g = g.g_value
 
-let observe h v =
+let[@inline] observe h v =
   let n = Array.length h.bounds in
   let i = ref 0 in
   while !i < n && v > h.bounds.(!i) do
@@ -108,10 +115,12 @@ let observe h v =
   done;
   h.counts.(!i) <- h.counts.(!i) + 1;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v
+  h.h_sum.(0) <- h.h_sum.(0) +. v
+
+let observe_int h k = observe h (float_of_int k)
 
 let hist_count h = h.h_count
-let hist_sum h = h.h_sum
+let hist_sum h = h.h_sum.(0)
 let bucket_counts h = Array.copy h.counts
 
 (* ------------------------------------------------------------------ *)
@@ -150,7 +159,7 @@ let snapshot t =
           | Histogram h ->
               [
                 (sample_name (f.name ^ "_count") labels, float_of_int h.h_count);
-                (sample_name (f.name ^ "_sum") labels, h.h_sum);
+                (sample_name (f.name ^ "_sum") labels, h.h_sum.(0));
               ])
         series)
     (in_order t)
@@ -188,7 +197,7 @@ let merge_into ~src ~dst =
                     bounds = Array.copy h.bounds;
                     counts = Array.make (Array.length h.counts) 0;
                     h_count = 0;
-                    h_sum = 0.0;
+                    h_sum = [| 0.0 |];
                   }
               in
               match series df labels make with
@@ -202,7 +211,7 @@ let merge_into ~src ~dst =
                     (fun i c -> d.counts.(i) <- d.counts.(i) + c)
                     h.counts;
                   d.h_count <- d.h_count + h.h_count;
-                  d.h_sum <- d.h_sum +. h.h_sum
+                  d.h_sum.(0) <- d.h_sum.(0) +. h.h_sum.(0)
               | Counter _ | Gauge _ -> assert false))
         series_list)
     (in_order src)
@@ -249,7 +258,7 @@ let to_prometheus t =
               Buffer.add_string buf
                 (Printf.sprintf "%s %s\n"
                    (sample_name (f.name ^ "_sum") labels)
-                   (Json.number h.h_sum));
+                   (Json.number h.h_sum.(0)));
               Buffer.add_string buf
                 (Printf.sprintf "%s %d\n"
                    (sample_name (f.name ^ "_count") labels)
@@ -277,7 +286,7 @@ let to_json t =
                      (common
                      @ [
                          ("count", Json.Num (float_of_int h.h_count));
-                         ("sum", Json.Num h.h_sum);
+                         ("sum", Json.Num h.h_sum.(0));
                          ( "bounds",
                            Json.Arr
                              (Array.to_list

@@ -4,10 +4,14 @@
     There is no process-wide registry — callers create one per scope
     (a CLI invocation, one benchmark entry, one experiment) and thread
     it through a {!Telemetry} handle. Instruments are created or
-    looked up by [(name, labels)]; re-registering the same pair
-    returns the same instrument, so hot paths can resolve an
-    instrument once and then update it allocation-free:
-    [Metrics.incr]/[add]/[set]/[observe] never allocate.
+    looked up by [(name, labels)]: a hash on the name, then a scan of
+    the family's label sets — O(series), fine on cold paths (per
+    request, per replan, per event). Re-registering the same pair
+    returns the same instrument, so hot paths hold handles instead:
+    a prepared plan keeps its executor instruments per registry
+    ({!Acq_exec.Runner}), and the sensor epoch loop resolves its
+    counters once per run. Updates through a handle —
+    [incr]/[add]/[set]/[observe]/[observe_int] — never allocate.
 
     Dump order is registration order, which makes dumps of a
     deterministic program deterministic — the property the golden
@@ -56,6 +60,11 @@ val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** O(buckets) scan, no allocation. *)
+
+val observe_int : histogram -> int -> unit
+(** [observe h (float_of_int k)] without boxing the float at the call
+    site — the form for per-tuple integer observations such as the
+    executor's traversal depth. *)
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float

@@ -45,16 +45,21 @@ module Instr = struct
   let acquisitions t attr n =
     if n > 0 then M.add t.acq.(attr) (float_of_int n)
 
+  let acquired t order n =
+    for k = 0 to n - 1 do
+      M.incr t.acq.(order.(k))
+    done
+
   let tuple t ~verdict ~tests =
     M.incr t.tuples_c;
     if verdict then M.incr t.matches_c;
-    M.observe t.depth_hist (float_of_int tests)
+    M.observe_int t.depth_hist tests
 
   let tuples t ~n ~matches =
     M.add t.tuples_c (float_of_int n);
     M.add t.matches_c (float_of_int matches)
 
-  let depth t tests = M.observe t.depth_hist (float_of_int tests)
+  let depth t tests = M.observe_int t.depth_hist tests
 end
 
 (* Neutral audit tap: the calibration layer (Acq_audit) lives above

@@ -21,11 +21,14 @@ type outcome = {
   acquired : int list;  (** attributes acquired, in acquisition order *)
 }
 
-(** Pre-resolved executor instruments. Resolving a metrics instrument
-    is a name-keyed registry lookup; hot paths resolve once — per
-    call for single tuples, once per sweep for datasets — and then
-    update through these allocation-free handles. Exposed so the
-    compiled executor records the very same series. *)
+(** Pre-resolved executor instruments. Resolving them is n_attrs + 3
+    name-keyed registry lookups, so no per-tuple path resolves per
+    tuple: this tree executor resolves once per call (single tuples)
+    or per sweep (datasets), and a compiled
+    {!Acq_exec.Runner.prepared} plan once per registry it runs under,
+    keeping the handle across tuples. Updates through the handles are
+    allocation-free. Exposed so the compiled executor records the very
+    same series. *)
 module Instr : sig
   type t
 
@@ -41,6 +44,11 @@ module Instr : sig
       acquisitions of [attr] at once (no-op for [n <= 0]). The
       compiled batch executor accumulates plain int counts in its
       sweep loop and flushes them through this once per sweep. *)
+
+  val acquired : t -> int array -> int -> unit
+  (** [acquired i order n]: count one paid acquisition of each of
+      [order.(0)] .. [order.(n-1)] — a compiled tuple's acquisitions
+      in one call rather than one per attribute. *)
 
   val tuple : t -> verdict:bool -> tests:int -> unit
   (** Record one executed tuple: tuple/match counters and the

@@ -2,7 +2,9 @@ type t = {
   schema : Acq_data.Schema.t;
   capacity : int;
   domains : int array;
-  ring : int array array;  (* ring.(i) is a row; [||] when unused *)
+  ring : int array;
+      (* [capacity] rows of [arity] cells, row i at [i * arity]; a push
+         writes into the evicted row's cells, so pushes never allocate *)
   mutable head : int;  (* next write position *)
   mutable size : int;
   counts : int array array;  (* per-attribute incremental histograms *)
@@ -22,7 +24,7 @@ let create schema ~capacity =
     schema;
     capacity;
     domains;
-    ring = Array.make capacity [||];
+    ring = Array.make (capacity * Array.length domains) 0;
     head = 0;
     size = 0;
     counts = Array.map (fun k -> Array.make k 0) domains;
@@ -41,19 +43,23 @@ let is_full t = t.size = t.capacity
 let push t row =
   let n = Array.length t.domains in
   if Array.length row <> n then invalid_arg "Sliding.push: arity mismatch";
-  Array.iteri
-    (fun a v ->
-      if v < 0 || v >= t.domains.(a) then
-        invalid_arg "Sliding.push: value out of domain")
-    row;
-  if t.size = t.capacity then begin
+  for a = 0 to n - 1 do
+    let v = row.(a) in
+    if v < 0 || v >= t.domains.(a) then
+      invalid_arg "Sliding.push: value out of domain"
+  done;
+  let base = t.head * n in
+  if t.size = t.capacity then
     (* Evict the oldest row (the one about to be overwritten). *)
-    let old = t.ring.(t.head) in
-    Array.iteri (fun a v -> t.counts.(a).(v) <- t.counts.(a).(v) - 1) old
-  end
+    for a = 0 to n - 1 do
+      let v = t.ring.(base + a) in
+      t.counts.(a).(v) <- t.counts.(a).(v) - 1
+    done
   else t.size <- t.size + 1;
-  t.ring.(t.head) <- Array.copy row;
-  Array.iteri (fun a v -> t.counts.(a).(v) <- t.counts.(a).(v) + 1) row;
+  Array.blit row 0 t.ring base n;
+  for a = 0 to n - 1 do
+    t.counts.(a).(row.(a)) <- t.counts.(a).(row.(a)) + 1
+  done;
   t.head <- (t.head + 1) mod t.capacity;
   t.cached <- None
 
@@ -61,7 +67,6 @@ let push_dataset t ds =
   Acq_data.Dataset.iter_rows ds (fun r -> push t (Acq_data.Dataset.row ds r))
 
 let clear t =
-  Array.fill t.ring 0 t.capacity [||];
   t.head <- 0;
   t.size <- 0;
   Array.iter (fun c -> Array.fill c 0 (Array.length c) 0) t.counts;
@@ -90,10 +95,12 @@ let to_dataset t =
         end
       in
       t.turn <- 1 - t.turn;
+      (* Oldest first: the rows from [start] to the ring's end, then
+         the wrapped prefix. *)
       let start = if t.size = t.capacity then t.head else 0 in
-      for i = 0 to t.size - 1 do
-        Array.blit t.ring.((start + i) mod t.capacity) 0 buf (i * n) n
-      done;
+      let tail = min t.size (t.capacity - start) in
+      Array.blit t.ring (start * n) buf 0 (tail * n);
+      Array.blit t.ring 0 buf (tail * n) ((t.size - tail) * n);
       let ds = Acq_data.Dataset.of_raw t.schema t.size buf in
       t.cached <- Some ds;
       ds

@@ -26,8 +26,10 @@ val size : t -> int
 val is_full : t -> bool
 
 val push : t -> int array -> unit
-(** Append a tuple, evicting the oldest when full.
-    @raise Invalid_argument on arity or domain mismatch. *)
+(** Append a tuple, evicting the oldest when full. The window copies
+    [row] into its own flat ring (the caller may reuse the array),
+    over the evicted row's cells once full, so a push allocates
+    nothing. @raise Invalid_argument on arity or domain mismatch. *)
 
 val push_dataset : t -> Acq_data.Dataset.t -> unit
 (** Push every row in order. *)
@@ -36,8 +38,8 @@ val clear : t -> unit
 (** Drop every tuple: [size] returns to 0 and the incremental
     histograms to all-zero, as if freshly created. Used when a
     replanning pass wants statistics untainted by the pre-switch
-    distribution. The packed materialization buffers are kept for
-    reuse. *)
+    distribution. The ring and the packed materialization buffers are
+    kept for reuse. *)
 
 val histogram : t -> int -> int array
 (** Fresh copy of one attribute's current window counts; maintained

@@ -81,6 +81,26 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
   let radio = Network.radio net in
   let matches = ref 0 and correct = ref true in
   let instrumented = T.enabled telemetry in
+  let metrics = T.metrics telemetry in
+  let traced = Option.is_some (T.tracer telemetry) in
+  (* Counters resolve once per run, each at its first use — the epoch
+     a by-name lookup would first have touched it — so registration
+     order, and with it every dump, is unchanged. *)
+  let counter ?labels name =
+    lazy (Option.map (fun m -> Acq_obs.Metrics.counter m ?labels name) metrics)
+  in
+  let epochs_c = counter "acqp_runtime_epochs_total"
+  and matches_c = counter "acqp_runtime_matches_total" in
+  let mote_c =
+    Array.init n_motes (fun id ->
+        let labels = [ ("mote", string_of_int id) ] in
+        ( counter ~labels "acqp_mote_acquisition_energy_total",
+          counter ~labels "acqp_mote_radio_energy_total",
+          counter ~labels "acqp_mote_tx_bytes_total" ))
+  in
+  let add c v =
+    match Lazy.force c with Some c -> Acq_obs.Metrics.add c v | None -> ()
+  in
   let epoch_loop () =
     for epoch = 0 to Environment.n_epochs env - 1 do
       let mote_id = Environment.mote_of_epoch env epoch in
@@ -96,29 +116,27 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
       if truth <> r.Mote.verdict then correct := false;
       audit_tick (epoch + 1) ~final:false;
       if instrumented then begin
-        let mote_l = [ ("mote", string_of_int mote_id) ] in
         let tx_bytes =
           if r.Mote.verdict then
             Radio.result_bytes radio ~n_attrs:(List.length r.Mote.acquired)
           else 0
         in
-        T.incr telemetry "acqp_runtime_epochs_total";
-        if r.Mote.verdict then T.incr telemetry "acqp_runtime_matches_total";
-        T.add telemetry ~labels:mote_l "acqp_mote_acquisition_energy_total"
-          (e.Energy.acquisition -. acq0);
-        T.add telemetry ~labels:mote_l "acqp_mote_radio_energy_total"
-          (e.Energy.radio_tx -. tx0);
-        T.add telemetry ~labels:mote_l "acqp_mote_tx_bytes_total"
-          (float_of_int tx_bytes);
+        add epochs_c 1.0;
+        if r.Mote.verdict then add matches_c 1.0;
+        let acq_c, radio_c, tx_c = mote_c.(mote_id) in
+        add acq_c (e.Energy.acquisition -. acq0);
+        add radio_c (e.Energy.radio_tx -. tx0);
+        add tx_c (float_of_int tx_bytes);
         (* Per-epoch series: cumulative per-mote energy, loadable as
            counter tracks in chrome://tracing. *)
-        T.sample telemetry
-          (Printf.sprintf "mote%d.energy" mote_id)
-          [
-            ("acquisition", e.Energy.acquisition);
-            ("radio", e.Energy.radio_tx +. e.Energy.radio_rx);
-            ("tx_bytes", float_of_int tx_bytes);
-          ]
+        if traced then
+          T.sample telemetry
+            (Printf.sprintf "mote%d.energy" mote_id)
+            [
+              ("acquisition", e.Energy.acquisition);
+              ("radio", e.Energy.radio_tx +. e.Energy.radio_rx);
+              ("tx_bytes", float_of_int tx_bytes);
+            ]
       end
     done
   in

@@ -362,6 +362,75 @@ let test_instrumentation_parity () =
   Alcotest.(check (list (pair string (float 0.0)))) "identical series" tree
     compiled
 
+(* A prepared plan caches the instruments of the registry it last ran
+   under; a run under another registry must re-resolve, not keep
+   counting into the first one it saw. *)
+let test_runner_instr_follows_registry () =
+  let ds, q =
+    build_instance
+      { seed = 37; n_attrs = 4; domains = [| 3; 4; 2; 5 |];
+        costs = [| 5.0; 1.0; 100.0; 20.0 |]; n_preds = 3 }
+  in
+  let costs = S.costs (DS.schema ds) in
+  let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
+  let prepared = Runner.prepare q ~costs plan in
+  let tuples m =
+    Option.value ~default:0.0
+      (M.find (M.snapshot m) "acqp_executor_tuples_total")
+  in
+  let run obs rows =
+    for r = 0 to rows - 1 do
+      ignore (Runner.run_tuple ~obs prepared (DS.row ds r) : Ex.outcome)
+    done
+  in
+  let a = M.create () and b = M.create () in
+  let obs_a = T.create ~metrics:a () and obs_b = T.create ~metrics:b () in
+  run obs_a 3;
+  run obs_b 5;
+  run T.noop 7;
+  run obs_a 2;
+  (* A fresh handle over registry [b]: the key is the registry. *)
+  run (T.create ~metrics:b ()) 4;
+  Alcotest.(check (float 0.0)) "registry A" 5.0 (tuples a);
+  Alcotest.(check (float 0.0)) "registry B" 9.0 (tuples b);
+  (* Per-attribute counters follow the same routing: each registry
+     holds exactly what the tree oracle records for its rows. *)
+  let oracle rows =
+    let m = M.create () in
+    let obs = T.create ~metrics:m () in
+    List.iter
+      (fun r -> ignore (Ex.run_tuple ~obs q ~costs plan (DS.row ds r) : Ex.outcome))
+      rows;
+    M.snapshot m
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "registry A series" (oracle [ 0; 1; 2; 0; 1 ]) (M.snapshot a);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "registry B series" (oracle [ 0; 1; 2; 3; 4; 0; 1; 2; 3 ]) (M.snapshot b)
+
+(* Once resolved, the live instruments cost no allocation per tuple:
+   a prepared plan allocates exactly as many words per run under a
+   live registry as under noop. *)
+let test_runner_live_alloc () =
+  let ds, q =
+    build_instance
+      { seed = 41; n_attrs = 4; domains = [| 4; 3; 5; 2 |];
+        costs = [| 1.0; 5.0; 20.0; 100.0 |]; n_preds = 3 }
+  in
+  let costs = S.costs (DS.schema ds) in
+  let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
+  let prepared = Runner.prepare q ~costs plan in
+  let words obs =
+    let rows = Array.init (DS.nrows ds) (DS.row ds) in
+    Array.iter (fun r -> ignore (Runner.run_tuple ~obs prepared r : Ex.outcome)) rows;
+    let before = Gc.minor_words () in
+    Array.iter (fun r -> ignore (Runner.run_tuple ~obs prepared r : Ex.outcome)) rows;
+    Gc.minor_words () -. before
+  in
+  let live = T.create ~metrics:(M.create ()) () in
+  Alcotest.(check (float 0.0)) "live words = noop words" (words T.noop)
+    (words live)
+
 (* ------------------------------------------------------------------ *)
 (* The production path through the stack, against the tree oracle *)
 
@@ -498,6 +567,10 @@ let () =
           Alcotest.test_case "runner modes agree" `Quick test_runner_modes_agree;
           Alcotest.test_case "instrumentation parity" `Quick
             test_instrumentation_parity;
+          Alcotest.test_case "instruments follow the registry" `Quick
+            test_runner_instr_follows_registry;
+          Alcotest.test_case "live instruments allocate nothing" `Quick
+            test_runner_live_alloc;
           Alcotest.test_case "runtime parity" `Quick test_runtime_exec_parity;
           Alcotest.test_case "experiment parity" `Quick
             test_experiment_exec_parity;

@@ -2,7 +2,7 @@
    in particular), span nesting and ordering under an injected clock,
    the self-hosted JSON parser, Search trace laziness, and a
    golden check that a small Runtime.run emits a parseable Chrome
-   trace and a stable metrics dump. *)
+   trace and a stable metrics dump, pinned against literals. *)
 
 module M = Acq_obs.Metrics
 module J = Acq_obs.Json
@@ -363,6 +363,123 @@ let test_runtime_golden () =
   Alcotest.(check bool) "stable dump is non-trivial" true
     (List.length (stable_snapshot m1) > 10)
 
+(* The Prometheus dump of a small fixed run, [_ms] series excluded,
+   pinned as literals: series order follows registration order, so
+   resolving an instrument earlier or later than its first use shows
+   here, as does any change of value. The query first matches after
+   the first epoch, so the matches counter registers after the
+   per-mote ones. *)
+let pinned_runtime_dump =
+  [
+    "# TYPE acqp_runtime_matches_total counter";
+    "acqp_runtime_matches_total 107";
+    "# TYPE acqp_mote_tx_bytes_total counter";
+    "acqp_mote_tx_bytes_total{mote=\"0\"} 24";
+    "acqp_mote_tx_bytes_total{mote=\"1\"} 60";
+    "acqp_mote_tx_bytes_total{mote=\"2\"} 54";
+    "acqp_mote_tx_bytes_total{mote=\"3\"} 66";
+    "acqp_mote_tx_bytes_total{mote=\"4\"} 54";
+    "acqp_mote_tx_bytes_total{mote=\"5\"} 54";
+    "acqp_mote_tx_bytes_total{mote=\"6\"} 54";
+    "acqp_mote_tx_bytes_total{mote=\"7\"} 30";
+    "acqp_mote_tx_bytes_total{mote=\"8\"} 90";
+    "acqp_mote_tx_bytes_total{mote=\"9\"} 60";
+    "acqp_mote_tx_bytes_total{mote=\"10\"} 36";
+    "acqp_mote_tx_bytes_total{mote=\"11\"} 60";
+    "# TYPE acqp_mote_radio_energy_total counter";
+    "acqp_mote_radio_energy_total{mote=\"0\"} 5.6";
+    "acqp_mote_radio_energy_total{mote=\"1\"} 28";
+    "acqp_mote_radio_energy_total{mote=\"2\"} 25.2";
+    "acqp_mote_radio_energy_total{mote=\"3\"} 46.2";
+    "acqp_mote_radio_energy_total{mote=\"4\"} 37.8";
+    "acqp_mote_radio_energy_total{mote=\"5\"} 37.8";
+    "acqp_mote_radio_energy_total{mote=\"6\"} 37.8";
+    "acqp_mote_radio_energy_total{mote=\"7\"} 28";
+    "acqp_mote_radio_energy_total{mote=\"8\"} 84";
+    "acqp_mote_radio_energy_total{mote=\"9\"} 56";
+    "acqp_mote_radio_energy_total{mote=\"10\"} 33.6";
+    "acqp_mote_radio_energy_total{mote=\"11\"} 56";
+    "# TYPE acqp_mote_acquisition_energy_total counter";
+    "acqp_mote_acquisition_energy_total{mote=\"0\"} 6250";
+    "acqp_mote_acquisition_energy_total{mote=\"1\"} 6850";
+    "acqp_mote_acquisition_energy_total{mote=\"2\"} 6050";
+    "acqp_mote_acquisition_energy_total{mote=\"3\"} 6350";
+    "acqp_mote_acquisition_energy_total{mote=\"4\"} 6050";
+    "acqp_mote_acquisition_energy_total{mote=\"5\"} 6450";
+    "acqp_mote_acquisition_energy_total{mote=\"6\"} 6550";
+    "acqp_mote_acquisition_energy_total{mote=\"7\"} 6250";
+    "acqp_mote_acquisition_energy_total{mote=\"8\"} 6950";
+    "acqp_mote_acquisition_energy_total{mote=\"9\"} 6650";
+    "acqp_mote_acquisition_energy_total{mote=\"10\"} 6350";
+    "acqp_mote_acquisition_energy_total{mote=\"11\"} 6450";
+    "# TYPE acqp_runtime_epochs_total counter";
+    "acqp_runtime_epochs_total 600";
+    "# HELP acqp_executor_acquisitions_total sensor acquisitions the executor paid for";
+    "# TYPE acqp_executor_acquisitions_total counter";
+    "acqp_executor_acquisitions_total{attr=\"nodeid\"} 0";
+    "acqp_executor_acquisitions_total{attr=\"hour\"} 0";
+    "acqp_executor_acquisitions_total{attr=\"voltage\"} 600";
+    "acqp_executor_acquisitions_total{attr=\"light\"} 0";
+    "acqp_executor_acquisitions_total{attr=\"temp\"} 600";
+    "acqp_executor_acquisitions_total{attr=\"humidity\"} 166";
+    "# HELP acqp_executor_traversal_depth plan tests traversed per tuple";
+    "# TYPE acqp_executor_traversal_depth histogram";
+    "acqp_executor_traversal_depth_bucket{le=\"1\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"2\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"4\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"8\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"16\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"32\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"64\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"128\"} 600";
+    "acqp_executor_traversal_depth_bucket{le=\"+Inf\"} 600";
+    "acqp_executor_traversal_depth_sum 600";
+    "acqp_executor_traversal_depth_count 600";
+    "# HELP acqp_executor_tuples_total tuples executed";
+    "# TYPE acqp_executor_tuples_total counter";
+    "acqp_executor_tuples_total 600";
+    "# HELP acqp_executor_matches_total tuples satisfying the WHERE clause";
+    "# TYPE acqp_executor_matches_total counter";
+    "acqp_executor_matches_total 107";
+    "# TYPE acqp_runtime_plan_bytes gauge";
+    "acqp_runtime_plan_bytes 20";
+    "# TYPE acqp_planner_plan_bytes_total counter";
+    "acqp_planner_plan_bytes_total{algorithm=\"Heuristic\"} 20";
+    "# TYPE acqp_planner_pruned_total counter";
+    "acqp_planner_pruned_total{algorithm=\"Heuristic\"} 0";
+    "# TYPE acqp_planner_estimator_calls_total counter";
+    "acqp_planner_estimator_calls_total{algorithm=\"Heuristic\"} 841";
+    "# TYPE acqp_planner_memo_hits_total counter";
+    "acqp_planner_memo_hits_total{algorithm=\"Heuristic\"} 0";
+    "# TYPE acqp_planner_nodes_solved_total counter";
+    "acqp_planner_nodes_solved_total{algorithm=\"Heuristic\"} 1085";
+    "# TYPE acqp_planner_plans_total counter";
+    "acqp_planner_plans_total{algorithm=\"Heuristic\"} 1";
+  ]
+
+let test_runtime_dump_pinned () =
+  let ds = Acq_data.Lab_gen.generate (Acq_util.Rng.create 77) ~rows:1_200 in
+  let history, live = Acq_data.Dataset.split_by_time ds ~train_fraction:0.5 in
+  let module L = Acq_data.Lab_gen in
+  let module Pr = Acq_plan.Predicate in
+  let q =
+    Acq_plan.Query.create (Acq_data.Dataset.schema history)
+      [
+        Pr.inside ~attr:L.idx_temp ~lo:5 ~hi:6;
+        Pr.inside ~attr:L.idx_humidity ~lo:12 ~hi:19;
+      ]
+  in
+  let m = M.create () in
+  ignore
+    (Acq_sensor.Runtime.run ~telemetry:(T.create ~metrics:m ())
+       ~algorithm:Acq_core.Planner.Heuristic ~history ~live q
+      : Acq_sensor.Runtime.report);
+  let dump =
+    String.split_on_char '\n' (M.to_prometheus m)
+    |> List.filter (fun l -> l <> "" && not (is_infix ~affix:"_ms" l))
+  in
+  Alcotest.(check (list string)) "dump" pinned_runtime_dump dump
+
 let test_runtime_noop_unchanged () =
   (* The uninstrumented path returns the same verdicts and energy. *)
   let r0 = small_runtime T.noop in
@@ -424,6 +541,8 @@ let () =
         [
           Alcotest.test_case "runtime trace + metrics" `Quick
             test_runtime_golden;
+          Alcotest.test_case "runtime dump pinned" `Quick
+            test_runtime_dump_pinned;
           Alcotest.test_case "noop leaves results unchanged" `Quick
             test_runtime_noop_unchanged;
         ] );

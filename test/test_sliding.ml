@@ -152,6 +152,49 @@ let test_clear () =
   Alcotest.(check (array int)) "histogram restarts" [| 0; 0; 0; 1 |]
     (Sl.histogram w 0)
 
+(* The window copies each pushed row into storage it owns (once full,
+   the evicted row's): a caller that reuses one array for every push
+   must not reach the window's contents. After wrapping a full window
+   several times — and again after a clear and a partial refill — the
+   window equals a fresh one built from the same last rows. *)
+let test_push_reuses_rows () =
+  let rng = Rng.create 9 in
+  let capacity = 5 in
+  let w = Sl.create (schema ()) ~capacity in
+  let row = [| 0; 0 |] in
+  let pushed = ref [] in
+  let push_n k =
+    for _ = 1 to k do
+      row.(0) <- Rng.int rng 4;
+      row.(1) <- Rng.int rng 3;
+      Sl.push w row;
+      pushed := Array.copy row :: !pushed;
+      (* Scribble over the caller's array after the push. *)
+      row.(0) <- 3;
+      row.(1) <- 2
+    done
+  in
+  let check_against_fresh label =
+    let last = List.rev (List.filteri (fun i _ -> i < Sl.size w) !pushed) in
+    let fresh = Sl.create (schema ()) ~capacity in
+    List.iter (Sl.push fresh) last;
+    let rows ds = List.init (DS.nrows ds) (DS.row ds) in
+    Alcotest.(check (list (array int)))
+      (label ^ ": to_dataset")
+      (rows (Sl.to_dataset fresh))
+      (rows (Sl.to_dataset w));
+    Alcotest.(check (array (array int)))
+      (label ^ ": marginals") (Sl.marginals fresh) (Sl.marginals w)
+  in
+  push_n ((4 * capacity) + 2);
+  check_against_fresh "wrapped";
+  Sl.clear w;
+  pushed := [];
+  push_n (capacity - 2);
+  check_against_fresh "refilled after clear";
+  push_n (capacity + 1);
+  check_against_fresh "wrapped after clear"
+
 let test_drift_empty_window () =
   let s = schema () in
   let reference = DS.create s (Array.make 50 [| 0; 0 |]) in
@@ -257,6 +300,8 @@ let () =
           Alcotest.test_case "backend specs" `Quick test_backend_over_window;
           Alcotest.test_case "marginals" `Quick test_marginals_match_histograms;
           Alcotest.test_case "clear" `Quick test_clear;
+          Alcotest.test_case "push reuses row storage" `Quick
+            test_push_reuses_rows;
         ] );
       ( "drift",
         [
