@@ -50,10 +50,13 @@ let key_epoch key =
       | None -> 0)
   | _ -> 0
 
-let signature ?options ?(stats_epoch = 0) ~algorithm q =
+let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "e%d|%s|" stats_epoch
-                           (P.algorithm_name algorithm));
+  Buffer.add_string buf (Printf.sprintf "e%d|" stats_epoch);
+  (match window with
+  | Some (stream, rows) -> Buffer.add_string buf (Printf.sprintf "w%d:%d|" stream rows)
+  | None -> ());
+  Buffer.add_string buf (P.algorithm_name algorithm ^ "|");
   let schema = Acq_plan.Query.schema q in
   let names = Acq_data.Schema.names schema in
   let domains = Acq_data.Schema.domains schema in

@@ -4,11 +4,14 @@
 
     Keys are {!signature}s — a canonical rendering of the schema, the
     predicate {e set} (order-insensitive), the planning algorithm, the
-    relevant planner options, and a [stats_epoch] that advances every
-    time the statistics a plan was built from are refreshed. Because
-    the epoch is part of the key, a replanning pass never reads a plan
-    built from stale statistics: bumping the epoch makes every older
-    entry unreachable, and {!invalidate} reclaims their slots.
+    relevant planner options, and the statistics the plan was built
+    from: the history ([stats_epoch] 0), or a sliding window named by
+    its rows ({!Acq_prob.Sliding.Window.key}: stream, generation,
+    length). Equal window keys mean equal rows, so a replanning pass
+    that hits gets exactly the plan it would have planned, and never
+    one built from another window or from stale statistics; every
+    push moves the generation on, and {!invalidate} reclaims the
+    slots of superseded entries.
 
     Eviction is LRU over both lookups and insertions. The cache keeps
     hit/miss/evict/invalidate counters (mirrored to the telemetry
@@ -34,6 +37,7 @@ val create : ?telemetry:Acq_obs.Telemetry.t -> capacity:int -> unit -> t
 val signature :
   ?options:Acq_core.Planner.options ->
   ?stats_epoch:int ->
+  ?window:int * int ->
   algorithm:Acq_core.Planner.algorithm ->
   Acq_plan.Query.t ->
   string
@@ -48,7 +52,9 @@ val signature :
     model's kind) are rendered — budgets and deadlines affect search
     effort, not which plan is correct to reuse, and the memo flag
     affects estimation speed, not the estimates. [stats_epoch]
-    defaults to 0. *)
+    defaults to 0, the history. A plan built from a sliding window
+    passes the window's generation as [stats_epoch] and [(stream,
+    length)] as [window]. *)
 
 val find : t -> string -> Acq_core.Planner.result option
 (** Lookup; bumps recency and the hit/miss counters. *)
@@ -65,9 +71,9 @@ val find_or_plan :
 
 val invalidate : t -> older_than:int -> int
 (** Drop every entry whose key's [stats_epoch] field is below
-    [older_than]; returns how many were dropped. Sessions call this
-    after bumping their epoch so superseded plans don't occupy LRU
-    slots. *)
+    [older_than]; returns how many were dropped. A session that owns
+    its cache calls this after a replan with the window's generation,
+    so superseded plans (and the history's) don't occupy LRU slots. *)
 
 val stats : t -> stats
 val size : t -> int

@@ -3,6 +3,7 @@ module Search = Acq_core.Search
 module Sl = Acq_prob.Sliding
 module T = Acq_obs.Telemetry
 module Audit = Acq_audit.Audit
+module W = Sl.Window
 
 type state = Serving | Drifting | Replanning | Switching
 
@@ -23,6 +24,9 @@ type switch = {
   search : Acq_core.Search.stats;
 }
 
+(* Float-only, so accumulating allocates no boxed float. *)
+type meter = { mutable sum : float }
+
 type t = {
   query : Acq_plan.Query.t;
   costs : float array;
@@ -32,7 +36,12 @@ type t = {
   cache : Plan_cache.t option;
   invalidate_stale : bool;
   telemetry : T.t;
-  window : Sl.t;
+  drift_gauge : Acq_obs.Metrics.gauge option Lazy.t;
+      (** resolved at the first check, where a by-name set registered it *)
+  mutable window : W.t;
+  mutable owns_ring : bool;
+      (** the window's ring is private, so {!observe} pushes into it;
+          under a supervisor the supervisor pushes its shared ring *)
   replan_budget : int;
   audit : Audit.t option;
   on_switch : Acq_plan.Plan.t -> switch -> unit;
@@ -54,10 +63,10 @@ type t = {
   mutable drift_armed : bool;
   mutable last_drift : float;
   mutable epoch : int;
+  mutable phase : int;  (** [epoch mod policy.check_every] *)
   mutable since_switch : int;
-  mutable cost_acc : float;
+  cost_acc : meter;
   mutable cost_n : int;
-  mutable stats_epoch : int;
   mutable replans : int;
   mutable failed_replans : int;
   mutable planning_nodes : int;
@@ -74,19 +83,21 @@ let enter t s =
 
 let algo_label t = [ ("algorithm", P.algorithm_name t.algorithm) ]
 
-(* Plan through the cache (when there is one) under the given stats
-   epoch; returns the result and whether it was a cache hit. *)
-let plan_once t ~options ~stats_epoch est =
+(* Plan through the cache (when there is one) under the key of the
+   statistics [est] is built from: the history ([stats_epoch] 0, no
+   [window]) or a window's rows. [est] is forced only when the planner
+   has to run; returns the result and whether it was a cache hit. *)
+let plan_once t ~options ~stats_epoch ?window est =
   let run () =
     P.plan_with_backend ~options ~telemetry:t.telemetry t.algorithm t.query
-      ~costs:t.costs est
+      ~costs:t.costs (Lazy.force est)
   in
   match t.cache with
   | None -> (run (), false)
   | Some c -> (
       let key =
-        Plan_cache.signature ~options ~stats_epoch ~algorithm:t.algorithm
-          t.query
+        Plan_cache.signature ~options ~stats_epoch ?window
+          ~algorithm:t.algorithm t.query
       in
       match Plan_cache.find c key with
       | Some r -> (r, true)
@@ -113,7 +124,16 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
       cache;
       invalidate_stale;
       telemetry;
-      window = Sl.create schema ~capacity:window;
+      drift_gauge =
+        lazy
+          (Option.map
+             (fun m ->
+               Acq_obs.Metrics.gauge m
+                 ~labels:[ ("algorithm", P.algorithm_name algorithm) ]
+                 "acqp_adapt_drift")
+             (T.metrics telemetry));
+      window = W.create (Sl.create schema ~capacity:window) ~capacity:window;
+      owns_ring = true;
       replan_budget;
       audit;
       on_switch;
@@ -127,10 +147,10 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
       drift_armed = true;
       last_drift = 0.0;
       epoch = 0;
+      phase = 0;
       since_switch = 0;
-      cost_acc = 0.0;
+      cost_acc = { sum = 0.0 };
       cost_n = 0;
-      stats_epoch = 0;
       replans = 0;
       failed_replans = 0;
       planning_nodes = 0;
@@ -139,9 +159,12 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
     }
   in
   (* The initial plan runs under the caller's own budget settings —
-     only replans are capped by [replan_budget]. *)
+     only replans are capped by [replan_budget]. A cache hit needs no
+     history backend unless an audit pipeline predicts from it. *)
   let backend =
-    Acq_prob.Backend.of_dataset ~telemetry ~spec:options.P.prob_model history
+    lazy
+      (Acq_prob.Backend.of_dataset ~telemetry ~spec:options.P.prob_model
+         history)
   in
   let r, _hit = plan_once t ~options ~stats_epoch:0 backend in
   t.initial_stats <- r.P.stats;
@@ -151,9 +174,25 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
   (match audit with
   | Some a ->
       Audit.install ?model:options.P.cost_model a query ~costs:t.costs
-        ~plan:t.plan ~expected:t.expected ~backend ~epoch:0
+        ~plan:t.plan ~expected:t.expected ~backend:(Lazy.force backend)
+        ~epoch:0
   | None -> ());
   t
+
+let same_schema a b =
+  a == b
+  || Acq_data.Schema.(names a = names b && domains a = domains b && costs a = costs b)
+
+let attach t ring =
+  if
+    t.owns_ring && t.epoch = 0
+    && same_schema (Sl.schema ring) (Acq_plan.Query.schema t.query)
+  then begin
+    t.window <- W.create ring ~capacity:(W.capacity t.window);
+    t.owns_ring <- false;
+    true
+  end
+  else false
 
 let reprepare t =
   t.prepared <- Acq_exec.Runner.prepare t.query ~costs:t.costs t.plan
@@ -170,7 +209,6 @@ let execute ?obs t ~lookup =
 let expected_cost t = t.expected
 let state t = t.state
 let epoch t = t.epoch
-let stats_epoch t = t.stats_epoch
 let drift t = t.last_drift
 let replans t = t.replans
 let failed_replans t = t.failed_replans
@@ -180,33 +218,37 @@ let initial_stats t = t.initial_stats
 let planning_nodes t = t.planning_nodes
 
 let observe t ~cost row =
-  Sl.push t.window row;
+  if t.owns_ring then Sl.push (W.ring t.window) row;
   t.epoch <- t.epoch + 1;
+  t.phase <-
+    (if t.phase + 1 = t.policy.Policy.check_every then 0 else t.phase + 1);
   t.since_switch <- t.since_switch + 1;
-  t.cost_acc <- t.cost_acc +. cost;
+  t.cost_acc.sum <- t.cost_acc.sum +. cost;
   t.cost_n <- t.cost_n + 1
 
-let due t = t.epoch > 0 && t.epoch mod t.policy.Policy.check_every = 0
+let due t = t.epoch > 0 && t.phase = 0
 
 let observation t =
   let drift =
-    if Sl.size t.window = 0 then 0.0
+    if W.size t.window = 0 then 0.0
     else
-      Sl.drift_marginals t.window ~reference:t.ref_marginals
+      W.drift_marginals t.window ~reference:t.ref_marginals
         ~rows:t.ref_rows
   in
   t.last_drift <- drift;
-  T.set t.telemetry ~labels:(algo_label t) "acqp_adapt_drift" drift;
+  (match Lazy.force t.drift_gauge with
+  | Some g -> Acq_obs.Metrics.set g drift
+  | None -> ());
   (* One code path for both cost sources: the policy resolves the
      internal accumulator or the external (audit-fed) meter into the
      same observation fields. *)
   let observed_cost, observations =
-    Policy.observed_cost t.policy ~internal_sum:t.cost_acc
+    Policy.observed_cost t.policy ~internal_sum:t.cost_acc.sum
       ~internal_n:t.cost_n
   in
   {
     Policy.epochs_since_switch = t.since_switch;
-    window_full = Sl.is_full t.window;
+    window_full = W.is_full t.window;
     drift;
     observed_cost;
     expected_cost = t.expected;
@@ -216,7 +258,7 @@ let observation t =
 (* Replanning + Switching, inside one [check] call. Returns the switch
    when a new plan was installed. *)
 let replan t reason ~max_nodes =
-  if Sl.size t.window = 0 then begin
+  if W.size t.window = 0 then begin
     (* No statistics to replan from; stand down. *)
     enter t Serving;
     None
@@ -225,15 +267,24 @@ let replan t reason ~max_nodes =
     enter t Replanning;
     let granted = min t.replan_budget max_nodes in
     let options = { t.options with P.search_budget = Some granted } in
+    (* Keyed by the window's rows, so a hit is exactly the plan this
+       session would have planned, and built only on a miss (or for
+       the audit's predictions). *)
+    let stream, generation, rows = W.key t.window in
     let est =
-      Sl.backend ~telemetry:t.telemetry ~spec:t.options.P.prob_model t.window
+      lazy
+        (W.backend ~telemetry:t.telemetry ~spec:t.options.P.prob_model
+           t.window)
     in
     let outcome =
       T.span t.telemetry ~cat:"adapt"
         ~attrs:(("reason", Policy.describe reason) :: algo_label t)
         "adapt.replan"
       @@ fun () ->
-      match plan_once t ~options ~stats_epoch:(t.stats_epoch + 1) est with
+      match
+        plan_once t ~options ~stats_epoch:generation ~window:(stream, rows)
+          est
+      with
       | r -> Ok r
       | exception (Search.Budget_exceeded | Search.Deadline_exceeded) ->
           Error ()
@@ -250,10 +301,9 @@ let replan t reason ~max_nodes =
     | Ok (r, cache_hit) ->
         t.replans <- t.replans + 1;
         t.planning_nodes <- t.planning_nodes + r.P.stats.Search.nodes_solved;
-        t.stats_epoch <- t.stats_epoch + 1;
         (match t.cache with
         | Some c when t.invalidate_stale ->
-            ignore (Plan_cache.invalidate c ~older_than:t.stats_epoch : int)
+            ignore (Plan_cache.invalidate c ~older_than:generation : int)
         | _ -> ());
         T.incr t.telemetry
           ~labels:
@@ -267,10 +317,10 @@ let replan t reason ~max_nodes =
         (* Whether or not the plan changes, the statistics baseline
            moves to the window the pass planned from. *)
         let rebase () =
-          t.ref_marginals <- Sl.marginals t.window;
-          t.ref_rows <- Sl.size t.window;
+          t.ref_marginals <- W.marginals t.window;
+          t.ref_rows <- rows;
           t.expected <- r.P.est_cost;
-          t.cost_acc <- 0.0;
+          t.cost_acc.sum <- 0.0;
           t.cost_n <- 0;
           t.since_switch <- 0;
           t.drift_armed <- false;
@@ -281,7 +331,8 @@ let replan t reason ~max_nodes =
           | Some a ->
               Audit.install ?model:t.options.P.cost_model a t.query
                 ~costs:t.costs ~plan:t.plan
-                ~expected:r.P.est_cost ~backend:est ~epoch:t.epoch
+                ~expected:r.P.est_cost ~backend:(Lazy.force est)
+                ~epoch:t.epoch
           | None -> ()
         in
         if Acq_plan.Plan.equal r.P.plan t.plan then begin
@@ -326,8 +377,8 @@ let check ?(max_nodes = max_int) t =
   | Some a ->
       Audit.note_drift a ~epoch:t.epoch o.Policy.drift;
       let window =
-        if Sl.size t.window = 0 then None
-        else Some (fun () -> Sl.to_dataset t.window)
+        if W.size t.window = 0 then None
+        else Some (fun () -> W.to_dataset t.window)
       in
       Audit.checkpoint a ~epoch:t.epoch ?window ()
   | None -> ());

@@ -20,12 +20,14 @@
     statistics. A policy trigger ({!Policy.evaluate}) moves the
     session to [Drifting]; the trigger must still hold at the {e next}
     check (hysteresis against a score grazing the threshold) before
-    the session replans. [Replanning] runs the configured planner over
-    the window's probability backend (built per
-    [options.prob_model] via {!Acq_prob.Sliding.backend}, reusing the
-    window's packed buffers — a steady-state replan allocates no fresh
-    statistics storage) under a bounded {!Acq_core.Search} node
-    budget — going through the {!Plan_cache} first — and [Switching]
+    the session replans. [Replanning] looks the window up in the
+    {!Plan_cache} (keyed by the window's rows, so a hit is exactly the
+    plan this session would plan) and on a miss runs the configured
+    planner over the window's probability backend (built per
+    [options.prob_model] via {!Acq_prob.Sliding.Window.backend},
+    reusing the ring's packed buffers — a steady-state replan
+    allocates no fresh statistics storage) under a bounded
+    {!Acq_core.Search} node budget, and [Switching]
     atomically installs the new plan, charges its encoded size as
     dissemination cost via the [on_switch] callback, re-bases the
     drift reference on an O(domains) marginal-counts snapshot of the
@@ -66,15 +68,17 @@ val create :
   Acq_plan.Query.t ->
   t
 (** Plans the initial plan from [history] (through [cache] when one is
-    given, under [stats_epoch = 0]) and starts Serving. [window] is
-    the sliding-window capacity in tuples. [replan_budget] (default
+    given, under [stats_epoch = 0]; a hit builds no history backend)
+    and starts Serving. [window] is the sliding-window capacity in
+    tuples; the window starts on a private ring, see {!attach}.
+    [replan_budget] (default
     200_000 search nodes) bounds each replanning pass via
     {!Acq_core.Planner.options.search_budget}; a pass that exhausts it
     keeps the old plan and counts as a failed replan.
     [invalidate_stale] (default false) makes every successful replan
-    call {!Plan_cache.invalidate} for entries older than the new
-    stats epoch — enable it only when the session owns the cache
-    (sessions sharing a cache have independent epoch counters).
+    call {!Plan_cache.invalidate} for entries older than the window's
+    generation — enable it only when the session owns the cache
+    (other sessions' windows may be younger).
     [on_switch] is called with the new plan exactly once per switch —
     the hook the sensor runtime uses to disseminate.
     The session lowers each installed plan once — at creation and
@@ -89,6 +93,15 @@ val create :
     {!Policy.with_cost_source} on the session's policy to drive the
     cost-regret trigger from audited cost. *)
 
+val attach : t -> Acq_prob.Sliding.t -> bool
+(** Move the window onto a shared ring of the same schema: from now
+    on it is the ring's last min(age, window) rows, age counting from
+    the ring's next push, and {!observe} no longer pushes — the ring's
+    owner pushes each tuple once for every session on it. Only a
+    session that has observed nothing yet moves; returns whether it
+    did (a session that already has rows, or another schema, keeps
+    its private window). *)
+
 val query : t -> Acq_plan.Query.t
 val plan : t -> Acq_plan.Plan.t
 
@@ -101,12 +114,13 @@ val execute :
   t ->
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
-(** Run the current prepared plan on one tuple — what a daemon-style
-    caller uses between replans instead of re-interpreting the tree.
-    Does {e not} {!observe}; feed the outcome's cost back through
-    {!step}/{!observe} as usual. With an audit pipeline attached, the
-    tuple also feeds the calibration probe (never changing the
-    outcome). *)
+(** Run the current prepared plan on one tuple — what a caller that
+    serves the session itself uses between replans instead of
+    re-interpreting the tree (a {!Supervisor} runs the session's plan
+    group instead). Does {e not} {!observe}; feed the outcome's cost
+    back through {!step}/{!observe} as usual. With an audit pipeline
+    attached, the tuple also feeds the calibration probe (never
+    changing the outcome). *)
 
 val audit : t -> Acq_audit.Audit.t option
 
@@ -121,7 +135,6 @@ val state : t -> state
 val epoch : t -> int
 (** Tuples observed so far. *)
 
-val stats_epoch : t -> int
 
 val drift : t -> float
 (** Score at the most recent check. *)
@@ -145,8 +158,9 @@ val planning_nodes : t -> int
 
 val observe : t -> cost:float -> int array -> unit
 (** Account one executed epoch: the realized acquisition [cost] and
-    the tuple that produced it (pushed into the window). Does not
-    check triggers. *)
+    the tuple that produced it (pushed into the window, unless the
+    window is on a shared ring: see {!attach}). Does not check
+    triggers; allocates nothing. *)
 
 val due : t -> bool
 (** True when the policy's check cadence lands on the current epoch. *)

@@ -1,11 +1,16 @@
 (** Many continuous queries, one stream, one planning budget.
 
     The supervisor owns a set of {!Session}s over the same schema and
-    drives them tuple by tuple: each arriving tuple is executed
-    against every session's current plan (paying that plan's
-    acquisition cost), pushed into every session's window, and — at
-    each session's check cadence — triggers are evaluated under a {e
-    shared} planning-node budget. Replans are granted
+    drives them tuple by tuple. It keeps one ring for the stream
+    ({!Acq_prob.Sliding}), and every session's window is a view onto
+    it ({!Session.attach}), so each tuple is pushed once. Sessions
+    whose compiled automata agree (same query, same plan) form a plan
+    group: each tuple runs once per group, and the outcome — verdict,
+    acquisition cost, acquisition order — is every member's. Each
+    session then observes it, and at its check cadence its triggers
+    are evaluated under a {e shared} planning-node budget. A tick
+    costs one execution per distinct plan plus a few field updates
+    per session, not one execution and one window push per session. Replans are granted
     first-come-first-served out of the remaining budget; once it is
     exhausted, sessions park in [Drifting] (their triggers stay
     pending) rather than burning basestation CPU — the multi-query
@@ -38,8 +43,12 @@ val create_empty :
 
 val register : t -> Session.t -> int
 (** Add a session to the population (it joins the stream at the next
-    {!step}) and return its id. Updates the
-    [acqp_adapt_supervised_sessions] gauge. *)
+    {!step}) and return its id. A session that has observed nothing
+    moves its window onto the supervisor's ring ({!Session.attach});
+    its window then holds the tuples stepped since it registered.
+    Supervised sessions must be driven only through the supervisor
+    (its plan groups follow the switches {!step}'s checks make).
+    Updates the [acqp_adapt_supervised_sessions] gauge. *)
 
 val unregister : t -> int -> bool
 (** Remove a session by id — the daemon's client-disconnect path.
@@ -65,10 +74,25 @@ val session : t -> int -> Session.t option
 
 val step : t -> int array -> Acq_plan.Executor.outcome array
 (** Serve one stream tuple to every live session (outcomes in
-    registration order): execute through each session's prepared
-    runner (so a session-attached audit pipeline sees every supervised
-    tuple), meter, observe, and run any due trigger checks under the
-    shared budget (first come, first served in registration order). *)
+    registration order, index-aligned with {!ids}): push it onto the
+    ring, execute each plan group once (an audited session executes
+    alone, through its own probe; the executor series are credited
+    once per member, so they read as if every session had executed),
+    meter, observe, and run any due trigger checks under the shared
+    budget (first come, first served in registration order).
+
+    The array is the supervisor's own and is reused: it stays valid
+    until the next [step], which overwrites it (a [step] after
+    {!register} or {!unregister} may return a fresh one). Copy it to
+    keep it longer. Outside the due checks, a step allocates per plan
+    group (its outcome), not per session. *)
+
+val iter_matches : t -> (int -> Acq_plan.Executor.outcome -> unit) -> unit
+(** [iter_matches t f] calls [f id outcome] for every session whose
+    outcome in the last {!step} matched, in registration order — the
+    events of the tick, without a pass over the other sessions. Valid
+    until the next {!step}, {!register} or {!unregister} (after the
+    latter two it reports nothing). *)
 
 val run_dataset : t -> Acq_data.Dataset.t -> unit
 (** {!step} every row in order. *)
@@ -80,6 +104,13 @@ val acquisition_cost : t -> float
 
 val matches : t -> int
 (** Verdict-true epochs, summed over sessions. *)
+
+val executions : t -> int
+(** Plan executions over the supervisor's life: one per plan group
+    per {!step}. *)
+
+val plan_groups : t -> int
+(** Distinct plan groups among the live sessions now. *)
 
 val switch_bytes : t -> int
 (** Total dissemination payload of every switch by every session. *)

@@ -53,6 +53,19 @@ let columns t =
 
 let of_raw schema nrows cells = { schema; nrows; cells }
 
+let value_counts t =
+  let n = ncols t in
+  let counts = Array.map (fun k -> Array.make k 0) (Schema.domains t.schema) in
+  (* One pass over the row-major buffer, column index cycling. *)
+  let c = ref 0 in
+  for i = 0 to (t.nrows * n) - 1 do
+    let col = counts.(!c) in
+    let v = t.cells.(i) in
+    col.(v) <- col.(v) + 1;
+    c := if !c + 1 = n then 0 else !c + 1
+  done;
+  counts
+
 let split_by_time t ~train_fraction =
   if train_fraction <= 0.0 || train_fraction >= 1.0 then
     invalid_arg "Dataset.split_by_time: fraction must be in (0,1)";

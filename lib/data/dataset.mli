@@ -46,6 +46,11 @@ val columns : t -> int array array
     changing identity. Callers that sweep the same dataset repeatedly
     should hoist the call themselves. *)
 
+val value_counts : t -> int array array
+(** Per-attribute value counts: [(value_counts d).(a).(v)] is the
+    number of rows whose attribute [a] equals [v]. One pass over the
+    packed cells. *)
+
 val split_by_time : t -> train_fraction:float -> t * t
 (** Leading fraction as training data, the rest as test data. The
     paper evaluates on non-overlapping time windows (Section 6, "Test

@@ -56,7 +56,7 @@ let create ?model ~costs auto =
 
 let automaton t = t.auto
 
-let run ?instr ?probe t ~lookup =
+let run ?instr ?probe ?(times = 1) t ~lookup =
   let a = t.auto in
   let probed, phits, pmisses =
     match probe with
@@ -104,8 +104,8 @@ let run ?instr ?probe t ~lookup =
   let verdict = go a.Compile.entry in
   (match instr with
   | Some i ->
-      E.Instr.acquired i t.order t.n_acq;
-      E.Instr.tuple i ~verdict ~tests:t.tests
+      E.Instr.acquired i ~times t.order t.n_acq;
+      E.Instr.tuple i ~times ~verdict ~tests:t.tests
   | None -> ());
   (match probe with Some p -> Probe.observe_cost p t.acc.(0) | None -> ());
   {

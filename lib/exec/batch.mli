@@ -32,6 +32,7 @@ val automaton : t -> Compile.t
 val run :
   ?instr:Acq_plan.Executor.Instr.t ->
   ?probe:Probe.t ->
+  ?times:int ->
   t ->
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
@@ -39,7 +40,9 @@ val run :
     per node visit (exactly like the tree interpreter's [touch]), so
     lookup side effects — a mote powering a sensor — happen in the
     same order and multiplicity. With [instr], records the same
-    per-tuple series as {!Acq_plan.Executor.run}. With [probe],
+    per-tuple series as {!Acq_plan.Executor.run}, [times] (default 1)
+    over: one execution shared by [times] queries with the same
+    automaton credits each of them. With [probe],
     per-node visit/hit counts and the tuple's realized cost are folded
     into the probe's pre-allocated cells — observations only, never a
     change to verdict, cost, or acquisition order. @raise

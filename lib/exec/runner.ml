@@ -38,8 +38,8 @@ let instr p obs =
           p.registry <- registry);
       p.instr
 
-let run ?(obs = T.noop) ?probe p ~lookup =
-  Batch.run ?instr:(instr p obs) ?probe p.batch ~lookup
+let run ?(obs = T.noop) ?probe ?times p ~lookup =
+  Batch.run ?instr:(instr p obs) ?probe ?times p.batch ~lookup
 
 let run_tuple ?obs ?probe p tuple =
   run ?obs ?probe p ~lookup:(fun at -> tuple.(at))

@@ -10,8 +10,8 @@
 
 type prepared
 (** Mutable: it caches the executor instruments it last resolved. A
-    prepared plan is owned by one session or mote and is never shared
-    across domains. *)
+    prepared plan is owned by one session, mote or supervisor plan
+    group and is never shared across domains. *)
 
 val prepare :
   ?model:Acq_plan.Cost_model.t ->
@@ -25,6 +25,7 @@ val plan : prepared -> Acq_plan.Plan.t
 val run :
   ?obs:Acq_obs.Telemetry.t ->
   ?probe:Probe.t ->
+  ?times:int ->
   prepared ->
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
@@ -36,7 +37,8 @@ val run :
     [obs] carries. Resolving at first use, not at {!prepare}, keeps
     registration order — and every dump — what per-call lookups
     produced. [probe] feeds the per-node / per-tuple audit cells
-    without changing any outcome. *)
+    without changing any outcome. [times] (default 1) credits the
+    executor series as that many executions — see {!Batch.run}. *)
 
 val run_tuple :
   ?obs:Acq_obs.Telemetry.t ->

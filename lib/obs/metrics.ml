@@ -20,12 +20,12 @@ type family = {
   help : string;
   kind : string;  (* "counter" | "gauge" | "histogram" *)
   mutable series : ((string * string) list * instrument) list;
-      (* label set -> instrument, registration order (kept reversed) *)
+      (* label set -> instrument, newest first; dumps reverse it *)
 }
 
 type t = {
   families : (string, family) Hashtbl.t;
-  mutable order : string list;  (* registration order, reversed *)
+  mutable order : string list;  (* family names, newest first: dump order *)
 }
 
 let create () = { families = Hashtbl.create 32; order = [] }
@@ -102,22 +102,38 @@ let add c v =
   if v < 0.0 then invalid_arg "Metrics.add: counters are monotone";
   c.c_value <- c.c_value +. v
 
+let add_int c n =
+  if n < 0 then invalid_arg "Metrics.add_int: counters are monotone";
+  c.c_value <- c.c_value +. float_of_int n
+
 let counter_value c = c.c_value
 let set g v = g.g_value <- v
 let add_gauge g v = g.g_value <- g.g_value +. v
 let gauge_value g = g.g_value
 
-let[@inline] observe h v =
+(* Index of the bucket [v] falls in; the last is the overflow. *)
+let[@inline] bucket h v =
   let n = Array.length h.bounds in
   let i = ref 0 in
   while !i < n && v > h.bounds.(!i) do
     i := !i + 1
   done;
-  h.counts.(!i) <- h.counts.(!i) + 1;
+  !i
+
+let[@inline] observe h v =
+  let i = bucket h v in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum.(0) <- h.h_sum.(0) +. v
 
 let observe_int h k = observe h (float_of_int k)
+
+let observe_int_times h k times =
+  let v = float_of_int k in
+  let i = bucket h v in
+  h.counts.(i) <- h.counts.(i) + times;
+  h.h_count <- h.h_count + times;
+  h.h_sum.(0) <- h.h_sum.(0) +. (v *. float_of_int times)
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum.(0)

@@ -11,11 +11,13 @@
     a prepared plan keeps its executor instruments per registry
     ({!Acq_exec.Runner}), and the sensor epoch loop resolves its
     counters once per run. Updates through a handle —
-    [incr]/[add]/[set]/[observe]/[observe_int] — never allocate.
+    [incr]/[add]/[add_int]/[set]/[observe]/[observe_int]/
+    [observe_int_times] — never allocate.
 
-    Dump order is registration order, which makes dumps of a
-    deterministic program deterministic — the property the golden
-    tests rely on. *)
+    Dumps list families newest-registered first and, within a family,
+    series oldest-registered first. The order follows registration
+    alone, which makes dumps of a deterministic program deterministic
+    — the property the golden tests rely on. *)
 
 type t
 type counter
@@ -53,6 +55,10 @@ val histogram :
 
 val incr : counter -> unit
 val add : counter -> float -> unit
+val add_int : counter -> int -> unit
+(** [add c (float_of_int n)] without boxing the float at the call
+    site. *)
+
 val counter_value : counter -> float
 val set : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
@@ -66,6 +72,11 @@ val observe_int : histogram -> int -> unit
     site — the form for per-tuple integer observations such as the
     executor's traversal depth. *)
 
+val observe_int_times : histogram -> int -> int -> unit
+(** [observe_int_times h k n]: [n] observations of [k] at once —
+    counts equal to [n] calls of {!observe_int}, and the same sum
+    while it stays an exact integer (below 2{^53}). *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 
@@ -74,7 +85,8 @@ val bucket_counts : histogram -> int array
     bucket. Returns a fresh copy. *)
 
 type snapshot = (string * float) list
-(** Flat view of the registry, in registration order. Keys are the
+(** Flat view of the registry, in dump order (families newest first,
+    series oldest first within a family). Keys are the
     Prometheus sample names — [name{label="v",...}], histograms
     flattened to [name_count{...}] and [name_sum{...}]. *)
 
@@ -91,9 +103,11 @@ val merge_into : src:t -> dst:t -> unit
 (** Fold every instrument of [src] into [dst]: counters and gauges add
     their values (gauges in this codebase accumulate, e.g. energy, so
     summing shards is the right merge), histograms add per-bucket
-    counts and sums. Families and series absent from [dst] are
-    registered, preserving [src]'s registration order after [dst]'s
-    existing instruments. [src] is not modified. This is how the
+    counts and sums. Families absent from [dst] are registered in
+    [src]'s dump order, so a dump of [dst] lists them in [src]'s
+    registration order (oldest first) ahead of [dst]'s own; series
+    absent from a family are appended in [src]'s registration order.
+    [src] is not modified. This is how the
     domain pool folds per-domain metric shards into the caller's
     registry on join.
     @raise Invalid_argument if a family exists in both registries with

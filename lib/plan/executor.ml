@@ -45,15 +45,15 @@ module Instr = struct
   let acquisitions t attr n =
     if n > 0 then M.add t.acq.(attr) (float_of_int n)
 
-  let acquired t order n =
+  let acquired t ~times order n =
     for k = 0 to n - 1 do
-      M.incr t.acq.(order.(k))
+      M.add_int t.acq.(order.(k)) times
     done
 
-  let tuple t ~verdict ~tests =
-    M.incr t.tuples_c;
-    if verdict then M.incr t.matches_c;
-    M.observe_int t.depth_hist tests
+  let tuple t ~times ~verdict ~tests =
+    M.add_int t.tuples_c times;
+    if verdict then M.add_int t.matches_c times;
+    M.observe_int_times t.depth_hist tests times
 
   let tuples t ~n ~matches =
     M.add t.tuples_c (float_of_int n);
@@ -138,7 +138,7 @@ let run_instr ?model ?audit ~instr q ~costs plan ~lookup =
   in
   let verdict = exec plan in
   (match instr with
-  | Some i -> Instr.tuple i ~verdict ~tests:!tests
+  | Some i -> Instr.tuple i ~times:1 ~verdict ~tests:!tests
   | None -> ());
   (match audit with
   | Some a -> a.Audit_hook.on_tuple ~verdict ~cost:!cost

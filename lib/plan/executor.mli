@@ -45,14 +45,15 @@ module Instr : sig
       compiled batch executor accumulates plain int counts in its
       sweep loop and flushes them through this once per sweep. *)
 
-  val acquired : t -> int array -> int -> unit
-  (** [acquired i order n]: count one paid acquisition of each of
-      [order.(0)] .. [order.(n-1)] — a compiled tuple's acquisitions
-      in one call rather than one per attribute. *)
+  val acquired : t -> times:int -> int array -> int -> unit
+  (** [acquired i ~times order n]: count [times] paid acquisitions of
+      each of [order.(0)] .. [order.(n-1)] — a compiled tuple's
+      acquisitions in one call rather than one per attribute, credited
+      once per query that shares the execution. *)
 
-  val tuple : t -> verdict:bool -> tests:int -> unit
-  (** Record one executed tuple: tuple/match counters and the
-      traversal-depth histogram. *)
+  val tuple : t -> times:int -> verdict:bool -> tests:int -> unit
+  (** Record [times] executions of one tuple (one per query sharing
+      it): tuple/match counters and the traversal-depth histogram. *)
 
   val tuples : t -> n:int -> matches:int -> unit
   (** Batched tuple/match counters for a whole sweep. *)

@@ -1,44 +1,89 @@
+(* A materialization slot: the last [len] rows at generation [gen],
+   oldest first, packed into [buf]. *)
+type slot = {
+  mutable gen : int;  (* -1: empty *)
+  mutable len : int;
+  mutable buf : int array;
+  mutable ds : Acq_data.Dataset.t option;
+}
+
 type t = {
   schema : Acq_data.Schema.t;
-  capacity : int;
   domains : int array;
-  ring : int array;
+  stream : int;  (* process-unique: names the row sequence in cache keys *)
+  mutable capacity : int;
+  mutable ring : int array;
       (* [capacity] rows of [arity] cells, row i at [i * arity]; a push
-         writes into the evicted row's cells, so pushes never allocate *)
+         writes into the evicted row's cells, so pushes never allocate.
+         Allocated at the first push. *)
   mutable head : int;  (* next write position *)
   mutable size : int;
-  counts : int array array;  (* per-attribute incremental histograms *)
-  mutable cached : Acq_data.Dataset.t option;
-  bufs : int array array;
-      (* two flat cell buffers, rotated between materializations so a
-         replan can reuse packed storage without invalidating the
-         dataset the previous replan is still reading *)
-  mutable turn : int;  (* which of [bufs] the next materialization fills *)
+  mutable generation : int;  (* rows pushed over the ring's life *)
+  mutable base : int;  (* generation at the last [clear] *)
+  counts : int array array;  (* per-attribute histograms of the [size] rows *)
+  slots : slot array;
+      (* two materializations, keyed by (generation, length), filled in
+         turn so a replan can reuse packed storage without invalidating
+         the dataset the previous replan is still reading *)
+  mutable turn : int;  (* which of [slots] the next miss fills *)
   mutable ids : int array;  (* cached identity row ids for window views *)
+  suffix : int array array;  (* histograms of a shorter suffix *)
+  mutable suffix_gen : int;  (* the suffix [suffix] counts; -1: none *)
+  mutable suffix_len : int;
 }
+
+let next_stream = Atomic.make 0
 
 let create schema ~capacity =
   if capacity < 1 then invalid_arg "Sliding.create: capacity < 1";
   let domains = Acq_data.Schema.domains schema in
+  let empty () = { gen = -1; len = 0; buf = [||]; ds = None } in
   {
     schema;
-    capacity;
     domains;
-    ring = Array.make (capacity * Array.length domains) 0;
+    stream = Atomic.fetch_and_add next_stream 1;
+    capacity;
+    ring = [||];
     head = 0;
     size = 0;
+    generation = 0;
+    base = 0;
     counts = Array.map (fun k -> Array.make k 0) domains;
-    cached = None;
-    bufs = [| [||]; [||] |];
+    slots = [| empty (); empty () |];
     turn = 0;
     ids = [||];
+    suffix = Array.map (fun k -> Array.make k 0) domains;
+    suffix_gen = -1;
+    suffix_len = 0;
   }
 
+let schema t = t.schema
 let capacity t = t.capacity
-
 let size t = t.size
-
 let is_full t = t.size = t.capacity
+
+(* Ring index of the oldest of the last [len] rows. *)
+let oldest t len = (t.head - len + t.capacity) mod t.capacity
+
+(* Copy the last [len] rows, oldest first, into [dst] from cell 0. *)
+let blit_last t len dst =
+  let n = Array.length t.domains in
+  let start = oldest t len in
+  let tail = min len (t.capacity - start) in
+  Array.blit t.ring (start * n) dst 0 (tail * n);
+  Array.blit t.ring 0 dst (tail * n) ((len - tail) * n)
+
+let reserve t capacity =
+  if capacity > t.capacity then begin
+    let n = Array.length t.domains in
+    if Array.length t.ring > 0 then begin
+      let ring = Array.make (capacity * n) 0 in
+      blit_last t t.size ring;
+      t.ring <- ring
+    end;
+    t.head <- t.size mod capacity;
+    t.capacity <- capacity
+  end
 
 let push t row =
   let n = Array.length t.domains in
@@ -48,6 +93,7 @@ let push t row =
     if v < 0 || v >= t.domains.(a) then
       invalid_arg "Sliding.push: value out of domain"
   done;
+  if Array.length t.ring = 0 then t.ring <- Array.make (t.capacity * n) 0;
   let base = t.head * n in
   if t.size = t.capacity then
     (* Evict the oldest row (the one about to be overwritten). *)
@@ -61,7 +107,7 @@ let push t row =
     t.counts.(a).(row.(a)) <- t.counts.(a).(row.(a)) + 1
   done;
   t.head <- (t.head + 1) mod t.capacity;
-  t.cached <- None
+  t.generation <- t.generation + 1
 
 let push_dataset t ds =
   Acq_data.Dataset.iter_rows ds (fun r -> push t (Acq_data.Dataset.row ds r))
@@ -69,71 +115,97 @@ let push_dataset t ds =
 let clear t =
   t.head <- 0;
   t.size <- 0;
+  t.base <- t.generation;
   Array.iter (fun c -> Array.fill c 0 (Array.length c) 0) t.counts;
-  t.cached <- None
+  Array.iter
+    (fun s ->
+      s.gen <- -1;
+      s.ds <- None)
+    t.slots;
+  t.suffix_gen <- -1
 
 let histogram t attr = Array.copy t.counts.(attr)
 
 let marginals t = Array.map Array.copy t.counts
 
-let to_dataset t =
-  if t.size = 0 then invalid_arg "Sliding.to_dataset: empty window";
-  match t.cached with
-  | Some ds -> ds
-  | None ->
+(* Histograms of the last [len] rows: the ring's own when [len] is all
+   of it, otherwise counted over the suffix once per (generation,
+   length) and kept until the next suffix is asked for. *)
+let counts_of t len =
+  if len = t.size then t.counts
+  else begin
+    if t.suffix_gen <> t.generation || t.suffix_len <> len then begin
       let n = Array.length t.domains in
-      let need = t.size * n in
-      let buf =
-        (* Steady state (full window) keeps two capacity-sized buffers
-           alive forever; only the filling phase reallocates. *)
-        let b = t.bufs.(t.turn) in
-        if Array.length b = need then b
-        else begin
-          let b = Array.make need 0 in
-          t.bufs.(t.turn) <- b;
-          b
-        end
-      in
+      Array.iter (fun c -> Array.fill c 0 (Array.length c) 0) t.suffix;
+      let start = oldest t len in
+      for k = 0 to len - 1 do
+        let base = ((start + k) mod t.capacity) * n in
+        for a = 0 to n - 1 do
+          let v = t.ring.(base + a) in
+          t.suffix.(a).(v) <- t.suffix.(a).(v) + 1
+        done
+      done;
+      t.suffix_gen <- t.generation;
+      t.suffix_len <- len
+    end;
+    t.suffix
+  end
+
+let materialize t len =
+  if len = 0 then invalid_arg "Sliding.to_dataset: empty window";
+  let hit i =
+    let s = t.slots.(i) in
+    s.gen = t.generation && s.len = len
+  in
+  let i = if hit 0 then 0 else if hit 1 then 1 else -1 in
+  match if i >= 0 then t.slots.(i).ds else None with
+  | Some ds ->
+      (* The next miss fills the other slot, so a dataset stays valid
+         through the next materialization, hit or miss. *)
+      t.turn <- 1 - i;
+      ds
+  | None ->
+      let s = t.slots.(t.turn) in
       t.turn <- 1 - t.turn;
-      (* Oldest first: the rows from [start] to the ring's end, then
-         the wrapped prefix. *)
-      let start = if t.size = t.capacity then t.head else 0 in
-      let tail = min t.size (t.capacity - start) in
-      Array.blit t.ring (start * n) buf 0 (tail * n);
-      Array.blit t.ring 0 buf (tail * n) ((t.size - tail) * n);
-      let ds = Acq_data.Dataset.of_raw t.schema t.size buf in
-      t.cached <- Some ds;
+      let need = len * Array.length t.domains in
+      (* Steady state (a full window) keeps two capacity-sized buffers
+         alive forever; only the filling phase reallocates. *)
+      if Array.length s.buf <> need then s.buf <- Array.make need 0;
+      blit_last t len s.buf;
+      let ds = Acq_data.Dataset.of_raw t.schema len s.buf in
+      s.gen <- t.generation;
+      s.len <- len;
+      s.ds <- Some ds;
       ds
 
-let identity_ids t =
-  if Array.length t.ids <> t.size then t.ids <- Array.init t.size (fun i -> i);
+let identity_ids t len =
+  if Array.length t.ids <> len then t.ids <- Array.init len (fun i -> i);
   t.ids
 
-let backend ?telemetry ?(spec = Backend.default_spec) t =
-  let ds = to_dataset t in
+let backend_of ?telemetry ?(spec = Backend.default_spec) t len =
+  let ds = materialize t len in
   match spec.Backend.kind with
   | Backend.Empirical ->
       (* Zero-copy fast path: the view aliases the window's packed cell
          buffer and the cached identity id array. *)
-      let b = Backend.of_view (View.of_rows ds (identity_ids t)) in
+      let b = Backend.of_view (View.of_rows ds (identity_ids t len)) in
       if spec.Backend.memoize then Backend.memo ?telemetry b else b
   | Backend.Sampled { n; delta } ->
       (* Zero-copy as well: the sampled backend draws from a view over
          the window's packed buffer and maps positions to row ids. *)
       let b =
-        Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t))
+        Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t len))
       in
       if spec.Backend.memoize then Backend.memo ?telemetry b else b
   | Backend.Chow_liu | Backend.Independence ->
       Backend.of_dataset ?telemetry ~spec ds
 
-let drift_marginals t ~reference ~rows =
-  let counts = t.counts in
+let drift_of counts ~size ~reference ~rows =
   let n = Array.length counts in
   if Array.length reference <> n then
     invalid_arg "Sliding.drift_marginals: arity mismatch";
   let ref_rows = float_of_int rows in
-  let win_rows = float_of_int t.size in
+  let win_rows = float_of_int size in
   if ref_rows = 0.0 || win_rows = 0.0 then 0.0
   else begin
     let total = ref 0.0 in
@@ -152,16 +224,13 @@ let drift_marginals t ~reference ~rows =
     !total /. float_of_int n
   end
 
-let marginals_of ds =
-  let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in
-  let n = Array.length domains in
-  let counts = Array.map (fun k -> Array.make k 0) domains in
-  Acq_data.Dataset.iter_rows ds (fun r ->
-      for a = 0 to n - 1 do
-        let v = Acq_data.Dataset.get ds r a in
-        counts.(a).(v) <- counts.(a).(v) + 1
-      done);
-  counts
+let to_dataset t = materialize t t.size
+let backend ?telemetry ?spec t = backend_of ?telemetry ?spec t t.size
+
+let drift_marginals t ~reference ~rows =
+  drift_of t.counts ~size:t.size ~reference ~rows
+
+let marginals_of = Acq_data.Dataset.value_counts
 
 let drift t ~reference =
   if Acq_data.Dataset.nrows reference = 0 || t.size = 0 then 0.0
@@ -169,3 +238,30 @@ let drift t ~reference =
     drift_marginals t
       ~reference:(marginals_of reference)
       ~rows:(Acq_data.Dataset.nrows reference)
+
+module Window = struct
+  type ring = t
+  type t = { ring : ring; capacity : int; start : int }
+
+  let create ring ~capacity =
+    if capacity < 1 then invalid_arg "Sliding.Window.create: capacity < 1";
+    reserve ring capacity;
+    { ring; capacity; start = ring.generation }
+
+  let ring w = w.ring
+  let capacity w = w.capacity
+
+  let size w =
+    min (w.ring.generation - max w.start w.ring.base) w.capacity
+
+  let is_full w = size w = w.capacity
+  let key w = (w.ring.stream, w.ring.generation, size w)
+  let marginals w = Array.map Array.copy (counts_of w.ring (size w))
+
+  let drift_marginals w ~reference ~rows =
+    let size = size w in
+    drift_of (counts_of w.ring size) ~size ~reference ~rows
+
+  let to_dataset w = materialize w.ring (size w)
+  let backend ?telemetry ?spec w = backend_of ?telemetry ?spec w.ring (size w)
+end

@@ -41,6 +41,7 @@ type t = {
   tenants : (string, tenant) Hashtbl.t;
   subs : (int, sub) Hashtbl.t;
   by_sup : (int, sub) Hashtbl.t;  (** supervisor id -> sub, for tick routing *)
+  owned : (int, int) Hashtbl.t;  (** connection -> live subscriptions it owns *)
   mutable next_sub : int;
   mutable cursor : int;  (** next live row the tick loop serves *)
   mutable draining : bool;
@@ -70,6 +71,7 @@ let create ?(limits = Limits.default) ?registry spec =
     tenants = Hashtbl.create 16;
     subs = Hashtbl.create 64;
     by_sup = Hashtbl.create 64;
+    owned = Hashtbl.create 16;
     next_sub = 0;
     cursor = 0;
     draining = false;
@@ -334,6 +336,8 @@ let subscribe t ~tenant:name ~owner (opts : Protocol.opts) sql =
                 in
                 Hashtbl.replace t.subs sub_id sub;
                 Hashtbl.replace t.by_sup sup_id sub;
+                Hashtbl.replace t.owned owner
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt t.owned owner));
                 tn.live_subs <- tn.live_subs + 1;
                 T.set t.telemetry
                   ~labels:[ ("tenant", tn.name) ]
@@ -350,6 +354,9 @@ let remove_sub t (sub : sub) =
   ignore (Supervisor.unregister t.supervisor sub.sup_id : bool);
   Hashtbl.remove t.subs sub.sub_id;
   Hashtbl.remove t.by_sup sub.sup_id;
+  (match Hashtbl.find_opt t.owned sub.owner with
+  | Some n when n > 1 -> Hashtbl.replace t.owned sub.owner (n - 1)
+  | Some _ | None -> Hashtbl.remove t.owned sub.owner);
   sub.tn.live_subs <- sub.tn.live_subs - 1;
   T.set t.telemetry
     ~labels:[ ("tenant", sub.tn.name) ]
@@ -367,8 +374,7 @@ let unsubscribe t ~tenant:name ~owner id =
       reject t tn 404;
       err 404 (Printf.sprintf "no subscription %d on this connection" id)
 
-let has_subscription t ~owner =
-  Seq.exists (fun sub -> sub.owner = owner) (Hashtbl.to_seq_values t.subs)
+let has_subscription t ~owner = Hashtbl.mem t.owned owner
 
 let drop_owner t owner =
   let mine =
@@ -381,8 +387,9 @@ let drop_owner t owner =
 
 (* ------------------------------------------------------------------ *)
 (* The serving tick: replay the live trace cyclically, one tuple per
-   tick, through every subscribed session. Matching tuples become
-   EVENT payloads routed back to the owning connection. *)
+   tick, through every subscribed session (one execution per distinct
+   plan, see Supervisor.step). Matching tuples become EVENT payloads
+   routed back to the owning connection, in subscription order. *)
 
 let render_event t row (o : Ex.outcome) =
   let names = Acq_data.Schema.names t.schema in
@@ -399,23 +406,17 @@ let tick t =
     let row = D.row t.live t.cursor in
     t.cursor <- (t.cursor + 1) mod D.nrows t.live;
     T.incr t.telemetry "acqpd_ticks_total";
-    let outcomes = Supervisor.step t.supervisor row in
-    let ids = Supervisor.ids t.supervisor in
+    ignore (Supervisor.step t.supervisor row : Ex.outcome array);
     let events = ref [] in
-    List.iteri
-      (fun i sup_id ->
-        let o = outcomes.(i) in
-        if o.Ex.verdict then
-          match Hashtbl.find_opt t.by_sup sup_id with
-          | None -> ()
-          | Some sub ->
-              sub.events <- sub.events + 1;
-              T.incr t.telemetry
-                ~labels:[ ("tenant", sub.tn.name) ]
-                "acqpd_events_total";
-              events :=
-                (sub.owner, sub.sub_id, render_event t row o) :: !events)
-      ids;
+    Supervisor.iter_matches t.supervisor (fun sup_id o ->
+        match Hashtbl.find_opt t.by_sup sup_id with
+        | None -> ()
+        | Some sub ->
+            sub.events <- sub.events + 1;
+            T.incr t.telemetry
+              ~labels:[ ("tenant", sub.tn.name) ]
+              "acqpd_events_total";
+            events := (sub.owner, sub.sub_id, render_event t row o) :: !events);
     List.rev !events
   end
 

@@ -399,23 +399,31 @@ let test_session_cache_shared () =
   let s2 = mk () in
   (* The second session's initial plan comes straight from the cache. *)
   Alcotest.(check int) "one miss, one hit" 1 (C.stats cache).C.hits;
-  let drive s =
-    for i = 0 to 59 do
-      ignore (Sess.step s ~cost:120.0 (phase_b_row i))
-    done
-  in
-  drive s2;
-  Alcotest.(check int) "replan missed (epoch 1 not cached)" 2
-    (C.stats cache).C.misses;
+  (* Replans are keyed by the window's rows: s3's window views the same
+     ring as s2's from the same generation, so it holds the same rows. *)
   let s3 = mk () in
-  drive s3;
-  (* Same trajectory: s3's replan hits s2's epoch-1 entry. *)
-  Alcotest.(check int) "replan shared across sessions" 3
-    (C.stats cache).C.hits;
+  let ring = Acq_prob.Sliding.create (drift_schema ()) ~capacity:40 in
+  Alcotest.(check bool) "s2 on the ring" true (Sess.attach s2 ring);
+  Alcotest.(check bool) "s3 on the ring" true (Sess.attach s3 ring);
+  for i = 0 to 59 do
+    Acq_prob.Sliding.push ring (phase_b_row i);
+    List.iter (fun s -> ignore (Sess.step s ~cost:120.0 (phase_b_row i))) [ s2; s3 ]
+  done;
+  Alcotest.(check int) "s2's replan missed" 2 (C.stats cache).C.misses;
+  Alcotest.(check int) "s3's replan hit s2's entry" 3 (C.stats cache).C.hits;
   Alcotest.(check bool) "cached switch marked" true
     (List.exists
        (fun (sw : Sess.switch) -> sw.Sess.cache_hit)
-       (Sess.switches s3))
+       (Sess.switches s3));
+  (* The same trajectory on another ring is another stream: its rows
+     are not the ring's, so the plan is not shared. *)
+  let s4 = mk () in
+  for i = 0 to 59 do
+    ignore (Sess.step s4 ~cost:120.0 (phase_b_row i))
+  done;
+  Alcotest.(check int) "private window misses" 3 (C.stats cache).C.misses;
+  Alcotest.(check bool) "same plan all the same" true
+    (Plan.equal (Sess.plan s4) (Sess.plan s3))
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor *)
@@ -552,6 +560,223 @@ let test_supervisor_register_charges_budget () =
     (Sup.charged_nodes sup);
   Alcotest.(check int) "spent nodes stay spent" (budget - spent)
     (Sup.budget_remaining sup)
+
+let test_supervisor_late_joiner_own_window () =
+  (* A session that joins mid-stream replans from its own window: the
+     plan and expected cost it installs are those the same session
+     plans when served alone, not those planned from the window of an
+     earlier session of the same shape. *)
+  let _, q, history = fixture () in
+  let policy = Pol.periodic ~check_every:10 20 in
+  let cache = C.create ~capacity:16 () in
+  let mk ?cache () =
+    Sess.create ?cache ~algorithm:P.Corr_seq ~policy ~window:40 ~history q
+  in
+  let row i = if i < 30 then phase_a_row i else phase_b_row i in
+  let sup = Sup.create_empty () in
+  ignore (Sup.register sup (mk ~cache ()) : int);
+  let late = mk ~cache () and alone = mk () in
+  for i = 0 to 99 do
+    if i = 15 then ignore (Sup.register sup late : int);
+    ignore (Sup.step sup (row i));
+    if i >= 15 then begin
+      let o = Sess.execute alone ~lookup:(fun a -> (row i).(a)) in
+      ignore (Sess.step alone ~cost:o.Acq_plan.Executor.cost (row i))
+    end
+  done;
+  Alcotest.(check int) "late joiner replanned" 2 (Sess.replans late);
+  Alcotest.(check int) "as often as alone" (Sess.replans alone)
+    (Sess.replans late);
+  Alcotest.(check (float 0.0)) "expected cost from its own window"
+    (Sess.expected_cost alone) (Sess.expected_cost late);
+  Alcotest.(check bool) "same plan as alone" true
+    (Plan.equal (Sess.plan alone) (Sess.plan late))
+
+(* 500 sessions over 25 lab shapes, registered round-robin as the
+   daemon's subscriptions arrive, on one shared plan cache. *)
+let lab_population ?(policy = Pol.drift_triggered ~check_every:32 ~cooldown:64 0.05) () =
+  let ds = Acq_data.Lab_gen.generate (Rng.create 901) ~rows:4_000 in
+  let history, live = DS.split_by_time ds ~train_fraction:0.5 in
+  let shapes =
+    Array.init 25 (fun i ->
+        Acq_workload.Query_gen.lab_query (Rng.create (300 + i)) ~train:history)
+  in
+  let cache = C.create ~capacity:64 () in
+  let sup = Sup.create_empty () in
+  let shape_of = Hashtbl.create 512 in
+  for j = 0 to 499 do
+    let s =
+      Sess.create ~cache ~policy ~algorithm:P.Heuristic ~window:512 ~history
+        shapes.(j mod 25)
+    in
+    Hashtbl.replace shape_of (Sup.register sup s) (j mod 25)
+  done;
+  (sup, live, shape_of)
+
+let test_supervisor_one_execution_per_plan () =
+  let sup, live, shape_of = lab_population () in
+  let distinct () =
+    List.sort_uniq compare
+      (List.map2
+         (fun id s ->
+           (Hashtbl.find shape_of id, Acq_plan.Serialize.encode (Sess.plan s)))
+         (Sup.ids sup) (Sup.sessions sup))
+    |> List.length
+  in
+  let ticks = 1_500 in
+  let most = ref 0 in
+  for i = 0 to ticks - 1 do
+    let bound = distinct () in
+    Alcotest.(check int) "one group per distinct (query, plan)" bound
+      (Sup.plan_groups sup);
+    let before = Sup.executions sup in
+    ignore (Sup.step sup (DS.row live (i mod DS.nrows live)));
+    let ran = Sup.executions sup - before in
+    if ran > bound then
+      Alcotest.failf "tick %d: %d executions for %d distinct plans" i ran bound;
+    most := max !most ran
+  done;
+  Alcotest.(check bool) "replans moved sessions between groups" true
+    (Sup.switches sup <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "executions per tick (at most %d) well under 500" !most)
+    true (!most <= 100)
+
+let test_supervisor_tick_allocation () =
+  (* The tick allocates per plan group, not per session: under a policy
+     that never replans, 1024 ticks over 500 sessions average fewer
+     than 4 minor words per session per tick. *)
+  let sup, live, _ = lab_population ~policy:Pol.static_ () in
+  let rows = Array.init 1_024 (fun i -> DS.row live (i mod DS.nrows live)) in
+  ignore (Sup.step sup rows.(0));
+  let before = Gc.minor_words () in
+  Array.iter (fun r -> ignore (Sup.step sup r)) rows;
+  let per = (Gc.minor_words () -. before) /. (1_024.0 *. 500.0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per session per tick < 4" per)
+    true (per < 4.0)
+
+(* Sharing must not change any session's output. The supervisor (one
+   ring, plan groups, a plan cache shared under window keys) against
+   every session served alone on a private window without a cache:
+   random shapes, windows, and join and leave ticks. The shapes are
+   distinct predicate sets: plans are shared across permutations of
+   one set by the cache's order-insensitive signature, independently
+   of windows and groups. *)
+type member = { shape : int; window : int; join : int; leave : int }
+
+let sharing_queries schema =
+  let p = Pred.inside in
+  [|
+    Q.create schema [ p ~attr:0 ~lo:1 ~hi:1; p ~attr:1 ~lo:1 ~hi:1 ];
+    Q.create schema [ p ~attr:0 ~lo:0 ~hi:0; p ~attr:1 ~lo:1 ~hi:1 ];
+    Q.create schema [ p ~attr:1 ~lo:0 ~hi:0; p ~attr:0 ~lo:1 ~hi:1 ];
+  |]
+
+(* Members come in clones (same shape, window and join tick, their own
+   leave tick), so windows coincide and plans are shared. *)
+let sharing_gen =
+  QCheck2.Gen.(
+    let clones =
+      map
+        (fun ((shape, window, join), spans) ->
+          List.map (fun span -> { shape; window; join; leave = join + span }) spans)
+        (pair
+           (triple (int_bound 2) (oneofl [ 12; 24; 40 ])
+              (oneofl [ 0; 0; 7; 19; 33; 60 ]))
+           (list_size (int_range 1 3) (int_range 20 160)))
+    in
+    pair (map List.concat (list_size (int_range 1 5) clones)) (int_bound 3))
+
+let sharing_print (members, flips) =
+  Printf.sprintf "flips=%d members=[%s]" flips
+    (String.concat "; "
+       (List.map
+          (fun m ->
+            Printf.sprintf "{shape=%d window=%d join=%d leave=%d}" m.shape
+              m.window m.join m.leave)
+          members))
+
+let switch_log (sw : Sess.switch) =
+  Printf.sprintf "%d %s %h %h %d %h %d" sw.Sess.epoch
+    (Pol.describe sw.Sess.reason) sw.Sess.old_expected sw.Sess.new_expected
+    sw.Sess.plan_bytes sw.Sess.drift
+    sw.Sess.search.Acq_core.Search.nodes_solved
+
+let prop_sharing_is_invisible =
+  QCheck2.Test.make ~count:40 ~name:"sharing matches private sessions"
+    ~print:sharing_print sharing_gen (fun (members, flips) ->
+      let _, _, history = fixture () in
+      let queries = sharing_queries (DS.schema history) in
+      (* Phases alternate every [period] tuples, so windows drift and
+         plans switch back and forth. *)
+      let period = 25 + (10 * flips) in
+      let row i =
+        if i / period mod 2 = 0 then phase_a_row i else phase_b_row i
+      in
+      let policy m =
+        if m.shape = 1 then Pol.periodic ~check_every:6 18
+        else Pol.drift_triggered ~check_every:4 ~cooldown:8 0.1
+      in
+      let mk ?cache m =
+        Sess.create ?cache ~policy:(policy m) ~algorithm:P.Corr_seq
+          ~window:m.window ~history queries.(m.shape)
+      in
+      let members = Array.of_list members in
+      let cache = C.create ~capacity:8 () in
+      let sup = Sup.create_empty () in
+      let shared = Array.map (fun m -> (m, mk ~cache m, ref (-1))) members in
+      let alone = Array.map (fun m -> mk m) members in
+      let log_shared = Array.map (fun _ -> Buffer.create 256) members in
+      let log_alone = Array.map (fun _ -> Buffer.create 256) members in
+      let out b (o : Acq_plan.Executor.outcome) =
+        Printf.bprintf b "%b %h %s;" o.verdict o.cost
+          (String.concat "," (List.map string_of_int o.acquired))
+      in
+      let last = Array.fold_left (fun n m -> max n m.leave) 0 members in
+      for i = 0 to last do
+        Array.iter
+          (fun (m, s, id) ->
+            if m.join = i then id := Sup.register sup s;
+            if m.leave = i then ignore (Sup.unregister sup !id : bool))
+          shared;
+        let r = row i in
+        let outcomes = Sup.step sup r in
+        List.iteri
+          (fun slot id ->
+            Array.iteri
+              (fun k (_, _, id') -> if !id' = id then out log_shared.(k) outcomes.(slot))
+              shared)
+          (Sup.ids sup);
+        Array.iteri
+          (fun k m ->
+            if m.join <= i && i < m.leave then begin
+              let s = alone.(k) in
+              let o = Sess.execute s ~lookup:(fun a -> r.(a)) in
+              out log_alone.(k) o;
+              ignore (Sess.step s ~cost:o.Acq_plan.Executor.cost r)
+            end)
+          members
+      done;
+      Array.iteri
+        (fun k (_, s, _) ->
+          let a = alone.(k) in
+          if Buffer.contents log_shared.(k) <> Buffer.contents log_alone.(k)
+          then QCheck2.Test.fail_reportf "member %d: outcomes differ" k;
+          let sw x = List.map switch_log (Sess.switches x) in
+          if sw s <> sw a then
+            QCheck2.Test.fail_reportf "member %d: switches differ:\n%s\nvs\n%s" k
+              (String.concat "\n" (sw s))
+              (String.concat "\n" (sw a));
+          if Sess.transitions s <> Sess.transitions a then
+            QCheck2.Test.fail_reportf "member %d: transitions differ" k;
+          if Sess.expected_cost s <> Sess.expected_cost a then
+            QCheck2.Test.fail_reportf "member %d: expected %h vs %h" k
+              (Sess.expected_cost s) (Sess.expected_cost a);
+          if Sess.planning_nodes s <> Sess.planning_nodes a then
+            QCheck2.Test.fail_reportf "member %d: planning nodes differ" k)
+        shared;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
@@ -743,6 +968,13 @@ let () =
             test_supervisor_register_drift_unregister;
           Alcotest.test_case "dynamic budget settlement" `Quick
             test_supervisor_register_charges_budget;
+          Alcotest.test_case "late joiner plans from its own window" `Quick
+            test_supervisor_late_joiner_own_window;
+          Alcotest.test_case "one execution per distinct plan" `Quick
+            test_supervisor_one_execution_per_plan;
+          Alcotest.test_case "tick allocation per session" `Quick
+            test_supervisor_tick_allocation;
+          QCheck_alcotest.to_alcotest prop_sharing_is_invisible;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "adapt series" `Quick test_adapt_telemetry ] );

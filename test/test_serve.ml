@@ -414,6 +414,222 @@ let test_engine_counters_pinned () =
     "Prometheus series" pinned_series
     (timeless_series (Engine.prometheus engine))
 
+(* Sharing must not change what any connection sees. The engine (one
+   ring for the stream, one execution per distinct plan, a tenant plan
+   cache keyed by window rows) against an independent reference: every
+   subscription a private session on its own window, without a cache,
+   stepped in subscription order under a replan budget that does not
+   bind. Random shapes and subscribe/unsubscribe ticks, including joins
+   mid-stream; the event stream (order, sub id, cost, acquired cells),
+   the switch log and STATS (without uptime) must be byte-identical.
+   The shapes are distinct predicate sets (see test_adapt's sharing
+   property). *)
+module Tbl = Acq_util.Tbl
+
+type sharing_op = Sub of int * int | Unsub of int | Ticks of int
+
+let sharing_shapes =
+  [|
+    chatty;
+    "SELECT * WHERE light >= 100 AND temp <= 25";
+    "SELECT * WHERE temp <= 22 AND humidity >= 30";
+    "SELECT * WHERE light <= 400 AND humidity <= 45 AND temp >= 18";
+  |]
+
+let sharing_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 4 20)
+      (frequency
+         [
+           (4, map2 (fun c sh -> Sub (c, sh)) (int_bound 2) (int_bound 3));
+           (1, map (fun k -> Unsub k) (int_bound 9));
+           (3, map (fun n -> Ticks n) (int_range 1 600));
+         ]))
+
+let sharing_print ops =
+  String.concat " "
+    (List.map
+       (function
+         | Sub (c, sh) -> Printf.sprintf "sub(c%d,s%d)" c sh
+         | Unsub k -> Printf.sprintf "unsub(%d)" k
+         | Ticks n -> Printf.sprintf "ticks(%d)" n)
+       ops)
+
+type ref_sub = {
+  r_id : int;
+  r_owner : int;
+  r_tenant : string;
+  r_session : Acq_adapt.Session.t;
+}
+
+let tenant_of_conn c = if c = 0 then "t0" else "t1"
+
+let prop_engine_sharing =
+  QCheck2.Test.make ~count:20 ~name:"engine sharing matches private sessions"
+    ~print:sharing_print sharing_ops_gen (fun ops ->
+      let module Session = Acq_adapt.Session in
+      let module Ex = Acq_plan.Executor in
+      let limits = { Limits.default with Limits.replan_budget = max_int } in
+      let spec = { small_spec with Source.rows = 2_000 } in
+      let engine = Engine.create ~limits spec in
+      let history, live = Source.history_live spec in
+      let schema = Acq_data.Dataset.schema history in
+      let names = Acq_data.Schema.names schema in
+      (* The reference. *)
+      let subs = ref [] (* subscription order *) and next = ref 0 in
+      let budget = ref max_int and epoch = ref 0 and cursor = ref 0 in
+      let requests = Hashtbl.create 4 and quota = Hashtbl.create 4 in
+      let raced = Hashtbl.create 8 and switches = ref [] in
+      let bump tbl k d =
+        Hashtbl.replace tbl k (d + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+      in
+      let ref_events = Buffer.create 4096 and eng_events = Buffer.create 4096 in
+      let ref_tick () =
+        if !subs <> [] then begin
+          let row = Acq_data.Dataset.row live !cursor in
+          cursor := (!cursor + 1) mod Acq_data.Dataset.nrows live;
+          incr epoch;
+          List.iter
+            (fun r ->
+              let o = Session.execute r.r_session ~lookup:(fun a -> row.(a)) in
+              Session.observe r.r_session ~cost:o.Ex.cost row;
+              if o.Ex.verdict then
+                Printf.bprintf ref_events "%d %d match cost=%.2f %s\n" r.r_owner
+                  r.r_id o.Ex.cost
+                  (String.concat " "
+                     (List.map
+                        (fun a -> Printf.sprintf "%s=%d" names.(a) row.(a))
+                        o.Ex.acquired)))
+            !subs;
+          List.iter
+            (fun r ->
+              let s = r.r_session in
+              if Session.due s then begin
+                let before = Session.planning_nodes s in
+                (match Session.check ~max_nodes:!budget s with
+                | Some sw -> switches := (r.r_id, sw) :: !switches
+                | None -> ());
+                budget := !budget - (Session.planning_nodes s - before)
+              end)
+            !subs
+        end
+      in
+      let ref_stats () =
+        let b = Buffer.create 256 in
+        Printf.bprintf b
+          "requests=%d subscriptions=%d supervisor_epoch=%d \
+           replan_budget_left=%d parked=0 deferred=0 switches=%d\n"
+          (Hashtbl.fold (fun _ n a -> n + a) requests 0)
+          (List.length !subs) !epoch !budget (List.length !switches);
+        let tbl =
+          Tbl.create [ "tenant"; "sessions"; "requests"; "rejected"; "quota left" ]
+        in
+        List.iter
+          (fun tn ->
+            if Hashtbl.mem requests tn then
+              Tbl.add_row tbl
+                [
+                  tn;
+                  string_of_int
+                    (List.length (List.filter (fun r -> r.r_tenant = tn) !subs));
+                  string_of_int (Hashtbl.find requests tn);
+                  "0";
+                  string_of_int
+                    (Limits.default.Limits.plan_quota_per_tenant
+                    - Option.value ~default:0 (Hashtbl.find_opt quota tn));
+                ])
+          [ "t0"; "t1" ];
+        Buffer.add_string b (Tbl.render tbl);
+        Buffer.add_char b '\n';
+        Buffer.contents b
+      in
+      let eng_stats () =
+        match String.index_opt (Engine.stats engine) '\n' with
+        | Some i ->
+            let st = Engine.stats engine in
+            String.sub st (i + 1) (String.length st - i - 1)
+        | None -> Alcotest.fail "STATS has no body"
+      in
+      List.iter
+        (function
+          | Sub (conn, shape) -> (
+              let tenant = tenant_of_conn conn and sql = sharing_shapes.(shape) in
+              match Engine.subscribe engine ~tenant ~owner:conn heuristic_opts sql with
+              | Error (c, m) -> Alcotest.failf "subscribe: %d %s" c m
+              | Ok (id, _) ->
+                  if id <> !next then Alcotest.fail "subscription ids diverge";
+                  let q =
+                    (Acq_sql.Catalog.compile schema sql).Acq_sql.Catalog.query
+                  in
+                  let left =
+                    Limits.default.Limits.plan_quota_per_tenant
+                    - Option.value ~default:0 (Hashtbl.find_opt quota tenant)
+                  in
+                  let options =
+                    { P.default_options with P.search_budget = Some left }
+                  in
+                  let session =
+                    Session.create ~options ~algorithm:P.Heuristic ~window:512
+                      ~history q
+                  in
+                  if not (Hashtbl.mem raced (tenant, shape)) then begin
+                    Hashtbl.replace raced (tenant, shape) ();
+                    bump quota tenant
+                      (Session.initial_stats session).Acq_core.Search.nodes_solved
+                  end;
+                  bump requests tenant 1;
+                  subs :=
+                    !subs
+                    @ [ { r_id = id; r_owner = conn; r_tenant = tenant; r_session = session } ];
+                  incr next)
+          | Unsub k -> (
+              match !subs with
+              | [] -> ()
+              | l ->
+                  let r = List.nth l (k mod List.length l) in
+                  (match
+                     Engine.unsubscribe engine ~tenant:r.r_tenant ~owner:r.r_owner r.r_id
+                   with
+                  | Ok _ -> ()
+                  | Error (c, m) -> Alcotest.failf "unsubscribe: %d %s" c m);
+                  bump requests r.r_tenant 1;
+                  subs := List.filter (fun r' -> r'.r_id <> r.r_id) l)
+          | Ticks n ->
+              for _ = 1 to n do
+                List.iter
+                  (fun (owner, id, payload) ->
+                    Printf.bprintf eng_events "%d %d %s" owner id payload)
+                  (Engine.tick engine);
+                ref_tick ()
+              done)
+        ops;
+      let by_sub =
+        (* Supervisor ids and subscription ids both count up from 0 in
+           subscription order. *)
+        List.map (fun (sup_id, sw) -> (sup_id, sw))
+          (Acq_adapt.Supervisor.switches (Engine.supervisor engine))
+      in
+      let log l =
+        List.map
+          (fun (id, (sw : Session.switch)) ->
+            Printf.sprintf "%d %d %s %h %h %d %h %d" id sw.Session.epoch
+              (Acq_adapt.Policy.describe sw.Session.reason)
+              sw.Session.old_expected sw.Session.new_expected
+              sw.Session.plan_bytes sw.Session.drift
+              sw.Session.search.Acq_core.Search.nodes_solved)
+          l
+      in
+      if Buffer.contents eng_events <> Buffer.contents ref_events then
+        QCheck2.Test.fail_report "event streams differ";
+      if log by_sub <> log (List.rev !switches) then
+        QCheck2.Test.fail_reportf "switch logs differ:\n%s\nvs\n%s"
+          (String.concat "\n" (log by_sub))
+          (String.concat "\n" (log (List.rev !switches)));
+      if eng_stats () <> ref_stats () then
+        QCheck2.Test.fail_reportf "STATS differ:\n%s\nvs\n%s" (eng_stats ())
+          (ref_stats ());
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Server + Loadgen, in-process over a real Unix socket *)
 
@@ -836,6 +1052,7 @@ let () =
             test_engine_subscribe_tick;
           Alcotest.test_case "counters pinned for a fixed script" `Quick
             test_engine_counters_pinned;
+          QCheck_alcotest.to_alcotest prop_engine_sharing;
         ] );
       ( "server",
         [

@@ -195,6 +195,78 @@ let test_push_reuses_rows () =
   push_n (capacity + 1);
   check_against_fresh "wrapped after clear"
 
+(* Windows over one ring: each equals a private ring fed the rows pushed
+   since the window was created, whatever its width or age — also after
+   a wider window grew the ring, and across a clear. Windows with one
+   key share one materialization, which stays valid through the next
+   materialization of the ring. *)
+let test_windows_over_shared_ring () =
+  let rng = Rng.create 11 in
+  let ring = Sl.create (schema ()) ~capacity:4 in
+  let windows = ref [] in
+  let open_window capacity =
+    windows :=
+      (Sl.Window.create ring ~capacity, Sl.create (schema ()) ~capacity)
+      :: !windows
+  in
+  let agree label =
+    List.iter
+      (fun (w, alone) ->
+        let label = Printf.sprintf "%s, width %d" label (Sl.Window.capacity w) in
+        Alcotest.(check int) (label ^ ": size") (Sl.size alone) (Sl.Window.size w);
+        Alcotest.(check bool) (label ^ ": full") (Sl.is_full alone)
+          (Sl.Window.is_full w);
+        Alcotest.(check (array (array int)))
+          (label ^ ": marginals") (Sl.marginals alone) (Sl.Window.marginals w);
+        let reference = [| [| 1; 2; 3; 4 |]; [| 5; 0; 1 |] |] in
+        check_float (label ^ ": drift")
+          (Sl.drift_marginals alone ~reference ~rows:10)
+          (Sl.Window.drift_marginals w ~reference ~rows:10);
+        if Sl.size alone > 0 then begin
+          let rows ds = List.init (DS.nrows ds) (DS.row ds) in
+          Alcotest.(check (list (array int)))
+            (label ^ ": rows")
+            (rows (Sl.to_dataset alone))
+            (rows (Sl.Window.to_dataset w))
+        end)
+      !windows
+  in
+  let push k =
+    for _ = 1 to k do
+      let row = [| Rng.int rng 4; Rng.int rng 3 |] in
+      Sl.push ring row;
+      List.iter (fun (_, alone) -> Sl.push alone row) !windows
+    done
+  in
+  open_window 4;
+  push 6;
+  open_window 2;
+  push 1;
+  agree "young narrow window";
+  open_window 7;
+  agree "just grown";
+  push 3;
+  agree "grown ring";
+  push 9;
+  agree "all wrapped";
+  let a = Sl.Window.create ring ~capacity:3
+  and b = Sl.Window.create ring ~capacity:3 in
+  push 2;
+  Alcotest.(check bool) "same rows, same key" true
+    (Sl.Window.key a = Sl.Window.key b);
+  let ds = Sl.Window.to_dataset a in
+  Alcotest.(check bool) "one materialization" true
+    (ds == Sl.Window.to_dataset b);
+  let copy = List.init (DS.nrows ds) (DS.row ds) in
+  ignore (Sl.to_dataset ring : DS.t);
+  Alcotest.(check (list (array int))) "valid through the next materialization"
+    copy (List.init (DS.nrows ds) (DS.row ds));
+  Sl.clear ring;
+  List.iter (fun (_, alone) -> Sl.clear alone) !windows;
+  agree "cleared";
+  push 5;
+  agree "refilled"
+
 let test_drift_empty_window () =
   let s = schema () in
   let reference = DS.create s (Array.make 50 [| 0; 0 |]) in
@@ -302,6 +374,8 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "push reuses row storage" `Quick
             test_push_reuses_rows;
+          Alcotest.test_case "windows over a shared ring" `Quick
+            test_windows_over_shared_ring;
         ] );
       ( "drift",
         [
