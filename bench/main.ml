@@ -927,9 +927,9 @@ let par_section () =
           ] );
     ]
 
-(* The correlated 4-attribute problem the prob and audit sections
-   share: two cheap and two expensive attributes over 8 values, 3000
-   rows drawn around a per-row base value, and random 4-predicate
+(* The correlated 4-attribute problem the audit section calibrates
+   on: two cheap and two expensive attributes over 8 values, 3000 rows
+   drawn around a per-row base value, and random 4-predicate
    conjunctions over it. *)
 let schema4 =
   Acq_data.Schema.create
@@ -954,81 +954,6 @@ let queries4 seed ~lo_range n =
         Acq_plan.Predicate.inside ~attr ~lo ~hi
       in
       Acq_plan.Query.create schema4 [ pred 0; pred 1; pred 2; pred 3 ])
-
-(* ------------------------------------------------------------------ *)
-(* prob: the memo combinator's hit rate when one shared memoized
-   backend serves an exhaustive-planner workload over a 4-attribute
-   problem, with a differential check that memoization leaves every
-   plan and expected cost byte-identical. Floor: hit rate >= 0.5. *)
-
-let prob_memo_queries = 12
-
-let prob_section () =
-  let module P = Acq_core.Planner in
-  let module B = Acq_prob.Backend in
-  let module Rng = Acq_util.Rng in
-  let ds4 =
-    corr4 772 (fun rng base ->
-        [|
-          base;
-          (base + Rng.int rng 3) mod 8;
-          (base + Rng.int rng 2) mod 8;
-          Rng.int rng 8;
-        |])
-  in
-  let queries = queries4 773 ~lo_range:6 prob_memo_queries in
-  let costs4 = Acq_data.Schema.costs schema4 in
-  let options =
-    { K.opts with split_points_per_attr = 2; exhaustive_budget = 5_000_000 }
-  in
-  let run_workload backend =
-    List.map
-      (fun q ->
-        let r = P.plan_with_backend ~options P.Exhaustive q ~costs:costs4 backend in
-        (Acq_plan.Serialize.encode r.P.plan, r.P.est_cost))
-      queries
-  in
-  let plain = run_workload (B.empirical ds4) in
-  let m = Acq_obs.Metrics.create () in
-  let obs = Acq_obs.Telemetry.create ~metrics:m () in
-  let memoized =
-    run_workload
-      (B.of_dataset ~telemetry:obs ~spec:{ B.kind = B.Empirical; memoize = true } ds4)
-  in
-  let identical =
-    List.for_all2
-      (fun (e1, c1) (e2, c2) -> Bytes.equal e1 e2 && Float.equal c1 c2)
-      plain memoized
-  in
-  let counter prefix =
-    List.fold_left
-      (fun acc (k, v) ->
-        if String.starts_with ~prefix k then acc +. v else acc)
-      0.0 (Acq_obs.Metrics.snapshot m)
-  in
-  let hits = counter "acqp_prob_memo_hits_total" in
-  let misses = counter "acqp_prob_memo_misses_total" in
-  let hit_rate = if hits +. misses > 0.0 then hits /. (hits +. misses) else 0.0 in
-  J.Obj
-    [
-      ("version", J.Num 1.0);
-      ( "memo",
-        J.Obj
-          [
-            ("workload", J.Str "exhaustive-4attr");
-            ("queries", jint prob_memo_queries);
-            ("hits", J.Num hits);
-            ("misses", J.Num misses);
-            ("hit_rate", J.Num hit_rate);
-            ("plans_identical_with_memo", J.Bool identical);
-          ] );
-      ( "summary",
-        J.Obj
-          [
-            ("memo_hit_rate", J.Num hit_rate);
-            ("plans_identical_with_memo", J.Bool identical);
-          ] );
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* The garden5 execution fixture the exec and audit sections share:
@@ -1220,7 +1145,8 @@ let audit_section () =
   let names4 = Acq_data.Schema.names schema4 in
   let backends =
     List.map
-      (fun (name, kind) -> (name, B.of_dataset ~spec:{ B.kind; memoize = false } ds4))
+      (fun (name, kind) ->
+        (name, B.of_dataset ~spec:{ B.default_spec with kind } ds4))
       [
         ("independence", B.Independence);
         ("chow-liu", B.Chow_liu);
@@ -1718,7 +1644,6 @@ let sections =
     { name = "obs"; run = obs_section };
     { name = "adapt"; run = adapt_section };
     { name = "par"; run = par_section };
-    { name = "prob"; run = prob_section };
     { name = "exec"; run = exec_section };
     { name = "audit"; run = audit_section };
     { name = "serve"; run = serve_section };

@@ -166,8 +166,7 @@ let model_arg =
            $(b,sampled) / 'sampled(n,delta)' (counts over a random sample \
            of n rows with a Hoeffding interval at confidence 1-delta; a \
            bare $(b,sampled) is 'sampled(256,0.05)'; the backend \
-           $(b,--algo pac) plans with). Append $(b,,memo) to cache \
-           estimates per conditioning context, e.g. 'empirical,memo'.")
+           $(b,--algo pac) plans with).")
 
 (* Telemetry plumbing shared by plan/run: build a live handle only
    when an output file was requested, flush on completion. *)

@@ -87,8 +87,7 @@ let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
       (* Only plan-shaping knobs: budgets and deadlines bound effort,
          they don't change which cached plan is valid to reuse. The
          probability model shapes the plan (different selectivity
-         estimates, different tree), so it is part of the key —
-         memoization is not (same probabilities, same plan). *)
+         estimates, different tree), so it is part of the key. *)
       Buffer.add_string buf
         (Printf.sprintf "|k%d:r%d:t%d:a%g:m%s" o.P.max_splits
            o.P.split_points_per_attr o.P.optseq_threshold o.P.size_alpha

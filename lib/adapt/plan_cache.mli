@@ -50,8 +50,7 @@ val signature :
     collide; of [options] only the plan-shaping knobs
     (splits/points/alpha/candidates/threshold and the probability
     model's kind) are rendered — budgets and deadlines affect search
-    effort, not which plan is correct to reuse, and the memo flag
-    affects estimation speed, not the estimates. [stats_epoch]
+    effort, not which plan is correct to reuse. [stats_epoch]
     defaults to 0, the history. A plan built from a sliding window
     passes the window's generation as [stats_epoch] and [(stream,
     length)] as [window]. *)

@@ -163,8 +163,7 @@ let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache
      history backend unless an audit pipeline predicts from it. *)
   let backend =
     lazy
-      (Acq_prob.Backend.of_dataset ~telemetry ~spec:options.P.prob_model
-         history)
+      (Acq_prob.Backend.of_dataset ~spec:options.P.prob_model history)
   in
   let r, _hit = plan_once t ~options ~stats_epoch:0 backend in
   t.initial_stats <- r.P.stats;
@@ -272,9 +271,7 @@ let replan t reason ~max_nodes =
        the audit's predictions). *)
     let stream, generation, rows = W.key t.window in
     let est =
-      lazy
-        (W.backend ~telemetry:t.telemetry ~spec:t.options.P.prob_model
-           t.window)
+      lazy (W.backend ~spec:t.options.P.prob_model t.window)
     in
     let outcome =
       T.span t.telemetry ~cat:"adapt"

@@ -19,10 +19,10 @@ let default_arms =
     arm ~name:"heuristic" P.Heuristic;
     arm ~name:"exhaustive" P.Exhaustive;
     arm ~name:"heuristic/independence"
-      ~spec:{ B.kind = B.Independence; memoize = false }
+      ~spec:{ B.default_spec with kind = B.Independence }
       P.Heuristic;
     arm ~name:"heuristic/chow-liu"
-      ~spec:{ B.kind = B.Chow_liu; memoize = false }
+      ~spec:{ B.default_spec with kind = B.Chow_liu }
       P.Heuristic;
   ]
 

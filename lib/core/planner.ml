@@ -129,8 +129,7 @@ let plan ?(options = default_options) ?(telemetry = Acq_obs.Telemetry.noop)
     (* Pac plans against confidence intervals; every backend except
        the sampled one degenerates them to points, turning the arm
        into a slow Exhaustive. Substitute the default sampled kind
-       (keeping the caller's memoize choice) unless the caller already
-       picked sampling parameters. *)
+       unless the caller already picked sampling parameters. *)
     match (algorithm, options.prob_model.Acq_prob.Backend.kind) with
     | Pac, Acq_prob.Backend.Sampled _ -> options.prob_model
     | Pac, _ ->
@@ -139,5 +138,5 @@ let plan ?(options = default_options) ?(telemetry = Acq_obs.Telemetry.noop)
         }
     | _ -> options.prob_model
   in
-  let est = Acq_prob.Backend.of_dataset ~telemetry ~spec train in
+  let est = Acq_prob.Backend.of_dataset ~spec train in
   plan_with_backend ~options ~telemetry algorithm q ~costs est

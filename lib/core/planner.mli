@@ -60,9 +60,8 @@ type options = {
           boards); [None] uses the schema's per-attribute costs *)
   prob_model : Acq_prob.Backend.spec;
       (** which probability backend {!plan} builds from the training
-          data (and whether to wrap it in the memo combinator); the
-          [acqp --model] knob. Entry points that receive an already
-          built backend ignore it. *)
+          data; the [acqp --model] knob. Entry points that receive an
+          already built backend ignore it. *)
   pac_epsilon : float;
       (** {!Pac}'s certified-gap target: the PAC arm refines its
           sample until the chosen order's upper-confidence cost is
@@ -79,8 +78,8 @@ type options = {
 val default_options : options
 (** 8 split points, 5 splits, OptSeq up to 12 predicates, all
     attributes, 2M search nodes, no deadline, no size penalty, the
-    empirical backend without memoization, a 5% PAC gap target with
-    Hoeffding intervals. *)
+    empirical backend, a 5% PAC gap target with Hoeffding
+    intervals. *)
 
 type result = {
   plan : Acq_plan.Plan.t;

@@ -51,7 +51,7 @@ let solved (t : _ t) =
   t.nodes_solved <- t.nodes_solved + 1;
   if t.nodes_solved > t.budget then raise Budget_exceeded;
   match t.deadline_ms with
-  | Some d when elapsed_ms t > d -> raise Deadline_exceeded
+  | Some d when elapsed_ms t >= d -> raise Deadline_exceeded
   | Some _ | None -> ()
 
 let hit (t : _ t) = t.memo_hits <- t.memo_hits + 1

@@ -67,7 +67,9 @@ val create :
     {!solved} ticks across every planner sharing the context —
     including nested sequential planning — after which {!solved}
     raises {!Budget_exceeded}. [deadline_ms] bounds wall-clock time
-    the same way via {!Deadline_exceeded}. [telemetry] (default
+    the same way via {!Deadline_exceeded}: a node solved once
+    [deadline_ms] or more have elapsed raises, so [0.0] fails every
+    search, however fast. [telemetry] (default
     {!Acq_obs.Telemetry.noop}) receives the spans, events, and metric
     updates the planners emit through this context. *)
 

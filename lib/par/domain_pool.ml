@@ -4,8 +4,10 @@ type 'a future = { mutable state : 'a state; mutable ran_on : int }
 
 (* A task is pre-wrapped so the deques are monomorphic: it receives
    the executing worker's index and shard telemetry, runs the user
-   thunk, and stores the outcome in the future. Never raises. *)
-type task = int -> Acq_obs.Telemetry.t -> unit
+   thunk, and returns the store of its outcome into the future, which
+   the worker runs under the mutex together with the [completed]
+   increment (so an awaited task is always counted). Never raises. *)
+type task = int -> Acq_obs.Telemetry.t -> unit -> unit
 
 (* Per-worker deque. [items]'s head is the owner's (hot, LIFO) end;
    submissions and steals use the tail (cold, FIFO) end. Lists are
@@ -70,11 +72,12 @@ let worker t wid () =
     | Some task ->
         Mutex.unlock t.mutex;
         let t0 = Unix.gettimeofday () in
-        task wid tele;
+        let publish = task wid tele in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         t.busy_ms.(wid) <- t.busy_ms.(wid) +. ms;
         Acq_obs.Telemetry.observe tele ~labels "acqp_par_task_ms" ms;
         Mutex.lock t.mutex;
+        publish ();
         t.completed <- t.completed + 1;
         Condition.broadcast t.done_;
         loop ()
@@ -114,8 +117,9 @@ let submit t f =
   let fut = { state = Pending; ran_on = -1 } in
   let task wid tele =
     let outcome = match f tele with v -> Done v | exception e -> Raised e in
-    fut.ran_on <- wid;
-    fut.state <- outcome
+    fun () ->
+      fut.ran_on <- wid;
+      fut.state <- outcome
   in
   Mutex.lock t.mutex;
   if t.stopping then begin

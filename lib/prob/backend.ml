@@ -15,14 +15,12 @@ module type S = sig
   val value_probs : state -> int -> float array
   val pred_prob : state -> Acq_plan.Predicate.t -> float
   val pattern_probs : state -> Acq_plan.Predicate.t array -> float array
-  val range_prob_ci : state -> int -> Acq_plan.Range.t -> float * float
   val pred_prob_ci : state -> Acq_plan.Predicate.t -> float * float
   val restrict_range : state -> int -> Acq_plan.Range.t -> state
   val restrict_pred : state -> Acq_plan.Predicate.t -> bool -> state
   val refine : state -> state option
   val sampling : state -> sampling option
   val max_pattern_preds : state -> int option
-  val cond_signature : state -> string
 end
 
 type t = B : (module S with type state = 's) * 's -> t
@@ -34,7 +32,6 @@ let range_prob (B ((module M), s)) attr r = M.range_prob s attr r
 let value_probs (B ((module M), s)) attr = M.value_probs s attr
 let pred_prob (B ((module M), s)) p = M.pred_prob s p
 let pattern_probs (B ((module M), s)) preds = M.pattern_probs s preds
-let range_prob_ci (B ((module M), s)) attr r = M.range_prob_ci s attr r
 let pred_prob_ci (B ((module M), s)) p = M.pred_prob_ci s p
 
 let restrict_range (B ((module M), s)) attr r =
@@ -48,7 +45,6 @@ let refine (B ((module M), s)) =
 
 let sampling (B ((module M), s)) = M.sampling s
 let max_pattern_preds (B ((module M), s)) = M.max_pattern_preds s
-let cond_signature (B ((module M), s)) = M.cond_signature s
 
 (* Deterministic backends answer exactly: the interval collapses onto
    the point estimate, there is nothing to refine, and no sampling
@@ -56,14 +52,9 @@ let cond_signature (B ((module M), s)) = M.cond_signature s
 module Exact (M : sig
   type state
 
-  val range_prob : state -> int -> Acq_plan.Range.t -> float
   val pred_prob : state -> Acq_plan.Predicate.t -> float
 end) =
 struct
-  let range_prob_ci st attr r =
-    let p = M.range_prob st attr r in
-    (p, p)
-
   let pred_prob_ci st p =
     let x = M.pred_prob st p in
     (x, x)
@@ -71,9 +62,6 @@ struct
   let refine _ = None
   let sampling _ = None
 end
-
-(* Canonical conditioning lives in {!Cond} (its own compilation unit,
-   shared with the sampled backend's replay machinery). *)
 
 (* ------------------------------------------------------------------ *)
 (* Empirical: view counting. Every answer is an integer count over the
@@ -109,7 +97,6 @@ type count_table = {
 type empirical_state = {
   source : source;
   filtered : View.t option Atomic.t;  (** a [Narrowed] state's rows, once filtered *)
-  cond : Cond.t;
   tables : count_table list Atomic.t;  (** at most one per attribute *)
 }
 
@@ -139,9 +126,12 @@ let union known preds =
    (beyond that, scanning the rows is cheaper). *)
 let fits ~rows ~domain m = m <= pattern_limit && domain lsl m <= rows
 
+let domain ds attr =
+  (Acq_data.Schema.attr (Acq_data.Dataset.schema ds) attr).domain
+
 let build_table view attr preds =
   let ds = View.dataset view in
-  let k = (Acq_data.Schema.attr (Acq_data.Dataset.schema ds) attr).domain in
+  let k = domain ds attr in
   let m = Array.length preds in
   let counts = Array.init (1 lsl m) (fun _ -> Array.make k 0) in
   View.iter view (fun r ->
@@ -163,8 +153,13 @@ let build_table view attr preds =
   in
   { attr; preds; by_pattern; marginal }
 
-let fresh_state source cond =
-  { source; filtered = Atomic.make None; cond; tables = Atomic.make [] }
+let fresh_state source =
+  { source; filtered = Atomic.make None; tables = Atomic.make [] }
+
+let rec dataset st =
+  match st.source with
+  | Rows v -> View.dataset v
+  | Narrowed { parent; _ } -> dataset parent
 
 let rec view st =
   match st.source with
@@ -198,7 +193,7 @@ let covering st attr preds =
   else
     let v = view st in
     if
-      fits ~rows:(View.size v) ~domain:(Array.length st.cond.(attr))
+      fits ~rows:(View.size v) ~domain:(domain (View.dataset v) attr)
         (Array.length grown)
     then Some (publish st (build_table v attr grown))
     else None
@@ -274,7 +269,7 @@ module Empirical_impl = struct
           let m = (table st attr).marginal in
           (Histogram.count m, Histogram.total m)
     in
-    Array.init (Array.length st.cond.(attr)) (fun v -> ratio (count v) n)
+    Array.init (domain (dataset st) attr) (fun v -> ratio (count v) n)
 
   let pred_prob st p = View.pred_prob (view st) p
 
@@ -297,31 +292,21 @@ module Empirical_impl = struct
         Array.map (fun c -> ratio c n) (View.pattern_counts v preds)
 
   let restrict_range st attr r =
-    fresh_state
-      (Narrowed { parent = st; attr; range = r })
-      (Cond.narrow_range st.cond attr r)
+    fresh_state (Narrowed { parent = st; attr; range = r })
 
   let restrict_pred st p truth =
-    fresh_state
-      (Rows (View.restrict_pred (view st) p truth))
-      (Cond.narrow_pred st.cond p truth)
+    fresh_state (Rows (View.restrict_pred (view st) p truth))
 
   include Exact (struct
     type nonrec state = state
 
-    let range_prob = range_prob
     let pred_prob = pred_prob
   end)
 
   let max_pattern_preds _ = None
-  let cond_signature st = Cond.signature st.cond
 end
 
-let domains_of_view view =
-  Acq_data.Schema.domains (Acq_data.Dataset.schema (View.dataset view))
-
-let of_view view =
-  B ((module Empirical_impl), fresh_state (Rows view) (Cond.full (domains_of_view view)))
+let of_view view = B ((module Empirical_impl), fresh_state (Rows view))
 
 let empirical ds = of_view (View.of_dataset ds)
 
@@ -334,7 +319,7 @@ let empirical ds = of_view (View.of_dataset ds)
 type indep_state = {
   i_domains : int array;
   hists : float array array;  (* base per-attribute counts, immutable *)
-  masks : Cond.t;
+  masks : bool array array;  (* allowed values per attribute *)
   cweight : float;  (* total scaled by the conditioning probability *)
 }
 
@@ -456,18 +441,24 @@ module Indep_impl = struct
       st.masks;
     { st with masks; cweight = st.cweight *. !factor }
 
-  let restrict_range st attr r = narrowed st (Cond.narrow_range st.masks attr r)
-  let restrict_pred st p truth = narrowed st (Cond.narrow_pred st.masks p truth)
+  (* Intersect [attr]'s mask with [keep]; the other masks are shared. *)
+  let narrow st attr keep =
+    let masks = Array.copy st.masks in
+    masks.(attr) <- Array.mapi (fun v b -> b && keep v) masks.(attr);
+    narrowed st masks
+
+  let restrict_range st attr r = narrow st attr (Acq_plan.Range.contains r)
+
+  let restrict_pred st (p : Acq_plan.Predicate.t) truth =
+    narrow st p.attr (fun v -> Acq_plan.Predicate.eval p v = truth)
 
   include Exact (struct
     type nonrec state = state
 
-    let range_prob = range_prob
     let pred_prob = pred_prob
   end)
 
   let max_pattern_preds _ = None
-  let cond_signature st = Cond.signature st.masks
 end
 
 let independence ds =
@@ -485,7 +476,7 @@ let independence ds =
       {
         i_domains = domains;
         hists;
-        masks = Cond.full domains;
+        masks = Array.map (fun k -> Array.make k true) domains;
         cweight = float_of_int (Acq_data.Dataset.nrows ds);
       } )
 
@@ -539,12 +530,10 @@ module Chow_liu_impl = struct
   include Exact (struct
     type nonrec state = state
 
-    let range_prob = range_prob
     let pred_prob = pred_prob
   end)
 
   let max_pattern_preds _ = Some chow_liu_max_pattern_preds
-  let cond_signature st = Cond.signature st.evidence
 end
 
 let chow_liu model ~weight =
@@ -567,7 +556,6 @@ module Sampled_impl = struct
   let value_probs = Sampled.value_probs
   let pred_prob = Sampled.pred_prob
   let pattern_probs = Sampled.pattern_probs
-  let range_prob_ci = Sampled.range_prob_ci
   let pred_prob_ci = Sampled.pred_prob_ci
   let restrict_range = Sampled.restrict_range
   let restrict_pred = Sampled.restrict_pred
@@ -578,7 +566,6 @@ module Sampled_impl = struct
     Some { samples; delta }
 
   let max_pattern_preds = Sampled.max_pattern_preds
-  let cond_signature = Sampled.cond_signature
 end
 
 let sampled ?seed ~n ~delta ds =
@@ -617,10 +604,6 @@ module Counting_impl = struct
     st.tick ();
     pattern_probs st.inner preds
 
-  let range_prob_ci st attr r =
-    st.tick ();
-    range_prob_ci st.inner attr r
-
   let pred_prob_ci st p =
     st.tick ();
     pred_prob_ci st.inner p
@@ -642,187 +625,9 @@ module Counting_impl = struct
 
   let sampling st = sampling st.inner
   let max_pattern_preds st = max_pattern_preds st.inner
-  let cond_signature st = cond_signature st.inner
 end
 
 let counting ~tick b = B ((module Counting_impl), { inner = b; tick })
-
-(* ------------------------------------------------------------------ *)
-(* Memo combinator: one cache shared by the whole restriction tree,
-   keyed on (canonical conditioning signature, query descriptor).
-   Restrictions themselves are cached too — the DP revisits the same
-   subproblem under different bounds, and a hit turns the O(rows)
-   view narrowing (or O(cells) mask recount) into a lookup. *)
-
-type memo_entry =
-  | F of float
-  | I of float * float  (* confidence interval *)
-  | V of float array  (* shared, treated as read-only by callers *)
-  | Sub of t * string  (* restricted inner backend + its signature *)
-
-type memo_shared = {
-  table : (string, memo_entry) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  on_hit : unit -> unit;
-  on_miss : unit -> unit;
-}
-
-type memo_state = { m_inner : t; shared : memo_shared; sig_ : string }
-
-type memo_handle = memo_shared
-
-type memo_stats = { hits : int; misses : int; entries : int }
-
-let handle_stats (h : memo_handle) =
-  { hits = h.hits; misses = h.misses; entries = Hashtbl.length h.table }
-
-module Memo_impl = struct
-  type state = memo_state
-
-  let name = "memo"
-
-  let weight st = weight st.m_inner
-
-  let lookup st key compute =
-    match Hashtbl.find_opt st.shared.table key with
-    | Some e ->
-        st.shared.hits <- st.shared.hits + 1;
-        st.shared.on_hit ();
-        e
-    | None ->
-        st.shared.misses <- st.shared.misses + 1;
-        st.shared.on_miss ();
-        let e = compute () in
-        Hashtbl.replace st.shared.table key e;
-        e
-
-  let scalar st key compute =
-    match lookup st key (fun () -> F (compute ())) with
-    | F x -> x
-    | I _ | V _ | Sub _ -> assert false
-
-  let interval st key compute =
-    match
-      lookup st key (fun () ->
-          let lo, hi = compute () in
-          I (lo, hi))
-    with
-    | I (lo, hi) -> (lo, hi)
-    | F _ | V _ | Sub _ -> assert false
-
-  let vector st key compute =
-    match lookup st key (fun () -> V (compute ())) with
-    | V x -> x
-    | F _ | I _ | Sub _ -> assert false
-
-  let pred_key (p : Acq_plan.Predicate.t) =
-    Printf.sprintf "%d:%d:%d:%c" p.attr p.lo p.hi
-      (match p.polarity with
-      | Acq_plan.Predicate.Inside -> 'i'
-      | Acq_plan.Predicate.Outside -> 'o')
-
-  let range_prob st attr (r : Acq_plan.Range.t) =
-    scalar st
-      (Printf.sprintf "%s|r%d:%d:%d" st.sig_ attr r.lo r.hi)
-      (fun () -> range_prob st.m_inner attr r)
-
-  let value_probs st attr =
-    vector st
-      (Printf.sprintf "%s|v%d" st.sig_ attr)
-      (fun () -> value_probs st.m_inner attr)
-
-  let pred_prob st p =
-    scalar st
-      (Printf.sprintf "%s|p%s" st.sig_ (pred_key p))
-      (fun () -> pred_prob st.m_inner p)
-
-  let pattern_probs st preds =
-    let buf = Buffer.create 64 in
-    Buffer.add_string buf st.sig_;
-    Buffer.add_string buf "|P";
-    Array.iter
-      (fun p ->
-        Buffer.add_string buf (pred_key p);
-        Buffer.add_char buf ';')
-      preds;
-    vector st (Buffer.contents buf) (fun () -> pattern_probs st.m_inner preds)
-
-  let range_prob_ci st attr (r : Acq_plan.Range.t) =
-    interval st
-      (Printf.sprintf "%s|ir%d:%d:%d" st.sig_ attr r.lo r.hi)
-      (fun () -> range_prob_ci st.m_inner attr r)
-
-  let pred_prob_ci st p =
-    interval st
-      (Printf.sprintf "%s|ip%s" st.sig_ (pred_key p))
-      (fun () -> pred_prob_ci st.m_inner p)
-
-  let restricted st key narrow =
-    match
-      lookup st key (fun () ->
-          let inner' = narrow () in
-          Sub (inner', cond_signature inner'))
-    with
-    | Sub (inner', sig') -> { st with m_inner = inner'; sig_ = sig' }
-    | F _ | I _ | V _ -> assert false
-
-  let restrict_range st attr (r : Acq_plan.Range.t) =
-    restricted st
-      (Printf.sprintf "%s|R%d:%d:%d" st.sig_ attr r.lo r.hi)
-      (fun () -> restrict_range st.m_inner attr r)
-
-  let restrict_pred st p truth =
-    restricted st
-      (Printf.sprintf "%s|T%s:%c" st.sig_ (pred_key p)
-         (if truth then 't' else 'f'))
-      (fun () -> restrict_pred st.m_inner p truth)
-
-  (* A refinement redraws the underlying sample, so every cached
-     estimate is stale: the refined state starts a fresh shared table
-     (same telemetry hooks) instead of poisoning its siblings'. *)
-  let refine st =
-    match refine st.m_inner with
-    | None -> None
-    | Some inner' ->
-        let shared =
-          {
-            table = Hashtbl.create 4096;
-            hits = 0;
-            misses = 0;
-            on_hit = st.shared.on_hit;
-            on_miss = st.shared.on_miss;
-          }
-        in
-        Some { m_inner = inner'; shared; sig_ = cond_signature inner' }
-
-  let sampling st = sampling st.m_inner
-  let max_pattern_preds st = max_pattern_preds st.m_inner
-  let cond_signature st = st.sig_
-end
-
-let memo_with_handle ?(telemetry = Acq_obs.Telemetry.noop) b =
-  let on_hit, on_miss =
-    match Acq_obs.Telemetry.metrics telemetry with
-    | None -> (ignore, ignore)
-    | Some m ->
-        let labels = [ ("backend", name b) ] in
-        let hits =
-          Acq_obs.Metrics.counter m ~labels "acqp_prob_memo_hits_total"
-        in
-        let misses =
-          Acq_obs.Metrics.counter m ~labels "acqp_prob_memo_misses_total"
-        in
-        ( (fun () -> Acq_obs.Metrics.incr hits),
-          fun () -> Acq_obs.Metrics.incr misses )
-  in
-  let shared =
-    { table = Hashtbl.create 4096; hits = 0; misses = 0; on_hit; on_miss }
-  in
-  ( B ((module Memo_impl), { m_inner = b; shared; sig_ = cond_signature b }),
-    shared )
-
-let memo ?telemetry b = fst (memo_with_handle ?telemetry b)
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection: the [--model] surface threaded through planner
@@ -855,8 +660,7 @@ let kind_to_string = function
   | Sampled { n; delta } ->
       Printf.sprintf "sampled(%d,%s)" n (float_to_string delta)
 
-let spec_to_string s =
-  kind_to_string s.kind ^ if s.memoize then ",memo" else ""
+let spec_to_string s = kind_to_string s.kind
 
 type spec_error = { input : string; reason : string }
 
@@ -864,8 +668,7 @@ let spec_error_to_string e =
   Printf.sprintf "unknown model %S: %s" e.input e.reason
 
 let spec_grammar =
-  "expected empirical|chow-liu|independence|sampled[(n,delta)], \
-   optionally followed by \",memo\""
+  "expected empirical|chow-liu|independence|sampled[(n,delta)]"
 
 let parse_sampled_args body =
   (* [body] is the text between the parentheses of [sampled(...)]. *)
@@ -889,39 +692,25 @@ let spec_of_string str =
     | _ -> None
   in
   let s = String.trim (String.lowercase_ascii str) in
-  (* Split a trailing ",memo" off first: [sampled(n,delta)] carries a
-     comma of its own, so a blind split on ',' would cut the spec in
-     half. *)
-  let base, memoize =
-    match String.rindex_opt s ',' with
-    | Some i
-      when String.trim (String.sub s (i + 1) (String.length s - i - 1))
-           = "memo" ->
-        (String.trim (String.sub s 0 i), true)
-    | _ -> (s, false)
-  in
   let parenthesized =
-    String.length base > 8
-    && String.sub base 0 8 = "sampled("
-    && base.[String.length base - 1] = ')'
+    String.length s > 8
+    && String.sub s 0 8 = "sampled("
+    && s.[String.length s - 1] = ')'
   in
   if parenthesized then
-    match parse_sampled_args (String.sub base 8 (String.length base - 9)) with
-    | Ok kind -> Ok { kind; memoize }
+    match parse_sampled_args (String.sub s 8 (String.length s - 9)) with
+    | Ok kind -> Ok { default_spec with kind }
     | Error reason -> err reason
   else
-    match kind_of base with
-    | Some kind -> Ok { kind; memoize }
+    match kind_of s with
+    | Some kind -> Ok { default_spec with kind }
     | None -> err spec_grammar
 
-let of_dataset ?telemetry ?(spec = default_spec) ds =
-  let base =
-    match spec.kind with
-    | Empirical -> empirical ds
-    | Chow_liu ->
-        chow_liu (Chow_liu.learn ds)
-          ~weight:(float_of_int (Acq_data.Dataset.nrows ds))
-    | Independence -> independence ds
-    | Sampled { n; delta } -> sampled ~n ~delta ds
-  in
-  if spec.memoize then memo ?telemetry base else base
+let of_dataset ?(spec = default_spec) ds =
+  match spec.kind with
+  | Empirical -> empirical ds
+  | Chow_liu ->
+      chow_liu (Chow_liu.learn ds)
+        ~weight:(float_of_int (Acq_data.Dataset.nrows ds))
+  | Independence -> independence ds
+  | Sampled { n; delta } -> sampled ~n ~delta ds

@@ -1,5 +1,5 @@
 (** First-class probability backends — the selectivity oracle as a
-    packed, swappable, cacheable component.
+    packed, swappable component.
 
     Every planner consumes a packed backend {!t}: a module conforming
     to {!S} paired with its state. Four implementations are provided —
@@ -8,10 +8,8 @@
     Section 7 tree graphical model, with incremental pattern
     inference), {!independence} (product of per-attribute histograms —
     the correlation-blind baseline), and {!sampled} (counting over a
-    tuple sample, with confidence intervals) — plus two combinators:
-    {!counting} (effort accounting) and {!memo} (a cache over
-    (conditioning signature, query) pairs shared by the whole
-    restriction tree). *)
+    tuple sample, with confidence intervals) — plus the {!counting}
+    combinator (effort accounting). *)
 
 type sampling = { samples : int; delta : float }
 (** Sampling parameters a statistical backend reports: [samples] rows
@@ -32,23 +30,19 @@ module type S = sig
 
   val value_probs : state -> int -> float array
   (** Full conditional marginal of one attribute (Equation (7)'s
-      histogram). Callers must treat the array as read-only: the memo
-      combinator shares cached vectors. *)
+      histogram). *)
 
   val pred_prob : state -> Acq_plan.Predicate.t -> float
 
   val pattern_probs : state -> Acq_plan.Predicate.t array -> float array
   (** Joint over predicate truth bits; length [2^m], bit [j] set when
-      predicate [j] holds. Read-only, like {!value_probs}. *)
+      predicate [j] holds. *)
 
-  val range_prob_ci : state -> int -> Acq_plan.Range.t -> float * float
-  (** Two-sided confidence interval around {!range_prob}, clamped to
+  val pred_prob_ci : state -> Acq_plan.Predicate.t -> float * float
+  (** Two-sided confidence interval around {!pred_prob}, clamped to
       [0, 1]. Deterministic backends collapse it onto the point
       estimate; the sampled backend reports a Hoeffding interval at
       confidence [1 - delta] over its restricted sample. *)
-
-  val pred_prob_ci : state -> Acq_plan.Predicate.t -> float * float
-  (** Same for {!pred_prob}. *)
 
   val restrict_range : state -> int -> Acq_plan.Range.t -> state
   val restrict_pred : state -> Acq_plan.Predicate.t -> bool -> state
@@ -71,12 +65,6 @@ module type S = sig
       planner's OptSeq/GreedySeq router consults it, so a model with a
       bounded pattern width degrades to GreedySeq instead of raising
       mid-plan. *)
-
-  val cond_signature : state -> string
-  (** Canonical description of the conditioning applied so far (empty
-      at the root). Mask-based backends render per-attribute
-      allowed-value masks, so any two restriction orders that reach
-      the same value sets share a signature — the memo key prefix. *)
 end
 
 type t = B : (module S with type state = 's) * 's -> t
@@ -93,7 +81,6 @@ val range_prob : t -> int -> Acq_plan.Range.t -> float
 val value_probs : t -> int -> float array
 val pred_prob : t -> Acq_plan.Predicate.t -> float
 val pattern_probs : t -> Acq_plan.Predicate.t array -> float array
-val range_prob_ci : t -> int -> Acq_plan.Range.t -> float * float
 val pred_prob_ci : t -> Acq_plan.Predicate.t -> float * float
 val restrict_range : t -> int -> Acq_plan.Range.t -> t
 val restrict_pred : t -> Acq_plan.Predicate.t -> bool -> t
@@ -104,7 +91,6 @@ val refine : t -> t option
 
 val sampling : t -> sampling option
 val max_pattern_preds : t -> int option
-val cond_signature : t -> string
 
 (** {1 Implementations} *)
 
@@ -156,26 +142,6 @@ val counting : tick:(unit -> unit) -> t -> t
 (** Invoke [tick] on every query and every restriction, recursively —
     the hook {!Acq_core.Search}'s estimator-call accounting uses. *)
 
-type memo_handle
-type memo_stats = { hits : int; misses : int; entries : int }
-
-val handle_stats : memo_handle -> memo_stats
-
-val memo : ?telemetry:Acq_obs.Telemetry.t -> t -> t
-(** Cache query results {e and} restrictions under keys
-    [(cond_signature, query descriptor)]. The cache is shared by the
-    whole restriction tree that grows from this backend, so the DP's
-    repeated subproblem visits (same conditioning reached again, or
-    re-solved under a different bound) hit instead of recomputing.
-    Cached vectors are returned without copying — treat them as
-    read-only. When [telemetry] carries a metrics registry, hit/miss
-    counters are registered as
-    [acqp_prob_memo_{hits,misses}_total{backend=...}]. *)
-
-val memo_with_handle : ?telemetry:Acq_obs.Telemetry.t -> t -> t * memo_handle
-(** {!memo}, plus a handle exposing hit/miss/entry counts — the
-    benchmark and the combinator's tests read it. *)
-
 (** {1 Selection} *)
 
 type kind =
@@ -185,9 +151,13 @@ type kind =
   | Sampled of { n : int; delta : float }
 
 type spec = { kind : kind; memoize : bool }
+(** [memoize] is read by nothing and the parser always sets it to
+    [false]. It stays only because a record with [kind] alone would
+    make [{ default_spec with kind = ... }], as the end-to-end
+    benchmark writes it, a useless [with] clause (warning 23). *)
 
 val default_spec : spec
-(** Empirical, no memoization — the seed behavior. *)
+(** Empirical — the seed behavior. *)
 
 val default_sample_size : int
 (** 256 — the [n] a bare ["sampled"] spec gets. *)
@@ -204,7 +174,8 @@ val kind_to_string : kind -> string
 val spec_to_string : spec -> string
 (** Renders [sampled] parameters as [sampled(n,delta)] with the
     shortest decimal [delta] that parses back to the same float, so
-    [spec_of_string (spec_to_string s) = Ok s] for every spec. *)
+    [spec_of_string (spec_to_string s) = Ok s] for every spec the
+    parser can return. *)
 
 type spec_error = { input : string; reason : string }
 (** Structured parse failure: the offending input plus what the
@@ -215,11 +186,9 @@ val spec_error_to_string : spec_error -> string
 val spec_of_string : string -> (spec, spec_error) result
 (** Parse [empirical|chow-liu|independence|sampled], optionally
     parameterized as [sampled(n,delta)] (a bare [sampled] gets the
-    defaults above; [n >= 1], [delta] in (0,1)) and optionally
-    followed by [,memo] — the [acqp --model] syntax. *)
+    defaults above; [n >= 1], [delta] in (0,1)) — the [acqp --model]
+    syntax. *)
 
-val of_dataset : ?telemetry:Acq_obs.Telemetry.t -> ?spec:spec ->
-  Acq_data.Dataset.t -> t
-(** Build the backend [spec] asks for from training data (learning
-    the Chow-Liu model when [spec.kind = Chow_liu], wrapping in
-    {!memo} when [spec.memoize]). *)
+val of_dataset : ?spec:spec -> Acq_data.Dataset.t -> t
+(** Build the backend [spec.kind] asks for from training data
+    (learning the Chow-Liu model when it is [Chow_liu]). *)

@@ -28,7 +28,6 @@ type t = {
   round : int;
   drawn : int;  (* root sample size of the current round *)
   streams : Rng.t array;  (* one pre-split stream per round *)
-  cond : Cond.t;
 }
 
 let default_seed = 0x5A3D
@@ -65,9 +64,6 @@ let replay view trail =
       | P (p, truth) -> View.restrict_pred v p truth)
     view (List.rev trail)
 
-let domains_of source =
-  Acq_data.Schema.domains (Acq_data.Dataset.schema (View.dataset source))
-
 let of_view ?(seed = default_seed) ~n ~delta source =
   if n < 1 then invalid_arg "Sampled.of_view: sample budget must be positive";
   if delta <= 0.0 || delta >= 1.0 then
@@ -84,7 +80,6 @@ let of_view ?(seed = default_seed) ~n ~delta source =
     round = 0;
     drawn = m;
     streams;
-    cond = Cond.full (domains_of source);
   }
 
 let create ?seed ~n ~delta ds = of_view ?seed ~n ~delta (View.of_dataset ds)
@@ -114,7 +109,6 @@ let restrict_range st attr r =
     st with
     sample = View.restrict_range st.sample ~attr r;
     trail = R (attr, r) :: st.trail;
-    cond = Cond.narrow_range st.cond attr r;
   }
 
 let restrict_pred st p truth =
@@ -122,11 +116,9 @@ let restrict_pred st p truth =
     st with
     sample = View.restrict_pred st.sample p truth;
     trail = P (p, truth) :: st.trail;
-    cond = Cond.narrow_pred st.cond p truth;
   }
 
 let max_pattern_preds _ = None
-let cond_signature st = Cond.signature st.cond
 
 (* --- confidence intervals ----------------------------------------- *)
 
@@ -146,7 +138,6 @@ let ci st p =
       (Float.max 0.0 (p -. eps), Float.min 1.0 (p +. eps))
     end
 
-let range_prob_ci st attr r = ci st (range_prob st attr r)
 let pred_prob_ci st p = ci st (pred_prob st p)
 
 (* Wilson view of the same estimate — tighter away from p = 1/2, used

@@ -47,17 +47,14 @@ val pattern_probs : t -> Acq_plan.Predicate.t array -> float array
 val restrict_range : t -> int -> Acq_plan.Range.t -> t
 val restrict_pred : t -> Acq_plan.Predicate.t -> bool -> t
 val max_pattern_preds : t -> int option
-val cond_signature : t -> string
 
 (** {1 Intervals and refinement} *)
 
-val range_prob_ci : t -> int -> Acq_plan.Range.t -> float * float
+val pred_prob_ci : t -> Acq_plan.Predicate.t -> float * float
 (** Hoeffding interval at confidence [1 - delta] around
-    {!range_prob}, computed over the restricted sample and clamped to
+    {!pred_prob}, computed over the restricted sample and clamped to
     [0, 1]. Degenerate (p, p) when the sample covers the whole window;
     vacuous (0, 1) on an empty restricted sample. *)
-
-val pred_prob_ci : t -> Acq_plan.Predicate.t -> float * float
 
 val pred_prob_wilson : t -> Acq_plan.Predicate.t -> float * float
 (** Wilson score interval over the same counts — the tighter

@@ -182,23 +182,18 @@ let identity_ids t len =
   if Array.length t.ids <> len then t.ids <- Array.init len (fun i -> i);
   t.ids
 
-let backend_of ?telemetry ?(spec = Backend.default_spec) t len =
+let backend_of ?(spec = Backend.default_spec) t len =
   let ds = materialize t len in
   match spec.Backend.kind with
   | Backend.Empirical ->
       (* Zero-copy fast path: the view aliases the window's packed cell
          buffer and the cached identity id array. *)
-      let b = Backend.of_view (View.of_rows ds (identity_ids t len)) in
-      if spec.Backend.memoize then Backend.memo ?telemetry b else b
+      Backend.of_view (View.of_rows ds (identity_ids t len))
   | Backend.Sampled { n; delta } ->
       (* Zero-copy as well: the sampled backend draws from a view over
          the window's packed buffer and maps positions to row ids. *)
-      let b =
-        Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t len))
-      in
-      if spec.Backend.memoize then Backend.memo ?telemetry b else b
-  | Backend.Chow_liu | Backend.Independence ->
-      Backend.of_dataset ?telemetry ~spec ds
+      Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t len))
+  | Backend.Chow_liu | Backend.Independence -> Backend.of_dataset ~spec ds
 
 let drift_of counts ~size ~reference ~rows =
   let n = Array.length counts in
@@ -225,7 +220,7 @@ let drift_of counts ~size ~reference ~rows =
   end
 
 let to_dataset t = materialize t t.size
-let backend ?telemetry ?spec t = backend_of ?telemetry ?spec t t.size
+let backend ?spec t = backend_of ?spec t t.size
 
 let drift_marginals t ~reference ~rows =
   drift_of t.counts ~size:t.size ~reference ~rows
@@ -263,5 +258,5 @@ module Window = struct
     drift_of (counts_of w.ring size) ~size ~reference ~rows
 
   let to_dataset w = materialize w.ring (size w)
-  let backend ?telemetry ?spec w = backend_of ?telemetry ?spec w.ring (size w)
+  let backend ?spec w = backend_of ?spec w.ring (size w)
 end

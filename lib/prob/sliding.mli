@@ -69,8 +69,7 @@ val to_dataset : t -> Acq_data.Dataset.t
 (** Materialize the ring's rows (oldest first): {!Window.to_dataset}
     of a window that holds all of them. *)
 
-val backend :
-  ?telemetry:Acq_obs.Telemetry.t -> ?spec:Backend.spec -> t -> Backend.t
+val backend : ?spec:Backend.spec -> t -> Backend.t
 (** {!Window.backend} of a window that holds all the ring's rows. *)
 
 val drift : t -> reference:Acq_data.Dataset.t -> float
@@ -138,10 +137,9 @@ module Window : sig
       longer-lived snapshot must copy (or snapshot {!marginals}).
       @raise Invalid_argument on an empty window. *)
 
-  val backend :
-    ?telemetry:Acq_obs.Telemetry.t -> ?spec:Backend.spec -> t -> Backend.t
+  val backend : ?spec:Backend.spec -> t -> Backend.t
   (** Probability backend over the window, built per [spec] (default
-      {!Backend.default_spec}: empirical, no memo). The empirical and
+      {!Backend.default_spec}: empirical). The empirical and
       sampled backends are zero-copy — they view the ring's packed
       cell buffer through a cached identity id array — so a
       steady-state replan builds its statistics without allocating

@@ -48,8 +48,8 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
         | None -> Acq_core.Planner.default_options
       in
       let backend =
-        Acq_prob.Backend.of_dataset ~telemetry
-          ~spec:opts.Acq_core.Planner.prob_model history
+        Acq_prob.Backend.of_dataset ~spec:opts.Acq_core.Planner.prob_model
+          history
       in
       Acq_audit.Audit.install ?model:opts.Acq_core.Planner.cost_model a q
         ~costs ~plan ~expected:planned.Acq_core.Planner.est_cost

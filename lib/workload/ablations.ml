@@ -296,8 +296,7 @@ let ablate_prob s =
     List.init n_queries (fun _ -> Query_gen.lab_query qrng ~train)
   in
   let t =
-    Tbl.create
-      [ "model"; "plan s"; "mean test cost"; "estimator calls"; "memo hit %" ]
+    Tbl.create [ "model"; "plan s"; "mean test cost"; "estimator calls" ]
   in
   List.iter
     (fun name ->
@@ -307,16 +306,13 @@ let ablate_prob s =
         | Error e -> failwith (Acq_prob.Backend.spec_error_to_string e)
       in
       let o = { P.default_options with prob_model = spec } in
-      (* One registry per arm so the memo counters are per-model. *)
-      let m = Acq_obs.Metrics.create () in
-      let obs = Acq_obs.Telemetry.create ~metrics:m () in
       let calls = ref 0 in
       let cost_sum = ref 0.0 in
       let (), secs =
         time (fun () ->
             List.iter
               (fun q ->
-                let r = P.plan ~options:o ~telemetry:obs P.Heuristic q ~train in
+                let r = P.plan ~options:o P.Heuristic q ~train in
                 calls :=
                   !calls + r.P.stats.Acq_core.Search.estimator_calls;
                 cost_sum :=
@@ -325,43 +321,18 @@ let ablate_prob s =
                        r.P.plan test)
               queries)
       in
-      let memo_rate =
-        let snap = Acq_obs.Metrics.snapshot m in
-        let v prefix =
-          List.fold_left
-            (fun acc (k, x) ->
-              if String.length k >= String.length prefix
-                 && String.sub k 0 (String.length prefix) = prefix
-              then acc +. x
-              else acc)
-            0.0 snap
-        in
-        let hits = v "acqp_prob_memo_hits_total" in
-        let misses = v "acqp_prob_memo_misses_total" in
-        if hits +. misses <= 0.0 then "-"
-        else Printf.sprintf "%.1f" (100.0 *. hits /. (hits +. misses))
-      in
       Tbl.add_row t
         [
           name;
           Printf.sprintf "%.3f" secs;
           Printf.sprintf "%.1f" (!cost_sum /. float_of_int n_queries);
           string_of_int !calls;
-          memo_rate;
         ])
-    [
-      "empirical";
-      "empirical,memo";
-      "chow-liu";
-      "chow-liu,memo";
-      "independence";
-    ];
+    [ "empirical"; "chow-liu"; "independence" ];
   Report.table t;
   Report.note
-    "Reading: memoization leaves plans and test costs untouched and pays \
-     off only where the planner re-queries the same conditioning context. \
-     Chow-Liu smooths sparse deep-conditioning counts; independence is the \
-     correlation-blind floor."
+    "Reading: Chow-Liu smooths sparse deep-conditioning counts; \
+     independence is the correlation-blind floor."
 
 (* ------------------------------------------------------------------ *)
 
@@ -694,7 +665,6 @@ let ablate_sample s =
       ("sampled(64,0.001)", P.Pac);
       ("sampled(256,0.001)", P.Pac);
       ("sampled(1024,0.001)", P.Pac);
-      ("sampled(1024,0.001),memo", P.Pac);
     ];
   Report.table t;
   Report.note
@@ -702,8 +672,7 @@ let ablate_sample s =
      separate, so its live cost tracks the exact CorrSeq plan while \
      touching a fraction of the training rows; the certificate's \
      cost_bound upper-bounds the plan's training-distribution cost with \
-     probability 1 - delta. Memoization changes effort, never the plan \
-     or the certificate."
+     probability 1 - delta."
 
 (* ------------------------------------------------------------------ *)
 

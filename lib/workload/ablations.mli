@@ -18,9 +18,8 @@ val ablate_model : Figures.scale -> unit
 
 val ablate_prob : Figures.scale -> unit
 (** Probability-backend ablation: the empirical, Chow-Liu, and
-    independence kernels (the first two also under the memo
-    combinator) planning the same coarsened-lab workload — planning
-    time, held-out plan cost, estimator calls, and memo hit rate per
+    independence kernels planning the same coarsened-lab workload —
+    planning time, held-out plan cost, and estimator calls per
     model. *)
 
 val ablate_spsf : Figures.scale -> unit

@@ -229,7 +229,7 @@ let test_prediction_exact_on_train () =
   let costs = S.costs (DS.schema ds) in
   List.iter
     (fun kind ->
-      let backend = B.of_dataset ~spec:{ B.kind; memoize = false } ds in
+      let backend = B.of_dataset ~spec:{ B.default_spec with kind } ds in
       let result = P.plan_with_backend ~options P.Heuristic q ~costs backend in
       let r =
         Rec.create q ~costs ~plan:result.P.plan ~expected:result.P.est_cost
@@ -297,7 +297,7 @@ let test_flight_alarm_latches () =
 let test_regret_accounting () =
   let ds, q = correlated_instance 57 in
   let costs = S.costs (DS.schema ds) in
-  let indep = B.of_dataset ~spec:{ B.kind = B.Independence; memoize = false } ds in
+  let indep = B.of_dataset ~spec:{ B.default_spec with kind = B.Independence } ds in
   let current_plan =
     (P.plan_with_backend ~options P.Heuristic q ~costs indep).P.plan
   in

@@ -1,7 +1,6 @@
 (* Tests for the pluggable probability backends (Acq_prob.Backend):
-   cross-backend agreement on exhaustively enumerable domains, the
-   memo combinator's cache semantics and telemetry, the memoized vs
-   plain planning differential, the Chow-Liu incremental
+   cross-backend agreement on exhaustively enumerable domains, deferred
+   empirical children against view scans, the Chow-Liu incremental
    pattern inference, capability routing in the sequential planner,
    and the --model spec syntax. *)
 
@@ -12,11 +11,8 @@ module A = Acq_data.Attribute
 module R = Acq_plan.Range
 module Pred = Acq_plan.Predicate
 module Q = Acq_plan.Query
-module Ser = Acq_plan.Serialize
 module B = Acq_prob.Backend
 module CL = Acq_prob.Chow_liu
-module Metrics = Acq_obs.Metrics
-module Tel = Acq_obs.Telemetry
 module P = Acq_core.Planner
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -53,20 +49,16 @@ let factorial_dataset domains =
   DS.create (named_schema domains) rows
 
 let contenders ds =
-  let base =
-    [
-      ("empirical", B.empirical ds);
-      ("independence", B.independence ds);
-      ( "chow-liu",
-        B.chow_liu (CL.learn ds) ~weight:(float_of_int (DS.nrows ds)) );
-      (* Budget >= window: the sample is the window itself, so the
-         sampling backend must agree with empirical to the bit. *)
-      ("sampled", B.sampled ~n:(DS.nrows ds) ~delta:0.05 ds);
-    ]
-  in
-  base @ List.map (fun (name, b) -> (name ^ ",memo", B.memo b)) base
+  [
+    ("empirical", B.empirical ds);
+    ("independence", B.independence ds);
+    ("chow-liu", B.chow_liu (CL.learn ds) ~weight:(float_of_int (DS.nrows ds)));
+    (* Budget >= window: the sample is the window itself, so the
+       sampling backend must agree with empirical to the bit. *)
+    ("sampled", B.sampled ~n:(DS.nrows ds) ~delta:0.05 ds);
+  ]
 
-(* Correlated dataset for the differential and Chow-Liu tests. *)
+(* Correlated dataset for the Chow-Liu tests. *)
 let correlated_dataset seed domains rows =
   let n = Array.length domains in
   let rng = Rng.create seed in
@@ -83,7 +75,7 @@ let correlated_dataset seed domains rows =
   DS.create (named_schema domains) data
 
 (* ------------------------------------------------------------------ *)
-(* Agreement property: every backend (and its memo wrapper) matches
+(* Agreement property: every backend matches
    Empirical on range_prob / value_probs / pred_prob / pattern_probs,
    to 1e-9, before and after an arbitrary restriction chain. *)
 
@@ -190,156 +182,6 @@ let prop_backends_agree =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Memo combinator *)
-
-let test_memo_counters () =
-  let ds = factorial_dataset [| 3; 3 |] in
-  let b, h = B.memo_with_handle (B.empirical ds) in
-  let p = Pred.inside ~attr:0 ~lo:1 ~hi:2 in
-  let first = B.pred_prob b p in
-  let s1 = B.handle_stats h in
-  Alcotest.(check int) "first query misses" 1 s1.B.misses;
-  Alcotest.(check int) "no hits yet" 0 s1.B.hits;
-  Alcotest.(check int) "one entry" 1 s1.B.entries;
-  let again = B.pred_prob b p in
-  let s2 = B.handle_stats h in
-  Alcotest.(check int) "repeat hits" 1 s2.B.hits;
-  Alcotest.(check int) "no new miss" 1 s2.B.misses;
-  check_float "cached value identical" first again;
-  (* A different query is a fresh entry, not a hit. *)
-  ignore (B.value_probs b 1);
-  let s3 = B.handle_stats h in
-  Alcotest.(check int) "distinct query misses" 2 s3.B.misses;
-  Alcotest.(check int) "entries grow" 2 s3.B.entries
-
-let test_memo_restriction_scopes () =
-  let ds = factorial_dataset [| 4; 4 |] in
-  let b, h = B.memo_with_handle (B.empirical ds) in
-  let p = Pred.inside ~attr:1 ~lo:0 ~hi:1 in
-  ignore (B.pred_prob b p);
-  let b' = B.restrict_range b 0 (R.make 0 1) in
-  ignore (B.pred_prob b' p);
-  let s = B.handle_stats h in
-  (* The restriction itself is one miss, and the same query under the
-     new conditioning is another: distinct scope, no false hit. *)
-  Alcotest.(check int) "no hits across scopes" 0 s.B.hits;
-  Alcotest.(check int) "root query + restriction + scoped query" 3 s.B.misses;
-  ignore (B.pred_prob b' p);
-  Alcotest.(check int) "hit within the restricted scope" 1
-    (B.handle_stats h).B.hits;
-  (* Repeating the restriction is itself answered from cache. *)
-  let b'' = B.restrict_range b 0 (R.make 0 1) in
-  Alcotest.(check int) "restriction cached" 2 (B.handle_stats h).B.hits;
-  (* ... and the re-fetched scope shares the first one's entries. *)
-  ignore (B.pred_prob b'' p);
-  Alcotest.(check int) "scope entries shared" 3 (B.handle_stats h).B.hits
-
-let test_memo_order_independent_scopes () =
-  (* Mask-based conditioning signatures are canonical: the same value
-     sets reached in a different restriction order share cache
-     entries. *)
-  let ds = factorial_dataset [| 4; 4 |] in
-  let b, h = B.memo_with_handle (B.empirical ds) in
-  let r0 = R.make 0 1 and r1 = R.make 1 3 in
-  let ab = B.restrict_range (B.restrict_range b 0 r0) 1 r1 in
-  ignore (B.value_probs ab 0);
-  let misses_before = (B.handle_stats h).B.misses in
-  let ba = B.restrict_range (B.restrict_range b 1 r1) 0 r0 in
-  ignore (B.value_probs ba 0);
-  let s = B.handle_stats h in
-  Alcotest.(check int) "reordered chain adds only its own restrictions"
-    (misses_before + 2) s.B.misses;
-  Alcotest.(check int) "query under reordered conditioning hits" 1 s.B.hits
-
-let test_memo_telemetry () =
-  let reg = Metrics.create () in
-  let tel = Tel.create ~metrics:reg () in
-  let ds = factorial_dataset [| 3; 2 |] in
-  let b, h = B.memo_with_handle ~telemetry:tel (B.empirical ds) in
-  let p = Pred.inside ~attr:0 ~lo:0 ~hi:1 in
-  ignore (B.pred_prob b p);
-  ignore (B.pred_prob b p);
-  ignore (B.value_probs b 1);
-  let s = B.handle_stats h in
-  let sum prefix =
-    List.fold_left
-      (fun acc (k, v) ->
-        if
-          String.length k >= String.length prefix
-          && String.sub k 0 (String.length prefix) = prefix
-        then acc +. v
-        else acc)
-      0.0 (Metrics.snapshot reg)
-  in
-  check_float "hit counter mirrors handle" (float_of_int s.B.hits)
-    (sum "acqp_prob_memo_hits_total");
-  check_float "miss counter mirrors handle" (float_of_int s.B.misses)
-    (sum "acqp_prob_memo_misses_total");
-  Alcotest.(check int) "one hit" 1 s.B.hits;
-  Alcotest.(check int) "two misses" 2 s.B.misses
-
-(* ------------------------------------------------------------------ *)
-(* Differential: the empirical backend with and without memoization
-   must produce byte-identical plans, identical Eq. (3) costs, and
-   identical zeta(P) for every planner across 50 random instances. *)
-
-let diff_options =
-  { P.default_options with P.split_points_per_attr = 2 }
-
-let build_diff_instance seed =
-  let rng = Rng.create seed in
-  let n = 3 in
-  let domains = Array.init n (fun _ -> 2 + Rng.int rng 3) in
-  let ds = correlated_dataset (seed + 7) domains 240 in
-  let schema = DS.schema ds in
-  let n_preds = 1 + Rng.int rng 2 in
-  let attrs = Rng.sample_without_replacement rng n_preds n in
-  let preds =
-    Array.to_list
-      (Array.map
-         (fun attr ->
-           let d = domains.(attr) in
-           let lo = Rng.int rng d in
-           let hi = lo + Rng.int rng (d - lo) in
-           Pred.inside ~attr ~lo ~hi)
-         attrs)
-  in
-  (ds, Q.create schema preds)
-
-let test_differential () =
-  let algs = [ P.Naive; P.Corr_seq; P.Heuristic; P.Exhaustive ] in
-  for seed = 0 to 49 do
-    let ds, q = build_diff_instance (1000 + seed) in
-    let costs = S.costs (DS.schema ds) in
-    List.iter
-      (fun alg ->
-        let ctx =
-          Printf.sprintf "seed %d %s" seed (P.algorithm_name alg)
-        in
-        let r_back =
-          P.plan_with_backend ~options:diff_options alg q ~costs
-            (B.empirical ds)
-        in
-        let r_memo =
-          P.plan_with_backend ~options:diff_options alg q ~costs
-            (B.memo (B.empirical ds))
-        in
-        Alcotest.(check bool)
-          (ctx ^ ": memoized plan byte-identical")
-          true
-          (Bytes.equal (Ser.encode r_back.P.plan) (Ser.encode r_memo.P.plan));
-        Alcotest.(check bool)
-          (ctx ^ ": est_cost identical")
-          true
-          (Float.equal r_back.P.est_cost r_memo.P.est_cost);
-        Alcotest.(check int)
-          (ctx ^ ": zeta identical under memo")
-          r_back.P.stats.Acq_core.Search.plan_size
-          r_memo.P.stats.Acq_core.Search.plan_size)
-      algs
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Chow-Liu: the Gray-code incremental pattern_probs must equal the
    direct per-pattern inference, unconditioned and under evidence. *)
 
@@ -426,8 +268,7 @@ let spec_gen =
            return (B.Sampled { n; delta }));
         ]
     in
-    let* memoize = bool in
-    return { B.kind; memoize })
+    return { B.default_spec with kind })
 
 let spec_print sp = Printf.sprintf "%S" (B.spec_to_string sp)
 
@@ -496,16 +337,10 @@ let test_spec_parsing () =
       "empirical";
       "chow-liu";
       "independence";
-      "empirical,memo";
-      "chow-liu,memo";
-      "independence,memo";
       "sampled(4,0.1)";
-      "sampled(4,0.1),memo";
       "sampled(256,0.05)";
     ];
-  Alcotest.(check bool) "memo flag parsed" true (ok "chow-liu,memo").B.memoize;
-  Alcotest.(check bool) "kind parsed" true
-    ((ok "chow-liu,memo").B.kind = B.Chow_liu);
+  Alcotest.(check bool) "kind parsed" true ((ok "chow-liu").B.kind = B.Chow_liu);
   Alcotest.(check string) "default spec is the seed behavior" "empirical"
     (B.spec_to_string B.default_spec);
   Alcotest.(check bool) "bare sampled takes the defaults" true
@@ -516,9 +351,26 @@ let test_spec_parsing () =
   (match B.spec_of_string "bogus" with
   | Ok _ -> Alcotest.fail "accepted bogus model"
   | Error _ -> ());
-  match B.spec_of_string "empirical,turbo" with
+  (match B.spec_of_string "empirical,turbo" with
   | Ok _ -> Alcotest.fail "accepted bogus suffix"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* The memo suffix (a cache in front of the backend) is gone: a
+     model followed by it is unknown now, rejected with the grammar. *)
+  List.iter
+    (fun s ->
+      match B.spec_of_string s with
+      | Ok sp -> Alcotest.failf "accepted %S as %s" s (B.spec_to_string sp)
+      | Error e ->
+          Alcotest.(check string)
+            (s ^ " names the grammar")
+            (Printf.sprintf
+               "unknown model %S: expected \
+                empirical|chow-liu|independence|sampled[(n,delta)]"
+               s)
+            (B.spec_error_to_string e))
+    (List.map
+       (fun m -> String.concat "," [ m; "memo" ])
+       [ "empirical"; "sampled(4,0.1)" ])
 
 let test_of_dataset_spec () =
   let ds = factorial_dataset [| 3; 3 |] in
@@ -538,8 +390,6 @@ let test_of_dataset_spec () =
       ("chow-liu", "chow-liu");
       ("independence", "independence");
       ("sampled(8,0.2)", "sampled");
-      ("empirical,memo", "memo");
-      ("sampled(8,0.2),memo", "memo");
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -702,20 +552,6 @@ let () =
       ( "agreement",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
       ("deferred", [ QCheck_alcotest.to_alcotest prop_deferred_children ]);
-      ( "memo",
-        [
-          Alcotest.test_case "hit/miss counters" `Quick test_memo_counters;
-          Alcotest.test_case "restriction scopes" `Quick
-            test_memo_restriction_scopes;
-          Alcotest.test_case "order-independent scopes" `Quick
-            test_memo_order_independent_scopes;
-          Alcotest.test_case "telemetry counters" `Quick test_memo_telemetry;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "closure vs backend vs memo, 50 seeds" `Quick
-            test_differential;
-        ] );
       ( "chow-liu",
         [
           Alcotest.test_case "incremental pattern_probs" `Quick

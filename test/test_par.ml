@@ -272,6 +272,24 @@ let test_portfolio_deadline_all_arms () =
   let s = Dp.stats pool in
   Alcotest.(check int) "no leaked tasks" s.Dp.submitted s.Dp.completed
 
+(* A zero deadline fails every plan, however fast: a one-predicate Pac
+   or Naive plan solves a single node, often within the clock's
+   resolution of the search's start. *)
+let test_zero_deadline_fast_plans () =
+  let ds, q = make_instance 201 in
+  Alcotest.(check int) "one predicate" 1 (Q.n_predicates q);
+  let opts = { options with deadline_ms = Some 0.0 } in
+  List.iter
+    (fun algo ->
+      for i = 1 to 200 do
+        match P.plan ~options:opts algo q ~train:ds with
+        | _ ->
+            Alcotest.failf "%s finished under a 0 ms deadline (try %d)"
+              (P.algorithm_name algo) i
+        | exception Acq_core.Search.Deadline_exceeded -> ()
+      done)
+    [ P.Pac; P.Naive ]
+
 (* ------------------------------------------------------------------ *)
 (* Robustness: exceptions are contained, shutdown is clean and
    idempotent, nothing hangs. *)
@@ -316,6 +334,20 @@ let test_pool_shutdown_with_pending_work () =
           Alcotest.(check int) "raising index" 4 (i mod 5)
       | Error e -> Alcotest.failf "unexpected: %s" (Printexc.to_string e))
     futs
+
+(* Once every future is awaited, [stats] counts every task completed:
+   a task's outcome and its [completed] count are published together. *)
+let test_pool_awaited_tasks_counted () =
+  with_alarm 20 @@ fun () ->
+  Dp.with_pool ~domains:(test_domains ()) @@ fun pool ->
+  for round = 1 to 5_000 do
+    let futs = List.init 4 (fun i -> Dp.submit pool (fun _ -> i)) in
+    List.iter (fun f -> ignore (Dp.await_exn pool f : int)) futs;
+    let s = Dp.stats pool in
+    if s.Dp.submitted <> s.Dp.completed then
+      Alcotest.failf "round %d: submitted %d, completed %d" round
+        s.Dp.submitted s.Dp.completed
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry shards: worker-side counters surface in the creating
@@ -460,6 +492,8 @@ let () =
             test_portfolio_sampled_arm_starved;
           Alcotest.test_case "expired deadline fails every arm" `Quick
             test_portfolio_deadline_all_arms;
+          Alcotest.test_case "zero deadline fails one-node plans" `Quick
+            test_zero_deadline_fast_plans;
         ] );
       ( "robustness",
         [
@@ -467,6 +501,8 @@ let () =
             test_pool_task_exception;
           Alcotest.test_case "shutdown drains pending work" `Quick
             test_pool_shutdown_with_pending_work;
+          Alcotest.test_case "awaited tasks are counted" `Quick
+            test_pool_awaited_tasks_counted;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "worker shards merge" `Quick test_shard_merge ] );

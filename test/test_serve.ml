@@ -750,21 +750,23 @@ let test_server_malformed_never_disconnects () =
         "want OK ERR ERR ERR OK (connection alive throughout), got: %s"
         (String.concat " | " (List.map Protocol.frame_kind frames))
 
-(* Removed options — the execution path (exec=) and the dense model
-   (model=dense) — get a structured 400 naming what was refused, and the
-   connection stays usable. *)
+(* Removed options — the execution path (exec=), the dense model
+   (model=dense) and the memo suffix after a model — get a structured
+   400 naming what was refused, and the connection stays usable. *)
 let test_server_removed_options () =
   with_server "acqpd_test_exec_opt.sock" @@ fun path _engine server ->
   let c = cli_connect path in
   Fun.protect ~finally:(fun () -> cli_close c) @@ fun () ->
   cli_send c "HELLO t0";
   cli_send c ("RUN exec=tree " ^ chatty);
+  let memo_model = String.concat "," [ "empirical"; "memo" ] in
   cli_send c ("RUN model=dense " ^ chatty);
+  cli_send c ("RUN model=" ^ memo_model ^ " " ^ chatty);
   cli_send c "PING";
-  pump_until server c ~frames:4;
-  let unknown_model =
-    match Acq_prob.Backend.spec_of_string "dense" with
-    | Ok _ -> Alcotest.fail "dense still parses as a model"
+  pump_until server c ~frames:5;
+  let unknown_model m =
+    match Acq_prob.Backend.spec_of_string m with
+    | Ok _ -> Alcotest.failf "%s still parses as a model" m
     | Error e -> Acq_prob.Backend.spec_error_to_string e ^ "\n"
   in
   match List.rev c.cframes with
@@ -772,14 +774,17 @@ let test_server_removed_options () =
    Protocol.Reply _;
    Protocol.Failure (exec_code, exec_msg);
    Protocol.Failure (model_code, model_msg);
+   Protocol.Failure (memo_code, memo_msg);
    Protocol.Reply _;
   ] ->
       Alcotest.(check int) "exec code" 400 exec_code;
       Alcotest.(check string) "exec message" "unknown option: exec\n" exec_msg;
       Alcotest.(check int) "model code" 400 model_code;
-      Alcotest.(check string) "model message" unknown_model model_msg
+      Alcotest.(check string) "model message" (unknown_model "dense") model_msg;
+      Alcotest.(check int) "memo code" 400 memo_code;
+      Alcotest.(check string) "memo message" (unknown_model memo_model) memo_msg
   | frames ->
-      Alcotest.failf "want OK ERR ERR OK, got: %s"
+      Alcotest.failf "want OK ERR ERR ERR OK, got: %s"
         (String.concat " | " (List.map Protocol.frame_kind frames))
 
 let test_server_slow_consumer_sheds () =
