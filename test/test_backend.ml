@@ -1,6 +1,7 @@
 (* Tests for the pluggable probability backends (Acq_prob.Backend):
    cross-backend agreement on exhaustively enumerable domains, deferred
-   empirical children against view scans, the Chow-Liu incremental
+   empirical children against view scans, full-window samples planning
+   like the empirical backend, the Chow-Liu incremental
    pattern inference, capability routing in the sequential planner,
    and the --model spec syntax. *)
 
@@ -180,6 +181,61 @@ let prop_backends_agree =
             pr)
         (contenders ds);
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: a sample whose budget covers the whole dataset is the
+   dataset, so every planner must pick the byte-identical plan, cost
+   and size from it as from the empirical backend. *)
+
+let build_diff_instance seed =
+  let rng = Rng.create seed in
+  let n = 3 in
+  let domains = Array.init n (fun _ -> 2 + Rng.int rng 3) in
+  let ds = correlated_dataset (seed + 7) domains 240 in
+  let schema = DS.schema ds in
+  let n_preds = 1 + Rng.int rng 2 in
+  let attrs = Rng.sample_without_replacement rng n_preds n in
+  let preds =
+    Array.to_list
+      (Array.map
+         (fun attr ->
+           let d = domains.(attr) in
+           let lo = Rng.int rng d in
+           let hi = lo + Rng.int rng (d - lo) in
+           Pred.inside ~attr ~lo ~hi)
+         attrs)
+  in
+  (ds, Q.create schema preds)
+
+let diff_options = { P.default_options with P.split_points_per_attr = 2 }
+
+let test_differential () =
+  let algs = [ P.Naive; P.Corr_seq; P.Heuristic; P.Exhaustive ] in
+  for seed = 0 to 49 do
+    let ds, q = build_diff_instance (1000 + seed) in
+    let costs = S.costs (DS.schema ds) in
+    List.iter
+      (fun alg ->
+        let ctx = Printf.sprintf "seed %d %s" seed (P.algorithm_name alg) in
+        let plan b = P.plan_with_backend ~options:diff_options alg q ~costs b in
+        let r_emp = plan (B.empirical ds) in
+        let r_smp = plan (B.sampled ~n:(DS.nrows ds) ~delta:0.05 ds) in
+        Alcotest.(check bool)
+          (ctx ^ ": full-sample plan byte-identical")
+          true
+          (Bytes.equal
+             (Acq_plan.Serialize.encode r_emp.P.plan)
+             (Acq_plan.Serialize.encode r_smp.P.plan));
+        Alcotest.(check bool)
+          (ctx ^ ": est_cost identical")
+          true
+          (Float.equal r_emp.P.est_cost r_smp.P.est_cost);
+        Alcotest.(check int)
+          (ctx ^ ": plan size identical")
+          r_emp.P.stats.Acq_core.Search.plan_size
+          r_smp.P.stats.Acq_core.Search.plan_size)
+      algs
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Chow-Liu: the Gray-code incremental pattern_probs must equal the
@@ -552,6 +608,11 @@ let () =
       ( "agreement",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
       ("deferred", [ QCheck_alcotest.to_alcotest prop_deferred_children ]);
+      ( "differential",
+        [
+          Alcotest.test_case "empirical vs full-window sample, 50 seeds"
+            `Quick test_differential;
+        ] );
       ( "chow-liu",
         [
           Alcotest.test_case "incremental pattern_probs" `Quick
