@@ -45,7 +45,32 @@ let plan ?search ?model q ~costs ~grid base_est =
           (Acq_plan.Plan.Seq
              (Array.of_list (Acq_plan.Query.unknown_predicates q ranges)))
   in
+  let query_attrs = Array.of_list (Acq_plan.Query.attrs q) in
   let memo = Search.memo search in
+  (* DP-tier instruments, resolved once per call: a counter per tier
+     (attributes acquired so far, the DP's depth in the subproblem
+     lattice) and the per-subproblem histogram. Each is forced at its
+     first use -- where a by-name lookup would first have registered
+     it -- so dumps keep their registration order. *)
+  let obs = Search.telemetry search in
+  let instrumented = Acq_obs.Telemetry.enabled obs in
+  let metrics = Acq_obs.Telemetry.metrics obs in
+  let tier_counters =
+    Array.init (n + 1) (fun tier ->
+        lazy
+          (Option.map
+             (fun m ->
+               Acq_obs.Metrics.counter m
+                 ~labels:[ ("tier", string_of_int tier) ]
+                 "acqp_planner_subproblems_total")
+             metrics))
+  in
+  let subproblem_ms =
+    lazy
+      (Option.map
+         (fun m -> Acq_obs.Metrics.histogram m "acqp_planner_subproblem_ms")
+         metrics)
+  in
   (* [solve ranges lazy_est bound] returns [(cost, Some plan)] when an
      optimum strictly below [bound] exists, [(bound, None)] otherwise.
      The estimator is a thunk so that memo hits never pay for view
@@ -55,7 +80,7 @@ let plan ?search ?model q ~costs ~grid base_est =
     | Acq_plan.Predicate.True -> (0.0, Some (Acq_plan.Plan.const true))
     | Acq_plan.Predicate.False -> (0.0, Some (Acq_plan.Plan.const false))
     | Acq_plan.Predicate.Unknown ->
-        if Subproblem.all_query_attrs_acquired ranges ~domains q then
+        if Subproblem.all_acquired ranges ~domains query_attrs then
           (0.0, Some (fallback_leaf ranges))
         else begin
           let key = Subproblem.key ranges in
@@ -66,14 +91,12 @@ let plan ?search ?model q ~costs ~grid base_est =
           | Some (Lower_bound lb) when bound <= lb ->
               Search.hit search;
               (bound, None)
-          | Some (Lower_bound _) | None ->
+          | (Some (Lower_bound _) | None) as cached ->
               let est = Lazy.force lazy_est in
               if Acq_prob.Backend.is_empty est then
                 (0.0, Some (fallback_leaf ranges))
               else begin
                 Search.solved search;
-                let obs = Search.telemetry search in
-                let instrumented = Acq_obs.Telemetry.enabled obs in
                 let t0 = if instrumented then Unix.gettimeofday () else 0.0 in
                 let c_min = ref bound and best = ref None in
                 Array.iter (fun i -> explore ranges est i c_min best) attr_order;
@@ -84,8 +107,11 @@ let plan ?search ?model q ~costs ~grid base_est =
                       (!c_min, Some plan)
                   | Some _ | None ->
                       Search.pruned search;
+                      (* Children narrow a range, so no solve below
+                         this one wrote [key]: the lookup above still
+                         holds. *)
                       let prev =
-                        match Hashtbl.find_opt memo key with
+                        match cached with
                         | Some (Lower_bound lb) -> lb
                         | Some (Exact _) | None -> neg_infinity
                       in
@@ -94,19 +120,20 @@ let plan ?search ?model q ~costs ~grid base_est =
                       (bound, None)
                 in
                 if instrumented then begin
-                  (* Tier = attributes acquired so far; the DP's depth
-                     in the subproblem lattice. Inclusive solve time:
-                     children are timed inside their parents. *)
+                  (* Inclusive solve time: children are timed inside
+                     their parents. *)
                   let tier = ref 0 in
                   Array.iteri
                     (fun i _ ->
                       if Subproblem.acquired ranges ~domains i then incr tier)
                     ranges;
-                  Acq_obs.Telemetry.incr obs
-                    ~labels:[ ("tier", string_of_int !tier) ]
-                    "acqp_planner_subproblems_total";
-                  Acq_obs.Telemetry.observe obs "acqp_planner_subproblem_ms"
-                    ((Unix.gettimeofday () -. t0) *. 1000.0)
+                  Option.iter Acq_obs.Metrics.incr
+                    (Lazy.force tier_counters.(!tier));
+                  Option.iter
+                    (fun h ->
+                      Acq_obs.Metrics.observe h
+                        ((Unix.gettimeofday () -. t0) *. 1000.0))
+                    (Lazy.force subproblem_ms)
                 end;
                 result
               end

@@ -15,7 +15,8 @@ let interval_name = function Hoeffding -> "hoeffding" | Wilson -> "wilson"
    the per-interval failure probability the backend reports. An
    exhaustive or deterministic backend reports delta 0 (or no
    sampling at all) and degenerates to the point — exactly like the
-   Hoeffding path. Mirrors {!Acq_prob.Sampled.pred_prob_wilson}. *)
+   Hoeffding path. The interval itself is
+   {!Acq_util.Stats.wilson_ci}. *)
 let wilson_ci est p =
   match B.sampling est with
   | None ->

@@ -16,16 +16,14 @@ let with_range t i r =
   t'.(i) <- r;
   t'
 
-let all_query_attrs_acquired t ~domains q =
-  List.for_all (fun i -> acquired t ~domains i) (Acq_plan.Query.attrs q)
+let all_acquired t ~domains attrs =
+  Array.for_all (fun i -> acquired t ~domains i) attrs
 
 let key t =
-  let buf = Buffer.create (Array.length t * 6) in
-  Array.iter
-    (fun (r : Acq_plan.Range.t) ->
-      Buffer.add_string buf (string_of_int r.lo);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int r.hi);
-      Buffer.add_char buf ';')
-    t;
-  Buffer.contents buf
+  let b = Bytes.create (8 * Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    let r : Acq_plan.Range.t = t.(i) in
+    Bytes.set_int32_le b (8 * i) (Int32.of_int r.lo);
+    Bytes.set_int32_le b ((8 * i) + 4) (Int32.of_int r.hi)
+  done;
+  Bytes.unsafe_to_string b

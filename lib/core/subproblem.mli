@@ -25,10 +25,15 @@ val acquisition_cost_model :
 val with_range : t -> int -> Acq_plan.Range.t -> t
 (** Functional update of one attribute's range. *)
 
-val all_query_attrs_acquired :
-  t -> domains:int array -> Acq_plan.Query.t -> bool
-(** Base case of the exhaustive recursion: every query attribute has
-    been acquired, so the residual predicates resolve for free. *)
+val all_acquired : t -> domains:int array -> int array -> bool
+(** [all_acquired t ~domains attrs]: has every attribute of [attrs]
+    been acquired? With the query's attributes ({!Acq_plan.Query.attrs},
+    computed once per search) this is the base case of the exhaustive
+    recursion: the residual predicates resolve for free. *)
 
 val key : t -> string
-(** Injective encoding used as the memoization key. *)
+(** The memoization key: each range's [lo] then [hi] as a 32-bit
+    little-endian integer, [8 * Array.length t] bytes in all. It is
+    injective over range vectors of one length whose endpoints lie in
+    [[0, 2^31)] (every attribute domain does: a domain is an array
+    length); endpoints outside that interval may collide. *)

@@ -28,6 +28,8 @@ let ncols t = Schema.arity t.schema
 
 let get t r c = t.cells.((r * Schema.arity t.schema) + c)
 
+let cells t = t.cells
+
 let row t r =
   let n = ncols t in
   Array.init n (fun c -> t.cells.((r * n) + c))

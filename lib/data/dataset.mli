@@ -26,8 +26,16 @@ val nrows : t -> int
 val ncols : t -> int
 
 val get : t -> int -> int -> int
-(** [get d row col]. Bounds are the caller's responsibility; this is
-    the planner's innermost loop. *)
+(** [get d row col]. Bounds are the caller's responsibility. Loops
+    over many rows read {!cells} instead. *)
+
+val cells : t -> int array
+(** The row-major cell buffer itself, {e not} a copy: cell [(r, c)]
+    is [(cells d).((r * ncols d) + c)]. Read-only by contract --
+    writing to it changes the dataset (and, for {!of_raw} datasets,
+    the producer's buffer). The counting kernels
+    ({!Acq_prob.View}) loop over it directly instead of calling
+    {!get} per cell. *)
 
 val row : t -> int -> int array
 (** Fresh copy of one tuple. *)

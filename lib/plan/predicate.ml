@@ -19,10 +19,11 @@ let eval_tuple t tuple = eval t tuple.(t.attr)
 
 type truth = True | False | Unknown
 
+(* [r] against the band [[t.lo, t.hi]]: {!Range.subset} and
+   {!Range.intersects} spelled out, so no band range is built. *)
 let truth_under t (r : Range.t) =
-  let band = Range.make t.lo t.hi in
-  let all_in = Range.subset r band in
-  let none_in = not (Range.intersects r band) in
+  let all_in = t.lo <= r.lo && r.hi <= t.hi in
+  let none_in = r.hi < t.lo || t.hi < r.lo in
   match t.polarity with
   | Inside -> if all_in then True else if none_in then False else Unknown
   | Outside -> if all_in then False else if none_in then True else Unknown

@@ -130,19 +130,9 @@ let domain ds attr =
   (Acq_data.Schema.attr (Acq_data.Dataset.schema ds) attr).domain
 
 let build_table view attr preds =
-  let ds = View.dataset view in
-  let k = domain ds attr in
+  let k = domain (View.dataset view) attr in
   let m = Array.length preds in
-  let counts = Array.init (1 lsl m) (fun _ -> Array.make k 0) in
-  View.iter view (fun r ->
-      let mask = ref 0 in
-      for j = 0 to m - 1 do
-        let p = preds.(j) in
-        if Acq_plan.Predicate.eval p (Acq_data.Dataset.get ds r p.attr) then
-          mask := !mask lor (1 lsl j)
-      done;
-      let row = counts.(!mask) and v = Acq_data.Dataset.get ds r attr in
-      row.(v) <- row.(v) + 1);
+  let counts = View.pattern_histograms view ~attr preds in
   let by_pattern = Array.map Histogram.of_counts counts in
   let marginal =
     if m = 0 then by_pattern.(0)

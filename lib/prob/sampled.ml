@@ -140,24 +140,6 @@ let ci st p =
 
 let pred_prob_ci st p = ci st (pred_prob st p)
 
-(* Wilson view of the same estimate — tighter away from p = 1/2, used
-   by diagnostics rather than by the certificate math (its coverage is
-   asymptotic where Hoeffding's is guaranteed). *)
-let pred_prob_wilson st p =
-  let m = View.size st.sample in
-  if exhaustive st then begin
-    let x = pred_prob st p in
-    (x, x)
-  end
-  else if m = 0 then (0.0, 1.0)
-  else begin
-    let pos =
-      int_of_float
-        (Float.round (pred_prob st p *. float_of_int m))
-    in
-    Stats.wilson_ci ~pos ~n:m ~delta:st.delta
-  end
-
 (* Once the sample covers the whole window every interval is
    degenerate, so the per-interval failure probability a consumer
    should union-bound with is 0, not the configured delta. *)

@@ -56,10 +56,6 @@ val pred_prob_ci : t -> Acq_plan.Predicate.t -> float * float
     [0, 1]. Degenerate (p, p) when the sample covers the whole window;
     vacuous (0, 1) on an empty restricted sample. *)
 
-val pred_prob_wilson : t -> Acq_plan.Predicate.t -> float * float
-(** Wilson score interval over the same counts — the tighter
-    asymptotic view, for diagnostics. *)
-
 val refine : t -> t option
 (** Double the root sample (drawn from the next pre-split stream) and
     replay this state's restriction trail over it. [None] once the

@@ -1,6 +1,10 @@
 (** A view is the subset of training tuples consistent with a
     subproblem's ranges — the paper's [D(R_1, ..., R_n)] (Section 5).
-    Conditional probabilities for planning are ratios of view sizes. *)
+    Conditional probabilities for planning are ratios of view sizes.
+
+    Every function here that visits the view's rows is a counting
+    kernel: one loop over the row ids reading the dataset's row-major
+    cell buffer ({!Acq_data.Dataset.cells}) directly. *)
 
 type t
 
@@ -43,6 +47,13 @@ val pattern_counts : t -> Acq_plan.Predicate.t array -> int array
     each of the [2^m] truth patterns, bit [j] set when predicate [j]
     is satisfied. This is the rediscretized joint distribution of
     Section 4.1.2 / 5.2. *)
+
+val pattern_histograms :
+  t -> attr:int -> Acq_plan.Predicate.t array -> int array array
+(** [pattern_histograms v ~attr preds] for [m = length preds <= 20]:
+    one {!histogram} of [attr] per truth pattern of [preds] (indexed as
+    in {!pattern_counts}), in one pass over the view — the empirical
+    backend's count tables. *)
 
 val iter : t -> (int -> unit) -> unit
 (** Iterate row ids in view order. *)

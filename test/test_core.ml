@@ -96,20 +96,72 @@ let test_subproblem_key_injective () =
   Alcotest.(check bool) "distinct keys" true (Sub.key a <> Sub.key b);
   Alcotest.(check string) "stable key" (Sub.key a) (Sub.key a)
 
+(* The binary memo key is injective: range vectors of arity 1-12 over
+   domains of 2 to 2^20 values. The second vector is a copy of the
+   first, the first with one range redrawn or one endpoint moved by a
+   power of two (a key that dropped high bits would collide there), or
+   fresh, so equal pairs and near misses both occur. *)
+let key_pair_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let* domains = array_repeat n (int_range 2 (1 lsl 20)) in
+    let range d =
+      let* lo = int_range 0 (d - 1) in
+      let* hi = int_range lo (d - 1) in
+      return (R.make lo hi)
+    in
+    let vector = flatten_a (Array.map range domains) in
+    let* a = vector in
+    let* b =
+      frequency
+        [
+          (1, return (Array.copy a));
+          ( 2,
+            let* i = int_range 0 (n - 1) in
+            let* r = range domains.(i) in
+            let b = Array.copy a in
+            b.(i) <- r;
+            return b );
+          ( 2,
+            let* i = int_range 0 (n - 1) in
+            let* k = int_range 0 19 in
+            let* move_lo = bool in
+            let* up = bool in
+            let step = if up then 1 lsl k else -(1 lsl k) in
+            let r = a.(i) in
+            let lo, hi = if move_lo then (r.lo + step, r.hi) else (r.lo, r.hi + step) in
+            let b = Array.copy a in
+            if 0 <= lo && lo <= hi && hi < domains.(i) then b.(i) <- R.make lo hi;
+            return b );
+          (1, vector);
+        ]
+    in
+    return (a, b))
+
+let print_ranges v =
+  String.concat ";"
+    (Array.to_list (Array.map (fun (r : R.t) -> Printf.sprintf "%d..%d" r.lo r.hi) v))
+
+let prop_key_injective =
+  QCheck2.Test.make ~count:2000 ~name:"key injective on random vectors"
+    ~print:(fun (a, b) -> Printf.sprintf "[%s] vs [%s]" (print_ranges a) (print_ranges b))
+    key_pair_gen
+    (fun (a, b) -> Array.for_all2 R.equal a b = String.equal (Sub.key a) (Sub.key b))
+
 let test_subproblem_query_acquired () =
   let schema = schema3 () in
   let domains = S.domains schema in
-  let q = query3 schema in
+  let attrs = Array.of_list (Q.attrs (query3 schema)) in
   let sp = Sub.initial schema in
   Alcotest.(check bool) "not acquired initially" false
-    (Sub.all_query_attrs_acquired sp ~domains q);
+    (Sub.all_acquired sp ~domains attrs);
   let sp = Sub.with_range sp 1 (R.make 2 3) in
   let sp = Sub.with_range sp 2 (R.make 0 1) in
   Alcotest.(check bool) "both query attrs acquired" true
-    (Sub.all_query_attrs_acquired sp ~domains q);
+    (Sub.all_acquired sp ~domains attrs);
   (* Cheap attr 0 irrelevant. *)
   Alcotest.(check bool) "ignores non-query attrs" true
-    (Sub.all_query_attrs_acquired sp ~domains q)
+    (Sub.all_acquired sp ~domains attrs)
 
 (* ------------------------------------------------------------------ *)
 (* Spsf *)
@@ -818,6 +870,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_subproblem_basics;
           Alcotest.test_case "key injective" `Quick test_subproblem_key_injective;
+          QCheck_alcotest.to_alcotest prop_key_injective;
           Alcotest.test_case "query acquired" `Quick test_subproblem_query_acquired;
         ] );
       ( "spsf",

@@ -1,8 +1,9 @@
 (* Unit tests for Acq_obs: the metrics registry (histogram edge cases
    in particular), span nesting and ordering under an injected clock,
-   the self-hosted JSON parser, Search trace laziness, and a
-   golden check that a small Runtime.run emits a parseable Chrome
-   trace and a stable metrics dump, pinned against literals. *)
+   the self-hosted JSON parser, Search trace laziness, a golden check
+   that a small Runtime.run emits a parseable Chrome trace and a
+   stable metrics dump, pinned against literals, and the same for an
+   Exhaustive plan's DP-tier instruments. *)
 
 module M = Acq_obs.Metrics
 module J = Acq_obs.Json
@@ -480,6 +481,140 @@ let test_runtime_dump_pinned () =
   in
   Alcotest.(check (list string)) "dump" pinned_runtime_dump dump
 
+(* An Exhaustive plan under a live registry: a two-predicate
+   conjunction over the daemon's synthetic history. The DP's tier
+   counters and its per-subproblem histogram count the subproblems the
+   DP solved: the plan's nodes_solved less the sequential seeding's
+   (which the CorrSeq arm reports for the same query). The dump is
+   pinned with every [_ms] value masked, so the family and series
+   order -- registration order -- shows if an instrument is resolved
+   earlier or later than its first use. *)
+let pinned_exhaustive_dump =
+  [
+    "# TYPE acqp_planner_plan_ms histogram";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"0.001\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"0.004\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"0.016\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"0.064\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"0.256\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"1.024\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"4.096\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"16.384\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"65.536\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"262.144\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"1048.58\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"4194.3\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"16777.2\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"67108.9\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"268435\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"1.07374e+06\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"4.29497e+06\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"1.71799e+07\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"6.87195e+07\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"2.74878e+08\"} _";
+    "acqp_planner_plan_ms_bucket{algorithm=\"Exhaustive\",le=\"+Inf\"} _";
+    "acqp_planner_plan_ms_sum{algorithm=\"Exhaustive\"} _";
+    "acqp_planner_plan_ms_count{algorithm=\"Exhaustive\"} _";
+    "# TYPE acqp_planner_plan_bytes_total counter";
+    "acqp_planner_plan_bytes_total{algorithm=\"Exhaustive\"} 26";
+    "# TYPE acqp_planner_pruned_total counter";
+    "acqp_planner_pruned_total{algorithm=\"Exhaustive\"} 42946";
+    "# TYPE acqp_planner_estimator_calls_total counter";
+    "acqp_planner_estimator_calls_total{algorithm=\"Exhaustive\"} 42720";
+    "# TYPE acqp_planner_memo_hits_total counter";
+    "acqp_planner_memo_hits_total{algorithm=\"Exhaustive\"} 21551";
+    "# TYPE acqp_planner_nodes_solved_total counter";
+    "acqp_planner_nodes_solved_total{algorithm=\"Exhaustive\"} 13818";
+    "# TYPE acqp_planner_plans_total counter";
+    "acqp_planner_plans_total{algorithm=\"Exhaustive\"} 1";
+    "# TYPE acqp_planner_subproblem_ms histogram";
+    "acqp_planner_subproblem_ms_bucket{le=\"0.001\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"0.004\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"0.016\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"0.064\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"0.256\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"1.024\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"4.096\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"16.384\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"65.536\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"262.144\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"1048.58\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"4194.3\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"16777.2\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"67108.9\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"268435\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"1.07374e+06\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"4.29497e+06\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"1.71799e+07\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"6.87195e+07\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"2.74878e+08\"} _";
+    "acqp_planner_subproblem_ms_bucket{le=\"+Inf\"} _";
+    "acqp_planner_subproblem_ms_sum _";
+    "acqp_planner_subproblem_ms_count _";
+    "# TYPE acqp_planner_subproblems_total counter";
+    "acqp_planner_subproblems_total{tier=\"8\"} 829";
+    "acqp_planner_subproblems_total{tier=\"7\"} 2418";
+    "acqp_planner_subproblems_total{tier=\"6\"} 3955";
+    "acqp_planner_subproblems_total{tier=\"5\"} 3651";
+    "acqp_planner_subproblems_total{tier=\"4\"} 2034";
+    "acqp_planner_subproblems_total{tier=\"3\"} 660";
+    "acqp_planner_subproblems_total{tier=\"9\"} 127";
+    "acqp_planner_subproblems_total{tier=\"2\"} 125";
+    "acqp_planner_subproblems_total{tier=\"1\"} 15";
+    "acqp_planner_subproblems_total{tier=\"0\"} 1";
+  ]
+
+let test_exhaustive_dp_instruments () =
+  let history, _ =
+    Acq_serve.Source.history_live
+      {
+        Acq_serve.Source.kind = Acq_serve.Source.Synthetic;
+        rows = 4_000;
+        seed = 42;
+      }
+  in
+  let schema = Acq_data.Dataset.schema history in
+  let x = Array.of_list (Acq_data.Schema.expensive_indices schema) in
+  let module Pr = Acq_plan.Predicate in
+  let q =
+    Acq_plan.Query.create schema
+      [ Pr.inside ~attr:x.(0) ~lo:1 ~hi:1; Pr.inside ~attr:x.(3) ~lo:0 ~hi:0 ]
+  in
+  let module P = Acq_core.Planner in
+  let m = M.create () in
+  let r = P.plan ~telemetry:(T.create ~metrics:m ()) P.Exhaustive q ~train:history in
+  let seeding = P.plan P.Corr_seq q ~train:history in
+  let dp_nodes =
+    r.P.stats.Acq_core.Search.nodes_solved
+    - seeding.P.stats.Acq_core.Search.nodes_solved
+  in
+  let snap = M.snapshot m in
+  let tiers =
+    List.fold_left
+      (fun acc (k, v) ->
+        if String.starts_with ~prefix:"acqp_planner_subproblems_total{" k then
+          acc +. v
+        else acc)
+      0.0 snap
+  in
+  Alcotest.(check int) "tier counters sum to the DP's nodes" dp_nodes
+    (int_of_float tiers);
+  Alcotest.(check (option (float 0.0)))
+    "subproblem histogram counts the DP's nodes"
+    (Some (float_of_int dp_nodes))
+    (M.find snap "acqp_planner_subproblem_ms_count");
+  let mask l =
+    if is_infix ~affix:"_ms" l && not (String.starts_with ~prefix:"#" l) then
+      String.sub l 0 (String.rindex l ' ') ^ " _"
+    else l
+  in
+  let dump =
+    String.split_on_char '\n' (M.to_prometheus m)
+    |> List.filter (fun l -> l <> "")
+    |> List.map mask
+  in
+  Alcotest.(check (list string)) "dump" pinned_exhaustive_dump dump
+
 let test_runtime_noop_unchanged () =
   (* The uninstrumented path returns the same verdicts and energy. *)
   let r0 = small_runtime T.noop in
@@ -545,5 +680,7 @@ let () =
             test_runtime_dump_pinned;
           Alcotest.test_case "noop leaves results unchanged" `Quick
             test_runtime_noop_unchanged;
+          Alcotest.test_case "exhaustive DP instruments" `Quick
+            test_exhaustive_dp_instruments;
         ] );
     ]

@@ -1,9 +1,12 @@
-(* Pinned planner output. The expected literals below were recorded
+(* Pinned planner output. The Heuristic literals below were recorded
    from the row-scanning empirical backend, before split candidates
-   were priced from per-node count tables. Every probability the
-   planners read is an integer count divided by an integer count, so a
-   faithful backend reproduces these plans, costs and search counters
-   bit for bit; a single flipped probability bit surfaces here. *)
+   were priced from per-node count tables; the Exhaustive ones from
+   the decimal-keyed DP, before its memo keys became fixed-width
+   binary and its counting kernels read the cell buffer directly.
+   Every probability the planners read is an integer count divided by
+   an integer count, so a faithful backend reproduces these plans,
+   costs and search counters bit for bit; a single flipped probability
+   bit surfaces here. *)
 
 module Rng = Acq_util.Rng
 module P = Acq_core.Planner
@@ -20,14 +23,22 @@ let hex bytes =
     (List.init (Bytes.length bytes) (fun i ->
          Printf.sprintf "%02x" (Char.code (Bytes.get bytes i))))
 
-let observe q ~train =
-  let r = P.plan P.Heuristic q ~train in
-  {
-    plan_hex = hex (Acq_plan.Serialize.encode r.plan);
-    est_cost = Printf.sprintf "%h" r.est_cost;
-    nodes_solved = r.stats.nodes_solved;
-    estimator_calls = r.stats.estimator_calls;
-  }
+let observe_with algorithm q ~train =
+  let r = P.plan algorithm q ~train in
+  ( {
+      plan_hex = hex (Acq_plan.Serialize.encode r.plan);
+      est_cost = Printf.sprintf "%h" r.est_cost;
+      nodes_solved = r.stats.nodes_solved;
+      estimator_calls = r.stats.estimator_calls;
+    },
+    r.stats.memo_hits )
+
+let observe q ~train = fst (observe_with P.Heuristic q ~train)
+
+(* The Exhaustive arm also pins its memo hits: together with
+   nodes_solved (charged to each tenant's planning quota) they say the
+   DP searched exactly the same subproblems. *)
+type pinned_dp = { dp : pinned; memo_hits : int }
 
 (* ------------------------------------------------------------------ *)
 (* Workload: eight Section 6 lab queries over a 4000-row lab history,
@@ -76,6 +87,46 @@ let cases =
         (let q, train = Lazy.force garden in
          ("garden5", q, train));
       ])
+
+(* Conjunctions of the daemon's synthetic dataset (the plan-synthetic
+   workload's pool): the 2,000-row history of [Source.history_live],
+   expensive attribute [i] compared with 0 or 1. *)
+let plan_synthetic_history =
+  lazy
+    (fst
+       (Acq_serve.Source.history_live
+          {
+            Acq_serve.Source.kind = Acq_serve.Source.Synthetic;
+            rows = 4_000;
+            seed = 42;
+          }))
+
+let plan_synthetic picks =
+  let history = Lazy.force plan_synthetic_history in
+  let schema = Acq_data.Dataset.schema history in
+  let x = Array.of_list (Acq_data.Schema.expensive_indices schema) in
+  let q =
+    Acq_plan.Query.create schema
+      (List.map
+         (fun (i, v) -> Acq_plan.Predicate.inside ~attr:x.(i) ~lo:v ~hi:v)
+         picks)
+  in
+  (q, history)
+
+let exhaustive_cases =
+  lazy
+    [
+      (let q, train = Lazy.force synthetic in
+       ("synthetic", q, train));
+      (let q, train = plan_synthetic [ (0, 1); (3, 0) ] in
+       ("plan-synthetic 2", q, train));
+      (let q, train = plan_synthetic [ (1, 1); (2, 0); (4, 1) ] in
+       ("plan-synthetic 3", q, train));
+      (let q, train =
+         plan_synthetic [ (0, 1); (1, 0); (2, 1); (3, 1); (4, 0) ]
+       in
+       ("plan-synthetic 5", q, train));
+    ]
 
 (* One full RUN rendering: plan on the lab history, replay an
    independently simulated stretch of the same lab. *)
@@ -163,6 +214,54 @@ let expected =
       } );
   ]
 
+let expected_exhaustive =
+  [
+    ( "synthetic",
+      {
+        dp =
+          {
+            plan_hex = "030001000302010000030301000305010000030701000002030002050306010003080100000301010000020302030403010100000308010000020302030403030100030401000003060100030701000003050100000203000105030501000003010100000302010000030701000003080100000103080100000306010003070100000301010000030401000003020100000305010000010305010000030101000003040100000307010000030201000001";
+            est_cost = "0x1.d3aac083126eap+6";
+            nodes_solved = 2679;
+            estimator_calls = 8100;
+          };
+        memo_hits = 3910;
+      } );
+    ( "plan-synthetic 2",
+      {
+        dp =
+          {
+            plan_hex = "0306010003010100000307010001000307010003010100000100";
+            est_cost = "0x1.044cccccccccdp+7";
+            nodes_solved = 13818;
+            estimator_calls = 42720;
+          };
+        memo_hits = 21551;
+      } );
+    ( "plan-synthetic 3",
+      {
+        dp =
+          {
+            plan_hex = "03080100030901000003020100030301000003050100010003050100030301000001000304010003020100030301000003050100030901000001000305010003060100030301000003090100000103090100000303010000010003050100030301000003090100000100";
+            est_cost = "0x1.0e34395810624p+7";
+            nodes_solved = 18126;
+            estimator_calls = 61138;
+          };
+        memo_hits = 36223;
+      } );
+    ( "plan-synthetic 5",
+      {
+        dp =
+          {
+            plan_hex = "03020100030001000301010000030601000307010000030301000305010000030901000100000308010003040100030501000003030100030701000003090100010000030301000305010000030701000003090100010000030901000303010003050100000307010000010000030801000304010003050100000307010000030101000003030100030901000100000306010003070100000309010003010100000303010003050100000100000305010000030901000303010003070100000301010000010000030901000304010003060100030701000002030001020305010000030101000003030100030701000001000307010000030501000003010100000303010001000003030100030601000307010000030001000301010000020202040305010000020200040300010003010100000305010000030701000003090100010003080100030401000305010000020300030403070100000309010003010100000305010000010003090100030101000003050100000307010000010000";
+            est_cost = "0x1.e97126e978d5p+6";
+            nodes_solved = 16407;
+            estimator_calls = 54731;
+          };
+        memo_hits = 31990;
+      } );
+  ]
+
 let expected_oneshot =
   "query: 25.0 <= light <= 475.0 AND 23.3 <= temp <= 30.3 AND 38.8 <= humidity <= 59.4\n\
    algorithm: Heuristic\n\
@@ -190,6 +289,19 @@ let test_case name () =
   Alcotest.(check int) "estimator_calls" want.estimator_calls
     got.estimator_calls
 
+let test_exhaustive name () =
+  let _, q, train =
+    List.find (fun (n, _, _) -> n = name) (Lazy.force exhaustive_cases)
+  in
+  let want = List.assoc name expected_exhaustive in
+  let got, memo_hits = observe_with P.Exhaustive q ~train in
+  Alcotest.(check string) "plan bytes" want.dp.plan_hex got.plan_hex;
+  Alcotest.(check string) "est_cost" want.dp.est_cost got.est_cost;
+  Alcotest.(check int) "nodes_solved" want.dp.nodes_solved got.nodes_solved;
+  Alcotest.(check int) "memo_hits" want.memo_hits memo_hits;
+  Alcotest.(check int) "estimator_calls" want.dp.estimator_calls
+    got.estimator_calls
+
 let test_oneshot () =
   Alcotest.(check string) "RUN reply" expected_oneshot (oneshot ())
 
@@ -200,5 +312,9 @@ let () =
         List.map
           (fun (name, _) -> Alcotest.test_case name `Quick (test_case name))
           expected );
+      ( "exhaustive",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_exhaustive name))
+          expected_exhaustive );
       ("oneshot", [ Alcotest.test_case "lab RUN reply" `Quick test_oneshot ]);
     ]

@@ -92,6 +92,167 @@ let test_view_pattern_counts () =
   (* Pattern 3 = c=1 and b in {0,1}: rows 1,3,7. *)
   Alcotest.(check int) "pattern 11" 3 counts.(3)
 
+(* Every counting kernel of View, and the empirical backend's count
+   tables built on them, against references written here with
+   [Dataset.get] -- an oracle independent of View, which test_backend's
+   differential uses as its own oracle. Random datasets of arity 1-4
+   over domains of 2-6 values with 0-40 rows; views are a random row
+   subset (often empty); ranges and predicate bands may reach past the
+   domain on either side; predicates are [Inside] or [Outside]. *)
+
+type kernel_instance = {
+  k_domains : int array;
+  k_cells : int array array;  (** rows *)
+  k_keep : bool array;  (** which rows the view holds *)
+  k_ranges : (int * int * int) array;  (** attr, lo, hi *)
+  k_preds : (int * int * int * bool) array;  (** attr, lo, hi, inside *)
+}
+
+let kernel_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    let* k_domains = array_repeat n (int_range 2 6) in
+    let* rows = int_range 0 40 in
+    let* k_cells =
+      array_repeat rows (flatten_a (Array.map (fun d -> int_range 0 (d - 1)) k_domains))
+    in
+    let* density = int_range 0 4 in
+    let* k_keep = array_repeat rows (map (fun x -> x < density) (int_range 0 3)) in
+    let band =
+      let* attr = int_range 0 (n - 1) in
+      let d = k_domains.(attr) in
+      let* lo = int_range (-2) (d + 1) in
+      let* hi = int_range lo (d + 2) in
+      return (attr, lo, hi)
+    in
+    let* k_ranges = array_repeat 3 band in
+    let* k_preds =
+      array_repeat 4
+        (map2 (fun (attr, lo, hi) inside -> (attr, lo, hi, inside)) band bool)
+    in
+    return { k_domains; k_cells; k_keep; k_ranges; k_preds })
+
+let kernel_print i =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "{domains=[%s]; rows=[%s]; keep=[%s]; ranges=[%s]; preds=[%s]}"
+    (ints i.k_domains)
+    (String.concat ";" (Array.to_list (Array.map ints i.k_cells)))
+    (String.concat ""
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") i.k_keep)))
+    (String.concat ";"
+       (Array.to_list
+          (Array.map (fun (a, l, h) -> Printf.sprintf "%d:%d..%d" a l h) i.k_ranges)))
+    (String.concat ";"
+       (Array.to_list
+          (Array.map
+             (fun (a, l, h, ins) ->
+               Printf.sprintf "%s%d:%d..%d" (if ins then "" else "!") a l h)
+             i.k_preds)))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let ratio c n = if n = 0 then 0.0 else float_of_int c /. float_of_int n
+
+let prop_kernels_match_reference =
+  QCheck2.Test.make ~count:500 ~name:"view kernels and tables match Dataset.get"
+    ~print:kernel_print kernel_gen (fun i ->
+      let n = Array.length i.k_domains in
+      let schema =
+        S.create
+          (List.init n (fun a ->
+               A.discrete ~name:(Printf.sprintf "a%d" a) ~cost:1.0
+                 ~domain:i.k_domains.(a)))
+      in
+      let ds = DS.create schema i.k_cells in
+      let ids =
+        List.filter (fun r -> i.k_keep.(r)) (List.init (DS.nrows ds) Fun.id)
+      in
+      let v = V.of_rows ds (Array.of_list ids) in
+      let size = List.length ids in
+      let rows_of v = Array.to_list (Array.init (V.size v) (V.row_id v)) in
+      let holds (p : Pred.t) r = Pred.eval p (DS.get ds r p.attr) in
+      let count f = List.length (List.filter f ids) in
+      let fail what = QCheck2.Test.fail_reportf "%s differs from the reference" what in
+      let check what ok = if not ok then fail what in
+      let same_floats what a b =
+        check what (Array.length a = Array.length b && Array.for_all2 bits_equal a b)
+      in
+      let preds =
+        Array.map (fun (attr, lo, hi, inside) ->
+            if inside then Pred.inside ~attr ~lo ~hi else Pred.outside ~attr ~lo ~hi)
+          i.k_preds
+      in
+      let pattern r =
+        Acq_util.Array_util.fold_lefti
+          (fun acc j p -> if holds p r then acc lor (1 lsl j) else acc)
+          0 preds
+      in
+      let histogram ids attr =
+        let h = Array.make i.k_domains.(attr) 0 in
+        List.iter (fun r -> let x = DS.get ds r attr in h.(x) <- h.(x) + 1) ids;
+        h
+      in
+      for attr = 0 to n - 1 do
+        check "histogram" (V.histogram v ~attr = histogram ids attr)
+      done;
+      Array.iter
+        (fun (attr, lo, hi) ->
+          let r = R.make lo hi in
+          let inside row = R.contains r (DS.get ds row attr) in
+          check "restrict_range"
+            (rows_of (V.restrict_range v ~attr r) = List.filter inside ids);
+          check "range_count" (V.range_count v ~attr r = count inside);
+          check "range_prob"
+            (bits_equal (V.range_prob v ~attr r) (ratio (count inside) size)))
+        i.k_ranges;
+      Array.iter
+        (fun p ->
+          List.iter
+            (fun truth ->
+              check "restrict_pred"
+                (rows_of (V.restrict_pred v p truth)
+                = List.filter (fun r -> holds p r = truth) ids))
+            [ true; false ];
+          check "pred_prob" (bits_equal (V.pred_prob v p) (ratio (count (holds p)) size)))
+        preds;
+      let patterns ids =
+        let counts = Array.make 16 0 in
+        List.iter (fun r -> let m = pattern r in counts.(m) <- counts.(m) + 1) ids;
+        counts
+      in
+      check "pattern_counts" (V.pattern_counts v preds = patterns ids);
+      for attr = 0 to n - 1 do
+        let want =
+          Array.init 16 (fun m ->
+              histogram (List.filter (fun r -> pattern r = m) ids) attr)
+        in
+        check "pattern_histograms" (V.pattern_histograms v ~attr preds = want)
+      done;
+      (* The empirical backend: the view's own tables, then a deferred
+         child per range, whose answers come from its parent's tables. *)
+      let b = B.of_view v in
+      let ratios counts k = Array.map (fun x -> ratio x k) counts in
+      for a = 0 to n - 1 do
+        same_floats "value_probs" (B.value_probs b a) (ratios (histogram ids a) size)
+      done;
+      same_floats "pattern_probs" (B.pattern_probs b preds) (ratios (patterns ids) size);
+      Array.iter
+        (fun (attr, lo, hi) ->
+          let r = R.make lo hi in
+          let child_ids =
+            List.filter (fun row -> R.contains r (DS.get ds row attr)) ids
+          in
+          let c = B.restrict_range b attr r in
+          let m = List.length child_ids in
+          check "child weight" (bits_equal (B.weight c) (float_of_int m));
+          for a = 0 to n - 1 do
+            same_floats "child value_probs" (B.value_probs c a)
+              (ratios (histogram child_ids a) m)
+          done;
+          same_floats "child pattern_probs" (B.pattern_probs c preds)
+            (ratios (patterns child_ids) m))
+        i.k_ranges;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
 
@@ -334,6 +495,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_view_histogram;
           Alcotest.test_case "probabilities" `Quick test_view_probs;
           Alcotest.test_case "pattern counts" `Quick test_view_pattern_counts;
+          QCheck_alcotest.to_alcotest prop_kernels_match_reference;
         ] );
       ( "histogram",
         [
