@@ -51,7 +51,9 @@ type t = {
           statistics came from — an O(domains) snapshot rather than a
           pinned dataset, so re-basing never aliases the window's
           reusable materialization buffers and drift checks never
-          rescan reference rows *)
+          rescan reference rows. Interned in the window's ring at
+          {!attach} and at every rebase, so it is shared (never
+          mutated) and the ring's drift memo serves equal ones once. *)
   mutable ref_rows : int;
   mutable plan : Acq_plan.Plan.t;
   mutable prepared : Acq_exec.Runner.prepared;
@@ -189,6 +191,7 @@ let attach t ring =
   then begin
     t.window <- W.create ring ~capacity:(W.capacity t.window);
     t.owns_ring <- false;
+    t.ref_marginals <- Sl.intern ring t.ref_marginals;
     true
   end
   else false
@@ -314,7 +317,7 @@ let replan t reason ~max_nodes =
         (* Whether or not the plan changes, the statistics baseline
            moves to the window the pass planned from. *)
         let rebase () =
-          t.ref_marginals <- W.marginals t.window;
+          t.ref_marginals <- Sl.intern (W.ring t.window) (W.marginals t.window);
           t.ref_rows <- rows;
           t.expected <- r.P.est_cost;
           t.cost_acc.sum <- 0.0;

@@ -100,7 +100,10 @@ val attach : t -> Acq_prob.Sliding.t -> bool
     owner pushes each tuple once for every session on it. Only a
     session that has observed nothing yet moves; returns whether it
     did (a session that already has rows, or another schema, keeps
-    its private window). *)
+    its private window). A moved session's drift reference is
+    {!Acq_prob.Sliding.intern}ed in the ring, as is every later
+    rebase's, so sessions on one ring with equal references share one
+    drift computation per tuple. *)
 
 val query : t -> Acq_plan.Query.t
 val plan : t -> Acq_plan.Plan.t

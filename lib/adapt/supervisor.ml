@@ -194,17 +194,39 @@ let unregister t id =
       set_session_gauge t;
       true
 
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* Sift [a.(i)] down the max-heap held in [a.(0 .. len-1)]. *)
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      swap a i c;
+      sift a c len
+    end
+  end
+
 (* Sort the first [n] slots ascending — registration order. Slots
-   usually arrive in order, so this is mostly a linear check. *)
-let sort_prefix a n =
+   usually arrive in order, so this is mostly a linear check; otherwise
+   an in-place heap sort, O(n log n) without allocating (a prefix can
+   hold every session). *)
+let sort_prefix (a : int array) n =
   let sorted = ref true in
   for i = 1 to n - 1 do
     if a.(i - 1) > a.(i) then sorted := false
   done;
   if not !sorted then begin
-    let s = Array.sub a 0 n in
-    Array.sort Int.compare s;
-    Array.blit s 0 a 0 n
+    for i = (n / 2) - 1 downto 0 do
+      sift a i n
+    done;
+    for last = n - 1 downto 1 do
+      swap a 0 last;
+      sift a 0 last
+    done
   end
 
 let no_outcome = { Ex.verdict = false; cost = 0.0; acquired = [] }

@@ -92,7 +92,12 @@ val iter_matches : t -> (int -> Acq_plan.Executor.outcome -> unit) -> unit
     outcome in the last {!step} matched, in registration order — the
     events of the tick, without a pass over the other sessions. Valid
     until the next {!step}, {!register} or {!unregister} (after the
-    latter two it reports nothing). *)
+    latter two it reports nothing).
+
+    A plan group executes once per step and stores that one outcome in
+    every member's slot, so all members of a group receive the
+    physically same [outcome] ([==]): a caller can derive per-outcome
+    work (an EVENT payload) once per group by physical equality. *)
 
 val run_dataset : t -> Acq_data.Dataset.t -> unit
 (** {!step} every row in order. *)

@@ -7,6 +7,10 @@ type slot = {
   mutable ds : Acq_data.Dataset.t option;
 }
 
+(* A memoized {!Window.drift_marginals}: the score of the last [size]
+   rows against [reference] (by physical identity) counting [rows]. *)
+type drift_memo = { reference : int array array; rows : int; size : int; value : float }
+
 type t = {
   schema : Acq_data.Schema.t;
   domains : int array;
@@ -30,6 +34,11 @@ type t = {
   suffix : int array array;  (* histograms of a shorter suffix *)
   mutable suffix_gen : int;  (* the suffix [suffix] counts; -1: none *)
   mutable suffix_len : int;
+  mutable refs : int array array list;
+      (* the last few distinct references interned here, most recently
+         used first *)
+  mutable drift_gen : int;  (* the generation [drifts] belong to; -1: none *)
+  mutable drifts : drift_memo list;
 }
 
 let next_stream = Atomic.make 0
@@ -55,6 +64,9 @@ let create schema ~capacity =
     suffix = Array.map (fun k -> Array.make k 0) domains;
     suffix_gen = -1;
     suffix_len = 0;
+    refs = [];
+    drift_gen = -1;
+    drifts = [];
   }
 
 let schema t = t.schema
@@ -122,7 +134,9 @@ let clear t =
       s.gen <- -1;
       s.ds <- None)
     t.slots;
-  t.suffix_gen <- -1
+  t.suffix_gen <- -1;
+  t.drift_gen <- -1;
+  t.drifts <- []
 
 let histogram t attr = Array.copy t.counts.(attr)
 
@@ -227,6 +241,20 @@ let drift_marginals t ~reference ~rows =
 
 let marginals_of = Acq_data.Dataset.value_counts
 
+(* Sessions built on one history, or rebased on one tick, hold equal
+   snapshots; adopting the ring's copy makes them one physical array,
+   which the drift memo keys on. *)
+let intern_limit = 8
+
+let intern t reference =
+  match List.find_opt (fun r -> r == reference || r = reference) t.refs with
+  | Some r ->
+      t.refs <- r :: List.filter (( != ) r) t.refs;
+      r
+  | None ->
+      t.refs <- reference :: List.filteri (fun i _ -> i < intern_limit - 1) t.refs;
+      reference
+
 let drift t ~reference =
   if Acq_data.Dataset.nrows reference = 0 || t.size = 0 then 0.0
   else
@@ -253,9 +281,28 @@ module Window = struct
   let key w = (w.ring.stream, w.ring.generation, size w)
   let marginals w = Array.map Array.copy (counts_of w.ring (size w))
 
+  let rec find_memo reference ~rows ~size = function
+    | [] -> None
+    | d :: rest ->
+        if d.reference == reference && d.rows = rows && d.size = size then Some d
+        else find_memo reference ~rows ~size rest
+
+  (* The window's rows are the last [size] of the stream at the ring's
+     generation, so within one generation the score is a function of
+     (reference, rows, size): computed once however many windows ask. *)
   let drift_marginals w ~reference ~rows =
+    let r = w.ring in
     let size = size w in
-    drift_of (counts_of w.ring size) ~size ~reference ~rows
+    if r.drift_gen <> r.generation then begin
+      r.drift_gen <- r.generation;
+      r.drifts <- []
+    end;
+    match find_memo reference ~rows ~size r.drifts with
+    | Some d -> d.value
+    | None ->
+        let value = drift_of (counts_of r size) ~size ~reference ~rows in
+        r.drifts <- { reference; rows; size; value } :: r.drifts;
+        value
 
   let to_dataset w = materialize w.ring (size w)
   let backend ?spec w = backend_of ?spec w.ring (size w)

@@ -89,8 +89,19 @@ val drift : t -> reference:Acq_data.Dataset.t -> float
 val drift_marginals : t -> reference:int array array -> rows:int -> float
 (** Same score against a pre-computed reference marginal snapshot
     (shape of {!marginals}, counting [rows] tuples) — O(sum of
-    domains) per call, no dataset scan.
+    domains) per call, no dataset scan, and never memoized (it is the
+    reference {!Window.drift_marginals} is tested against).
     @raise Invalid_argument on an arity mismatch. *)
+
+val intern : t -> int array array -> int array array
+(** [intern t reference] returns a physically shared snapshot
+    structurally equal to [reference]: one of the last 8 distinct
+    references interned into [t] when one is equal, else [reference]
+    itself, which joins them. Consumers that store drift references
+    intern them, so sessions built on the same history, or rebased on
+    the same tick, hold one array and {!Window.drift_marginals}
+    computes their score once. An interned snapshot is shared: nobody
+    may mutate it. *)
 
 (** One query's view of a shared ring: the last min(age, capacity)
     rows, where age counts the tuples pushed since {!create}. *)
@@ -123,10 +134,16 @@ module Window : sig
   (** Fresh per-attribute counts of the window's rows. *)
 
   val drift_marginals : t -> reference:int array array -> rows:int -> float
-  (** {!val:Sliding.drift_marginals} over the window's rows. A window
-      that holds all the ring's rows reads the ring's incremental
-      histograms; a younger or narrower one counts its suffix, once
-      per (generation, size) however many windows ask. *)
+  (** {!val:Sliding.drift_marginals} over the window's rows, bit for
+      bit. A window that holds all the ring's rows reads the ring's
+      incremental histograms; a younger or narrower one counts its
+      suffix, once per (generation, size) however many windows ask.
+      The score is memoized in the ring for its current generation,
+      keyed by [reference]'s physical identity, [rows] and the
+      window's size, so windows of one size asking about one
+      ({!intern}ed) reference compute it once per pushed tuple; a
+      {!push} or a {!clear} drops the memo. [reference] must not be
+      mutated after a call. *)
 
   val to_dataset : t -> Acq_data.Dataset.t
   (** Materialize the window (oldest first), shared by every window

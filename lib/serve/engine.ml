@@ -18,6 +18,9 @@ type tenant = {
   races : (string, P.algorithm * P.result) Hashtbl.t;
       (** memoized portfolio winners, keyed by query signature — a
           thousand identical SUBSCRIBEs race the portfolio once *)
+  events_c : Acq_obs.Metrics.counter Lazy.t;
+      (** [acqpd_events_total{tenant}], resolved at the tenant's first
+          event, where a by-name increment would first register it *)
 }
 
 type sub = {
@@ -47,6 +50,8 @@ type t = {
   mutable draining : bool;
   mutable requests : int;
   started : float;
+  ticks_c : Acq_obs.Metrics.counter Lazy.t;  (** [acqpd_ticks_total] *)
+  render_buf : Buffer.t;  (** EVENT payloads are rendered here *)
 }
 
 let err code msg = Error (code, msg)
@@ -77,6 +82,8 @@ let create ?(limits = Limits.default) ?registry spec =
     draining = false;
     requests = 0;
     started = Unix.gettimeofday ();
+    ticks_c = lazy (Acq_obs.Metrics.counter registry "acqpd_ticks_total");
+    render_buf = Buffer.create 128;
   }
 
 let telemetry t = t.telemetry
@@ -99,6 +106,11 @@ let tenant t name =
           requests = 0;
           rejected = 0;
           races = Hashtbl.create 8;
+          events_c =
+            lazy
+              (Acq_obs.Metrics.counter t.registry
+                 ~labels:[ ("tenant", name) ]
+                 "acqpd_events_total");
         }
       in
       Hashtbl.replace t.tenants name tn;
@@ -391,32 +403,53 @@ let drop_owner t owner =
    plan, see Supervisor.step). Matching tuples become EVENT payloads
    routed back to the owning connection, in subscription order. *)
 
+(* The bytes of [Printf.sprintf "match cost=%.2f %s\n"] over the
+   space-separated [name=value] cells, built in one buffer; [%.2f]
+   stays Printf's, whose rounding is the contract. *)
 let render_event t row (o : Ex.outcome) =
   let names = Acq_data.Schema.names t.schema in
-  let cells =
-    List.map
-      (fun at -> Printf.sprintf "%s=%d" names.(at) row.(at))
-      o.Ex.acquired
-  in
-  Printf.sprintf "match cost=%.2f %s\n" o.Ex.cost (String.concat " " cells)
+  let b = t.render_buf in
+  Buffer.clear b;
+  Buffer.add_string b "match cost=";
+  Buffer.add_string b (Printf.sprintf "%.2f" o.Ex.cost);
+  Buffer.add_char b ' ';
+  List.iteri
+    (fun i at ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b names.(at);
+      Buffer.add_char b '=';
+      Buffer.add_string b (string_of_int row.(at)))
+    o.Ex.acquired;
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let tick t =
   if Hashtbl.length t.subs = 0 || D.nrows t.live = 0 then []
   else begin
     let row = D.row t.live t.cursor in
     t.cursor <- (t.cursor + 1) mod D.nrows t.live;
-    T.incr t.telemetry "acqpd_ticks_total";
+    Acq_obs.Metrics.incr (Lazy.force t.ticks_c);
     ignore (Supervisor.step t.supervisor row : Ex.outcome array);
+    (* A plan group's members share one physical outcome, and the
+       payload is a function of (row, outcome): render once per group,
+       hand every member the same string. *)
+    let rendered = ref [] in
     let events = ref [] in
     Supervisor.iter_matches t.supervisor (fun sup_id o ->
         match Hashtbl.find_opt t.by_sup sup_id with
         | None -> ()
         | Some sub ->
             sub.events <- sub.events + 1;
-            T.incr t.telemetry
-              ~labels:[ ("tenant", sub.tn.name) ]
-              "acqpd_events_total";
-            events := (sub.owner, sub.sub_id, render_event t row o) :: !events);
+            Acq_obs.Metrics.incr (Lazy.force sub.tn.events_c);
+            let payload =
+              match List.assq_opt o !rendered with
+              | Some p -> p
+              | None ->
+                  let p = render_event t row o in
+                  rendered := (o, p) :: !rendered;
+                  p
+            in
+            events := (sub.owner, sub.sub_id, payload) :: !events);
     List.rev !events
   end
 

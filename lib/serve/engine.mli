@@ -73,7 +73,16 @@ val tick : t -> (int * int * string) list
 (** Serve the next live-trace tuple (cyclic) through every subscribed
     session via {!Acq_adapt.Supervisor.step}; returns
     [(owner, sub_id, payload)] for each session whose plan matched the
-    tuple. No subscriptions → free no-op. *)
+    tuple, in subscription order. Subscribers in one plan group share
+    the physically same payload string. No subscriptions → free
+    no-op. *)
+
+val render_event : t -> int array -> Acq_plan.Executor.outcome -> string
+(** The EVENT payload of a matched outcome on a live row:
+    [match cost=<cost> <name>=<value> ...\n] over the acquired
+    attributes in acquisition order, the cost printed as Printf's
+    [%.2f]. {!tick} renders it once per plan group and hands every
+    member the same string. *)
 
 val stats : t -> string
 val prometheus : t -> string

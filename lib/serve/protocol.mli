@@ -60,6 +60,12 @@ type frame =
 
 val render : frame -> string
 
+val event_header : int -> int -> string
+(** [event_header sub len] is the header line of an [EVENT] frame for
+    subscription [sub] with a [len]-byte payload — the bytes {!render}
+    writes before the payload, so a sender may queue the header and a
+    shared payload as two strings. *)
+
 val frame_kind : frame -> string
 (** Lowercase tag for metrics labels: ok/err/event/overload/bye. *)
 

@@ -656,6 +656,52 @@ let test_supervisor_tick_allocation () =
     (Printf.sprintf "%.2f minor words per session per tick < 4" per)
     true (per < 4.0)
 
+(* Plan groups execute in group order, so a tick's matches arrive
+   grouped and have to be put back into registration order: three
+   shapes registered round-robin match out of order on most ticks, and
+   iter_matches must list exactly the matching sessions, ascending.
+   The 500-session lab population checks the same over 25 groups. *)
+let check_matches_in_order sup row =
+  let outcomes = Sup.step sup row in
+  let want =
+    List.filteri (fun slot _ -> outcomes.(slot).Acq_plan.Executor.verdict) (Sup.ids sup)
+  in
+  let got = ref [] in
+  Sup.iter_matches sup (fun id o ->
+      if not o.Acq_plan.Executor.verdict then Alcotest.fail "a non-match listed";
+      got := id :: !got);
+  Alcotest.(check (list int)) "matches in registration order" want (List.rev !got);
+  List.length want
+
+let test_supervisor_matches_in_order () =
+  let schema, _, history = fixture () in
+  let p = Pred.inside in
+  let shapes =
+    [|
+      Q.create schema [ p ~attr:1 ~lo:1 ~hi:1 ];
+      Q.create schema [ p ~attr:0 ~lo:0 ~hi:0 ];
+      Q.create schema [ p ~attr:0 ~lo:0 ~hi:0; p ~attr:1 ~lo:1 ~hi:1 ];
+    |]
+  in
+  let sup = Sup.create_empty () in
+  for j = 0 to 8 do
+    ignore
+      (Sup.register sup
+         (Sess.create ~policy:Pol.static_ ~algorithm:P.Heuristic ~window:16
+            ~history shapes.(j mod 3))
+        : int)
+  done;
+  Alcotest.(check int) "three plan groups" 3 (Sup.plan_groups sup);
+  let all_three = ref 0 in
+  for i = 0 to 99 do
+    if check_matches_in_order sup (phase_a_row i) = 9 then incr all_three
+  done;
+  Alcotest.(check bool) "every group matched on some tick" true (!all_three > 0);
+  let sup, live, _ = lab_population () in
+  for i = 0 to 299 do
+    ignore (check_matches_in_order sup (DS.row live (i mod DS.nrows live)) : int)
+  done
+
 (* Sharing must not change any session's output. The supervisor (one
    ring, plan groups, a plan cache shared under window keys) against
    every session served alone on a private window without a cache:
@@ -974,6 +1020,8 @@ let () =
             test_supervisor_one_execution_per_plan;
           Alcotest.test_case "tick allocation per session" `Quick
             test_supervisor_tick_allocation;
+          Alcotest.test_case "matches in registration order" `Quick
+            test_supervisor_matches_in_order;
           QCheck_alcotest.to_alcotest prop_sharing_is_invisible;
         ] );
       ( "telemetry",

@@ -301,6 +301,113 @@ let test_drift_marginals_equivalence () =
      Alcotest.fail "expected arity failure"
    with Invalid_argument _ -> ())
 
+(* Window.drift_marginals is memoized per ring generation, keyed by the
+   reference's identity, its row count and the window's size. Against
+   the uncached ring-level score on a private ring holding the same
+   rows it must agree bit for bit, whatever the pushes, clears, window
+   widths and references (shared, interned, equal but distinct, or one
+   array under two row counts). *)
+type drift_op = Push of int * int | Clear | Open of int | Check of int * int
+
+let drift_ops_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 2 3) (int_range 1 6))
+      (list_size (int_range 1 80)
+         (frequency
+            [
+              (5, map2 (fun x y -> Push (x, y)) (int_bound 3) (int_bound 2));
+              (1, return Clear);
+              (1, map (fun c -> Open c) (int_range 1 6));
+              (6, map2 (fun w r -> Check (w, r)) (int_bound 5) (int_bound 4));
+            ])))
+
+let drift_ops_print (caps, ops) =
+  Printf.sprintf "caps=[%s] %s"
+    (String.concat ";" (List.map string_of_int caps))
+    (String.concat " "
+       (List.map
+          (function
+            | Push (x, y) -> Printf.sprintf "push(%d,%d)" x y
+            | Clear -> "clear"
+            | Open c -> Printf.sprintf "open(%d)" c
+            | Check (w, r) -> Printf.sprintf "check(w%d,r%d)" w r)
+          ops))
+
+let prop_drift_memo =
+  QCheck2.Test.make ~count:300 ~name:"memoized drift = private ring's"
+    ~print:drift_ops_print drift_ops_gen (fun (caps, ops) ->
+      let s = schema () in
+      let ring = Sl.create s ~capacity:1 in
+      let r0 = [| [| 1; 2; 3; 4 |]; [| 5; 4; 1 |] |]
+      and r1 = [| [| 0; 0; 7; 0 |]; [| 0; 7; 0 |] |] in
+      ignore (Sl.intern ring r1 : int array array);
+      let refs =
+        [|
+          (r0, 10);
+          (r1, 7);
+          (Array.map Array.copy r0, 10);
+          (Sl.intern ring (Array.map Array.copy r1), 7);
+          (r0, 12);
+        |]
+      in
+      (* The model: every row pushed (newest first), the generation of
+         the last clear, and each window's opening generation. *)
+      let stream = ref [] and gen = ref 0 and cleared = ref 0 in
+      let windows = ref [] in
+      let open_window c =
+        windows := !windows @ [ (Sl.Window.create ring ~capacity:c, c, !gen) ]
+      in
+      List.iter open_window caps;
+      List.iter
+        (function
+          | Push (x, y) ->
+              Sl.push ring [| x; y |];
+              stream := [| x; y |] :: !stream;
+              incr gen
+          | Clear ->
+              Sl.clear ring;
+              cleared := !gen
+          | Open c -> open_window c
+          | Check (wi, ri) ->
+              let w, c, opened = List.nth !windows (wi mod List.length !windows) in
+              let reference, rows = refs.(ri) in
+              let size = min c (!gen - max opened !cleared) in
+              let alone = Sl.create s ~capacity:(max 1 size) in
+              List.iter (Sl.push alone)
+                (List.rev (List.filteri (fun i _ -> i < size) !stream));
+              let want = Sl.drift_marginals alone ~reference ~rows in
+              let got = Sl.Window.drift_marginals w ~reference ~rows in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                QCheck2.Test.fail_reportf "window %d ref %d: %h, want %h" wi ri got
+                  want)
+        ops;
+      true)
+
+let test_drift_memo_follows_pushes () =
+  let s = schema () in
+  let ring = Sl.create s ~capacity:3 in
+  let w = Sl.Window.create ring ~capacity:3 in
+  let reference = Sl.intern ring [| [| 3; 0; 0; 0 |]; [| 3; 0; 0 |] |] in
+  List.iter (Sl.push ring) [ [| 0; 0 |]; [| 0; 0 |]; [| 1; 1 |] ];
+  let drift () = Sl.Window.drift_marginals w ~reference ~rows:3 in
+  let first = drift () in
+  Alcotest.(check bool) "memo hit is the same score" true
+    (Int64.bits_of_float first = Int64.bits_of_float (drift ()));
+  (* Same window size and reference after the push: only the
+     generation tells the memo the rows moved. *)
+  Sl.push ring [| 2; 2 |];
+  check_float "recomputed after a push"
+    (Sl.drift_marginals ring ~reference ~rows:3)
+    (drift ());
+  Alcotest.(check bool) "the push moved the score" true (drift () <> first);
+  Sl.clear ring;
+  check_float "empty after a clear" 0.0 (drift ());
+  List.iter (Sl.push ring) [ [| 0; 0 |]; [| 0; 0 |]; [| 1; 1 |]; [| 0; 0 |] ];
+  check_float "refilled" (Sl.drift_marginals ring ~reference ~rows:3) (drift ());
+  Alcotest.(check bool) "interning adopts the equal snapshot" true
+    (Sl.intern ring [| [| 3; 0; 0; 0 |]; [| 3; 0; 0 |] |] == reference)
+
 let test_drift_across_change_point () =
   (* Stream a drifting synthetic trace through a window and track the
      score against the pre-change reference: it must rise as the
@@ -386,5 +493,8 @@ let () =
           Alcotest.test_case "across change point" `Quick
             test_drift_across_change_point;
           Alcotest.test_case "replan pipeline" `Quick test_replan_pipeline;
+          Alcotest.test_case "memo follows pushes and clears" `Quick
+            test_drift_memo_follows_pushes;
+          QCheck_alcotest.to_alcotest prop_drift_memo;
         ] );
     ]
