@@ -3,6 +3,8 @@ module T = Acq_obs.Telemetry
 
 type entry = {
   result : P.result;
+  planned_for : Acq_plan.Predicate.t array option;
+      (** the query's predicates, in its order, when the caller named it *)
   epoch : int;  (** stats epoch parsed back out of the key *)
   mutable tick : int;  (** last-touched stamp for LRU *)
 }
@@ -100,6 +102,43 @@ let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
                (List.map string_of_int (List.sort_uniq compare l))));
   Buffer.contents buf
 
+(* Seq leaves index the query's predicates in its own order, while a
+   key names the predicate set. [r], planned for predicates
+   [planned_for], becomes a plan for [q] by renumbering every leaf
+   index to the position of the same predicate in [q] (the k-th copy
+   of a repeated predicate to its k-th copy), so both evaluate the same
+   bands in the same order. [r] itself when the orders agree. *)
+let translate ~planned_for q (r : P.result) =
+  let target = Acq_plan.Query.predicates q in
+  let n = Array.length target in
+  if Array.length planned_for <> n then
+    invalid_arg "Plan_cache.translate: predicate counts differ";
+  if Array.for_all2 Acq_plan.Predicate.equal planned_for target then r
+  else begin
+    let taken = Array.make n false in
+    let position p =
+      let rec go j =
+        if j = n then invalid_arg "Plan_cache.translate: predicate sets differ"
+        else if (not taken.(j)) && Acq_plan.Predicate.equal target.(j) p then begin
+          taken.(j) <- true;
+          j
+        end
+        else go (j + 1)
+      in
+      go 0
+    in
+    let perm = Array.map position planned_for in
+    let rec renumber = function
+      | Acq_plan.Plan.Leaf (Acq_plan.Plan.Seq order) ->
+          Acq_plan.Plan.Leaf (Acq_plan.Plan.Seq (Array.map (fun i -> perm.(i)) order))
+      | Acq_plan.Plan.Leaf (Acq_plan.Plan.Const _) as leaf -> leaf
+      | Acq_plan.Plan.Test { attr; threshold; low; high } ->
+          Acq_plan.Plan.Test
+            { attr; threshold; low = renumber low; high = renumber high }
+    in
+    { r with P.plan = renumber r.P.plan }
+  end
+
 let touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
@@ -108,13 +147,16 @@ let set_size_gauge t =
   T.set t.telemetry "acqp_adapt_cache_size"
     (float_of_int (Hashtbl.length t.table))
 
-let find t key =
+let find t ?query key =
   match Hashtbl.find_opt t.table key with
   | Some e ->
       touch t e;
       t.hits <- t.hits + 1;
       T.incr t.telemetry "acqp_adapt_cache_hits_total";
-      Some e.result
+      Some
+        (match (e.planned_for, query) with
+        | Some planned_for, Some q -> translate ~planned_for q e.result
+        | _ -> e.result)
   | None ->
       t.misses <- t.misses + 1;
       T.incr t.telemetry "acqp_adapt_cache_misses_total";
@@ -135,20 +177,21 @@ let evict_lru t =
       t.evictions <- t.evictions + 1;
       T.incr t.telemetry "acqp_adapt_cache_evictions_total"
 
-let add t key result =
+let add t ?query key result =
   (if not (Hashtbl.mem t.table key) then
      if Hashtbl.length t.table >= t.capacity then evict_lru t);
-  let e = { result; epoch = key_epoch key; tick = 0 } in
+  let planned_for = Option.map Acq_plan.Query.predicates query in
+  let e = { result; planned_for; epoch = key_epoch key; tick = 0 } in
   touch t e;
   Hashtbl.replace t.table key e;
   set_size_gauge t
 
-let find_or_plan t key plan =
-  match find t key with
+let find_or_plan t ?query key plan =
+  match find t ?query key with
   | Some r -> r
   | None ->
       let r = plan () in
-      add t key r;
+      add t ?query key r;
       r
 
 let invalidate t ~older_than =

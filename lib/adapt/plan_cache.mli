@@ -55,18 +55,44 @@ val signature :
     passes the window's generation as [stats_epoch] and [(stream,
     length)] as [window]. *)
 
-val find : t -> string -> Acq_core.Planner.result option
-(** Lookup; bumps recency and the hit/miss counters. *)
+val find :
+  t -> ?query:Acq_plan.Query.t -> string -> Acq_core.Planner.result option
+(** Lookup; bumps recency and the hit/miss counters. With [query], a
+    hit on an entry added with its query is {!translate}d to
+    [query]'s predicate order (the stored result itself when the
+    orders agree); without, the stored result is returned as is. *)
 
-val add : t -> string -> Acq_core.Planner.result -> unit
+val add :
+  t -> ?query:Acq_plan.Query.t -> string -> Acq_core.Planner.result -> unit
 (** Insert (or refresh) an entry, evicting the least recently used
-    entry when at capacity. *)
+    entry when at capacity. [query] is the query the result was
+    planned for; its predicate order is recorded so {!find} can
+    translate hits from permuted WHERE clauses. *)
 
 val find_or_plan :
-  t -> string -> (unit -> Acq_core.Planner.result) -> Acq_core.Planner.result
-(** [find_or_plan t key plan] returns the cached result or runs
+  t ->
+  ?query:Acq_plan.Query.t ->
+  string ->
+  (unit -> Acq_core.Planner.result) ->
+  Acq_core.Planner.result
+(** [find_or_plan t ?query key plan] returns the cached result or runs
     [plan], stores, and returns it. When [plan] raises (e.g.
     {!Acq_core.Search.Budget_exceeded}) nothing is stored. *)
+
+val translate :
+  planned_for:Acq_plan.Predicate.t array ->
+  Acq_plan.Query.t ->
+  Acq_core.Planner.result ->
+  Acq_core.Planner.result
+(** [translate ~planned_for q r]: [r], planned for a query whose
+    predicates were [planned_for] in that order, as a result for [q],
+    whose WHERE clause lists the same predicates in its own order.
+    Every sequential leaf's predicate indices are renumbered to [q]'s
+    positions (repeated predicates pair up in order of occurrence),
+    so the plan evaluates the same (attribute, band) sequence on
+    every tuple; [est_cost] and [stats] are kept. Returns [r]
+    physically when the orders agree.
+    @raise Invalid_argument when the predicate multisets differ. *)
 
 val invalidate : t -> older_than:int -> int
 (** Drop every entry whose key's [stats_epoch] field is below

@@ -21,6 +21,11 @@ type t = {
   mutable n_acq : int;
   mutable tests : int;
   mutable tid : int;
+  (* What [step] owes the executor series until [flush]. *)
+  owed_acq : int array;  (* per attribute *)
+  owed_depth : int array;  (* per traversal depth *)
+  mutable owed_tuples : int;
+  mutable owed_matches : int;
 }
 
 let create ?model ~costs auto =
@@ -52,62 +57,72 @@ let create ?model ~costs auto =
     n_acq = 0;
     tests = 0;
     tid = 0;
+    owed_acq = Array.make n 0;
+    owed_depth = Array.make (Compile.n_nodes auto + 1) 0;
+    owed_tuples = 0;
+    owed_matches = 0;
   }
 
 let automaton t = t.auto
 
-let run ?instr ?probe ?(times = 1) t ~lookup =
+(* Stand-in probe counts for an unprobed traversal: never written. *)
+let no_counts = [||]
+
+(* The traversal core: one tuple through the automaton, returning its
+   verdict and leaving its cost ([acc.(0)]), acquisition order and
+   count, and test count in [t]. A loop over node indices, not a
+   closure, so an unprobed call allocates nothing. *)
+let traverse t ~lookup probe =
   let a = t.auto in
-  let probed, phits, pmisses =
-    match probe with
-    | None -> (false, [||], [||])
-    | Some p ->
-        Probe.check p a;
-        (true, Probe.hits p, Probe.misses p)
-  in
+  let probed = probe <> None in
+  (match probe with Some p -> Probe.check p a | None -> ());
+  let phits = match probe with Some p -> Probe.hits p | None -> no_counts in
+  let pmisses = match probe with Some p -> Probe.misses p | None -> no_counts in
   t.tid <- t.tid + 1;
   let tid = t.tid in
   t.acc.(0) <- 0.0;
   t.n_acq <- 0;
   t.tests <- 0;
-  let rec go node =
-    if node >= 0 then begin
-      let at = a.Compile.attr.(node) in
-      t.tests <- t.tests + a.Compile.kind.(node);
-      if t.stamp.(at) <> tid then begin
-        t.stamp.(at) <- tid;
-        t.order.(t.n_acq) <- at;
-        t.n_acq <- t.n_acq + 1;
-        let c =
-          if Array.length t.board = 0 then t.uniform.(at)
+  let node = ref a.Compile.entry in
+  while !node >= 0 do
+    let n = !node in
+    let at = a.Compile.attr.(n) in
+    t.tests <- t.tests + a.Compile.kind.(n);
+    if t.stamp.(at) <> tid then begin
+      t.stamp.(at) <- tid;
+      t.order.(t.n_acq) <- at;
+      t.n_acq <- t.n_acq + 1;
+      let c =
+        if Array.length t.board = 0 then t.uniform.(at)
+        else begin
+          let b = t.board.(at) in
+          if t.bstamp.(b) = tid then t.read.(at)
           else begin
-            let b = t.board.(at) in
-            if t.bstamp.(b) = tid then t.read.(at)
-            else begin
-              t.bstamp.(b) <- tid;
-              t.wakeup.(b) +. t.read.(at)
-            end
+            t.bstamp.(b) <- tid;
+            t.wakeup.(b) +. t.read.(at)
           end
-        in
-        t.acc.(0) <- t.acc.(0) +. c
-      end;
-      let v = lookup at in
-      let hit = a.Compile.lo.(node) <= v && v <= a.Compile.hi.(node) in
-      if probed then begin
-        if hit then phits.(node) <- phits.(node) + 1
-        else pmisses.(node) <- pmisses.(node) + 1
-      end;
-      go (if hit then a.Compile.on_hit.(node) else a.Compile.on_miss.(node))
-    end
-    else node = Compile.accept
-  in
-  let verdict = go a.Compile.entry in
+        end
+      in
+      t.acc.(0) <- t.acc.(0) +. c
+    end;
+    let v = lookup at in
+    let hit = a.Compile.lo.(n) <= v && v <= a.Compile.hi.(n) in
+    if probed then begin
+      if hit then phits.(n) <- phits.(n) + 1
+      else pmisses.(n) <- pmisses.(n) + 1
+    end;
+    node := if hit then a.Compile.on_hit.(n) else a.Compile.on_miss.(n)
+  done;
+  (match probe with Some p -> Probe.observe_cost p t.acc.(0) | None -> ());
+  !node = Compile.accept
+
+let run ?instr ?probe ?(times = 1) t ~lookup =
+  let verdict = traverse t ~lookup probe in
   (match instr with
   | Some i ->
       E.Instr.acquired i ~times t.order t.n_acq;
       E.Instr.tuple i ~times ~verdict ~tests:t.tests
   | None -> ());
-  (match probe with Some p -> Probe.observe_cost p t.acc.(0) | None -> ());
   {
     E.verdict;
     cost = t.acc.(0);
@@ -116,6 +131,32 @@ let run ?instr ?probe ?(times = 1) t ~lookup =
 
 let run_tuple ?instr ?probe t tuple =
   run ?instr ?probe t ~lookup:(fun at -> tuple.(at))
+
+let step ?probe t ~lookup =
+  let verdict = traverse t ~lookup probe in
+  for k = 0 to t.n_acq - 1 do
+    let at = t.order.(k) in
+    t.owed_acq.(at) <- t.owed_acq.(at) + 1
+  done;
+  t.owed_depth.(t.tests) <- t.owed_depth.(t.tests) + 1;
+  t.owed_tuples <- t.owed_tuples + 1;
+  if verdict then t.owed_matches <- t.owed_matches + 1;
+  verdict
+
+let cost t = t.acc.(0)
+let n_acquired t = t.n_acq
+
+let flush t instr =
+  (match instr with
+  | Some i ->
+      Array.iteri (E.Instr.acquisitions i) t.owed_acq;
+      Array.iteri (E.Instr.depths i) t.owed_depth;
+      E.Instr.tuples i ~n:t.owed_tuples ~matches:t.owed_matches
+  | None -> ());
+  Array.fill t.owed_acq 0 (Array.length t.owed_acq) 0;
+  Array.fill t.owed_depth 0 (Array.length t.owed_depth) 0;
+  t.owed_tuples <- 0;
+  t.owed_matches <- 0
 
 (* Stand-in cost cells for an unprobed sweep: read once, never written. *)
 let no_cells = Array.make 6 0.0

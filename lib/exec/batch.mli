@@ -36,17 +36,38 @@ val run :
   t ->
   lookup:(int -> int) ->
   Acq_plan.Executor.outcome
-(** Execute one tuple through the automaton. [lookup] is called once
-    per node visit (exactly like the tree interpreter's [touch]), so
-    lookup side effects — a mote powering a sensor — happen in the
-    same order and multiplicity. With [instr], records the same
-    per-tuple series as {!Acq_plan.Executor.run}, [times] (default 1)
-    over: one execution shared by [times] queries with the same
-    automaton credits each of them. With [probe],
-    per-node visit/hit counts and the tuple's realized cost are folded
-    into the probe's pre-allocated cells — observations only, never a
-    change to verdict, cost, or acquisition order. @raise
-    Invalid_argument when the probe's automaton shape differs. *)
+(** Execute one tuple through the automaton and build its outcome, the
+    form the tick path hands on. [lookup] is called once per node
+    visit (exactly like the tree interpreter's [touch]), so lookup
+    side effects — a mote powering a sensor — happen in the same
+    order and multiplicity. With [instr], records the same per-tuple
+    series as {!Acq_plan.Executor.run}, [times] (default 1) over: one
+    execution shared by [times] queries with the same automaton
+    credits each of them. With [probe], per-node visit/hit counts and
+    the tuple's realized cost are folded into the probe's
+    pre-allocated cells — observations only, never a change to
+    verdict, cost, or acquisition order. @raise Invalid_argument when
+    the probe's automaton shape differs. *)
+
+val step : ?probe:Probe.t -> t -> lookup:(int -> int) -> bool
+(** The traversal {!run} wraps, without an outcome: returns the
+    verdict and leaves the cost and the acquisition count in [t]
+    ({!cost}, {!n_acquired}) until the next traversal. The executor
+    series it owes (acquisitions, tuples, matches, depth) are tallied
+    in [t] until {!flush}. Same lookup calls and probe observations
+    as {!run}; without a probe it allocates nothing (given a [lookup]
+    built once). *)
+
+val cost : t -> float
+(** The last traversal's acquisition cost. *)
+
+val n_acquired : t -> int
+(** How many attributes the last traversal acquired. *)
+
+val flush : t -> Acq_plan.Executor.Instr.t option -> unit
+(** Fold the tallies of every {!step} since the last flush into the
+    instruments (their totals equal what per-tuple {!run}s would have
+    recorded) and clear them; [None] only clears. *)
 
 val run_tuple :
   ?instr:Acq_plan.Executor.Instr.t ->

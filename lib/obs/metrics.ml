@@ -107,6 +107,11 @@ let add_int c n =
   c.c_value <- c.c_value +. float_of_int n
 
 let counter_value c = c.c_value
+
+let advance c v =
+  if v < c.c_value then invalid_arg "Metrics.advance: counters are monotone";
+  c.c_value <- v
+
 let set g v = g.g_value <- v
 let add_gauge g v = g.g_value <- g.g_value +. v
 let gauge_value g = g.g_value

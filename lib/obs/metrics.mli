@@ -60,6 +60,14 @@ val add_int : counter -> int -> unit
     site. *)
 
 val counter_value : counter -> float
+
+val advance : counter -> float -> unit
+(** [advance c v] sets [c] to [v]: the fold of a loop that added its
+    increments to a local copy of {!counter_value}[ c], in the order
+    per-increment {!add}s would have, so the counter ends with the
+    same bits. @raise Invalid_argument when [v] is below the current
+    value. *)
+
 val set : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -25,7 +25,21 @@ let attrs t =
   |> List.map (fun (p : Predicate.t) -> p.attr)
   |> List.sort_uniq compare
 
-let eval t tuple = Array.for_all (fun p -> Predicate.eval_tuple p tuple) t.preds
+(* A loop, not a local recursive function: no closure per call. *)
+let eval_at t cells ~base =
+  let preds = t.preds in
+  let j = ref 0 in
+  while
+    !j < Array.length preds
+    &&
+    let p = preds.(!j) in
+    Predicate.eval p cells.(base + p.attr)
+  do
+    incr j
+  done;
+  !j = Array.length preds
+
+let eval t tuple = eval_at t tuple ~base:0
 
 let truth_under t ranges =
   let any_unknown = ref false in

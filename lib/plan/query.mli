@@ -19,6 +19,11 @@ val attrs : t -> int list
 val eval : t -> int array -> bool
 (** Ground truth of the WHERE clause on a complete tuple. *)
 
+val eval_at : t -> int array -> base:int -> bool
+(** [eval_at q cells ~base]: {!eval} on the tuple whose attribute [a]
+    is [cells.(base + a)] — a row of a row-major cell buffer
+    ({!Acq_data.Dataset.cells}), read in place. *)
+
 val truth_under : t -> Range.t array -> Predicate.truth
 (** Truth of the conjunction given per-attribute ranges: [False] as
     soon as one predicate is [False]; [True] if all are [True];

@@ -82,6 +82,13 @@ end
    node from one table per attribute instead of rescanning the node's
    rows per candidate.
 
+   The predicates asked about are a property of the state, not of one
+   attribute: a state computes its rows' truth patterns under them
+   once, and every attribute's table counts from those patterns. A
+   table built after its state has been asked about predicates is
+   built with them, so only the first attribute whose children ask
+   builds a table twice.
+
    One backend may be read from several domains at once. Every cache is an [Atomic.t] slot that
    receives immutable values computed in full before they are
    published; domains racing on one slot may each compute a value, and
@@ -94,10 +101,15 @@ type count_table = {
   marginal : Histogram.t;
 }
 
+(* The truth patterns of a state's rows under [bits]. *)
+type coded = { bits : Acq_plan.Predicate.t array; codes : View.patterns }
+
 type empirical_state = {
   source : source;
   filtered : View.t option Atomic.t;  (** a [Narrowed] state's rows, once filtered *)
   tables : count_table list Atomic.t;  (** at most one per attribute *)
+  coded : coded option Atomic.t;
+      (** patterns under the predicates deferred children asked about *)
 }
 
 and source =
@@ -129,22 +141,13 @@ let fits ~rows ~domain m = m <= pattern_limit && domain lsl m <= rows
 let domain ds attr =
   (Acq_data.Schema.attr (Acq_data.Dataset.schema ds) attr).domain
 
-let build_table view attr preds =
-  let k = domain (View.dataset view) attr in
-  let m = Array.length preds in
-  let counts = View.pattern_histograms view ~attr preds in
-  let by_pattern = Array.map Histogram.of_counts counts in
-  let marginal =
-    if m = 0 then by_pattern.(0)
-    else
-      Histogram.of_counts
-        (Array.init k (fun v ->
-             Array.fold_left (fun acc row -> acc + row.(v)) 0 counts))
-  in
-  { attr; preds; by_pattern; marginal }
-
 let fresh_state source =
-  { source; filtered = Atomic.make None; tables = Atomic.make [] }
+  {
+    source;
+    filtered = Atomic.make None;
+    tables = Atomic.make [];
+    coded = Atomic.make None;
+  }
 
 let rec dataset st =
   match st.source with
@@ -162,30 +165,65 @@ let rec view st =
           Atomic.set st.filtered (Some v);
           v)
 
+(* The predicates the state's deferred children have asked about. *)
+let asked st = match Atomic.get st.coded with Some c -> c.bits | None -> [||]
+
+(* The state's row patterns under [bits]: the published ones when they
+   are for [bits] (physically), else computed and published. *)
+let codes st bits =
+  match Atomic.get st.coded with
+  | Some c when c.bits == bits -> c.codes
+  | Some _ | None ->
+      let c = { bits; codes = View.patterns (view st) bits } in
+      Atomic.set st.coded (Some c);
+      c.codes
+
+let build_table st attr preds =
+  let view = view st in
+  let k = domain (View.dataset view) attr in
+  let counts =
+    if Array.length preds = 0 then [| View.histogram view ~attr |]
+    else View.pattern_histograms view ~attr (codes st preds)
+  in
+  let by_pattern = Array.map Histogram.of_counts counts in
+  let marginal =
+    if Array.length preds = 0 then by_pattern.(0)
+    else
+      Histogram.of_counts
+        (Array.init k (fun v ->
+             Array.fold_left (fun acc row -> acc + row.(v)) 0 counts))
+  in
+  { attr; preds; by_pattern; marginal }
+
 let rec publish st t =
   let cur = Atomic.get st.tables in
   let next = t :: List.filter (fun u -> u.attr <> t.attr) cur in
   if Atomic.compare_and_set st.tables cur next then t else publish st t
 
-(* The state's table for [attr]; pattern-free when first built. *)
+let fits_view st attr m =
+  let v = view st in
+  fits ~rows:(View.size v) ~domain:(domain (View.dataset v) attr) m
+
+(* The state's table for [attr]; when first built, it covers the
+   predicates the state has been asked about, if it can. *)
 let table st attr =
   match List.find_opt (fun t -> t.attr = attr) (Atomic.get st.tables) with
   | Some t -> t
-  | None -> publish st (build_table (view st) attr [||])
+  | None ->
+      let bits = asked st in
+      let bits = if fits_view st attr (Array.length bits) then bits else [||] in
+      publish st (build_table st attr bits)
 
 (* A table for [attr] whose patterns cover [preds]: the current one,
-   or a rebuild grown by [preds]. [None] when the grown table is too
-   wide. *)
+   or a rebuild over everything the state has been asked about plus
+   [preds]. [None] when that table is too wide. *)
 let covering st attr preds =
   let t = table st attr in
-  let grown = union t.preds preds in
-  if grown == t.preds then Some t
+  if union t.preds preds == t.preds then Some t
   else
-    let v = view st in
-    if
-      fits ~rows:(View.size v) ~domain:(domain (View.dataset v) attr)
-        (Array.length grown)
-    then Some (publish st (build_table v attr grown))
+    let grown = union (asked st) preds in
+    if fits_view st attr (Array.length grown) then
+      Some (publish st (build_table st attr grown))
     else None
 
 (* Pattern probabilities of the rows of [t] whose attribute lies in

@@ -113,22 +113,68 @@ let pattern_counts t preds =
   done;
   counts
 
-let pattern_histograms t ~attr preds =
+(* Per-row truth patterns, in view order: one byte per row while the
+   patterns fit in 8 bits, an int per row beyond. *)
+type codes = Packed of Bytes.t | Wide of int array
+type patterns = { bits : int; codes : codes }
+
+let patterns t (preds : Acq_plan.Predicate.t array) =
   let m = Array.length preds in
-  if m > 20 then invalid_arg "View.pattern_histograms: too many predicates";
-  (* Pattern-free tables are the common case: count them without a
-     per-row pattern call. *)
-  if m = 0 then [| histogram t ~attr |]
+  if m > 20 then invalid_arg "View.patterns: too many predicates";
+  let cells, w = cells t in
+  let rows = t.rows in
+  let n = Array.length rows in
+  if m = 0 then { bits = 0; codes = Packed Bytes.empty }
+  else if m <= 8 then begin
+    (* Predicate-major: each pass reads one attribute's cells and sets
+       one bit, with the predicate's band hoisted out of the loop. *)
+    let codes = Bytes.make n '\000' in
+    Array.iteri
+      (fun j (p : Acq_plan.Predicate.t) ->
+        let attr = p.attr and lo = p.lo and hi = p.hi in
+        let inside = p.polarity = Inside and bit = 1 lsl j in
+        for i = 0 to n - 1 do
+          let v = cells.((rows.(i) * w) + attr) in
+          if (lo <= v && v <= hi) = inside then
+            Bytes.unsafe_set codes i
+              (Char.unsafe_chr (Char.code (Bytes.unsafe_get codes i) lor bit))
+        done)
+      preds;
+    { bits = m; codes = Packed codes }
+  end
+  else
+    {
+      bits = m;
+      codes = Wide (Array.init n (fun i -> pattern cells (rows.(i) * w) preds));
+    }
+
+let pattern_histograms t ~attr { bits; codes } =
+  (* No predicates, no codes: the one pattern's histogram. *)
+  if bits = 0 then [| histogram t ~attr |]
   else begin
     let cells, w = cells t in
     let rows = t.rows in
-    let counts = Array.init (1 lsl m) (fun _ -> Array.make (domain t attr) 0) in
-    for i = 0 to Array.length rows - 1 do
-      let base = rows.(i) * w in
-      let row = counts.(pattern cells base preds) in
-      let v = cells.(base + attr) in
-      row.(v) <- row.(v) + 1
-    done;
+    let counts =
+      Array.init (1 lsl bits) (fun _ -> Array.make (domain t attr) 0)
+    in
+    let n_codes =
+      match codes with Packed c -> Bytes.length c | Wide c -> Array.length c
+    in
+    if n_codes <> Array.length rows then
+      invalid_arg "View.pattern_histograms: patterns of another view";
+    (match codes with
+    | Packed codes ->
+        for i = 0 to Array.length rows - 1 do
+          let row = counts.(Char.code (Bytes.unsafe_get codes i)) in
+          let v = cells.((rows.(i) * w) + attr) in
+          row.(v) <- row.(v) + 1
+        done
+    | Wide codes ->
+        for i = 0 to Array.length rows - 1 do
+          let row = counts.(codes.(i)) in
+          let v = cells.((rows.(i) * w) + attr) in
+          row.(v) <- row.(v) + 1
+        done);
     counts
   end
 

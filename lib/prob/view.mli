@@ -48,12 +48,25 @@ val pattern_counts : t -> Acq_plan.Predicate.t array -> int array
     is satisfied. This is the rediscretized joint distribution of
     Section 4.1.2 / 5.2. *)
 
-val pattern_histograms :
-  t -> attr:int -> Acq_plan.Predicate.t array -> int array array
-(** [pattern_histograms v ~attr preds] for [m = length preds <= 20]:
-    one {!histogram} of [attr] per truth pattern of [preds] (indexed as
-    in {!pattern_counts}), in one pass over the view — the empirical
-    backend's count tables. *)
+type patterns
+(** The truth pattern of every row of one view under one predicate
+    array (bit [j] set when predicate [j] holds, as in
+    {!pattern_counts}), in view order: one byte per row while the
+    patterns fit in 8 bits, one int per row beyond. Immutable once
+    built. *)
+
+val patterns : t -> Acq_plan.Predicate.t array -> patterns
+(** [patterns v preds] for [m = length preds <= 20], in one pass per
+    predicate over the view. *)
+
+val pattern_histograms : t -> attr:int -> patterns -> int array array
+(** [pattern_histograms v ~attr codes]: one {!histogram} of [attr] per
+    truth pattern of the predicates [codes] was built for (indexed as
+    in {!pattern_counts}), in one pass over the view, which must be
+    the view [codes] was built on ([Invalid_argument] when their
+    lengths differ). The empirical backend builds every
+    attribute's count table of a state from that state's one
+    [patterns]. *)
 
 val iter : t -> (int -> unit) -> unit
 (** Iterate row ids in view order. *)

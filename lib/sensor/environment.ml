@@ -18,6 +18,16 @@ let mote_of_epoch t e =
   | Some a -> Acq_data.Dataset.get t.data e a
   | None -> 0
 
-let value t ~epoch ~attr = Acq_data.Dataset.get t.data epoch attr
+type cursor = { cells : int array; width : int; mutable base : int }
 
-let tuple t ~epoch = Acq_data.Dataset.row t.data epoch
+let cursor t =
+  {
+    cells = Acq_data.Dataset.cells t.data;
+    width = Acq_data.Dataset.ncols t.data;
+    base = 0;
+  }
+
+let seek c epoch = c.base <- epoch * c.width
+let read c attr = c.cells.(c.base + attr)
+let satisfies c q = Acq_plan.Query.eval_at q c.cells ~base:c.base
+let blit_row c row = Array.blit c.cells c.base row 0 c.width

@@ -18,10 +18,25 @@ val n_epochs : t -> int
 val mote_of_epoch : t -> int -> int
 (** Which mote observes the row of this epoch. *)
 
-val value : t -> epoch:int -> attr:int -> int
-(** Ground-truth reading (the executor pays acquisition cost to call
-    this through the mote's lookup closure). *)
+type cursor
+(** A position in the trace — one per run, moved epoch by epoch — that
+    reads the trace's cells in place. *)
 
-val tuple : t -> epoch:int -> int array
-(** Full ground-truth row, used by the basestation to audit results
-    in tests. *)
+val cursor : t -> cursor
+(** At epoch 0. *)
+
+val seek : cursor -> int -> unit
+(** Move to an epoch. *)
+
+val read : cursor -> int -> int
+(** Ground-truth reading of an attribute at the cursor's epoch (the
+    executor pays acquisition cost to call this through the mote's
+    lookup closure). *)
+
+val satisfies : cursor -> Acq_plan.Query.t -> bool
+(** Ground truth of the WHERE clause at the cursor's epoch, which the
+    basestation audits each verdict against. *)
+
+val blit_row : cursor -> int array -> unit
+(** Copy the full row at the cursor into a buffer of the schema's
+    arity. *)

@@ -9,10 +9,22 @@ type t = {
      the next install invalidates it — recompiling on plan switch,
      never per epoch. *)
   mutable prepared : Acq_exec.Runner.prepared option;
+  (* Radio cost of a result message carrying [n] attributes, indexed
+     by [n]; built with [prepared], since the arity comes with the
+     costs. *)
+  mutable result_cost : float array;
 }
 
 let create ~id ~hops ~radio () =
-  { id; hops; radio; energy = Energy.create (); plan = None; prepared = None }
+  {
+    id;
+    hops;
+    radio;
+    energy = Energy.create ();
+    plan = None;
+    prepared = None;
+    result_cost = [||];
+  }
 
 let id t = t.id
 
@@ -20,19 +32,16 @@ let hops t = t.hops
 
 let energy t = t.energy
 
+let flush t = Option.iter Acq_exec.Runner.flush t.prepared
+
 let install_plan t plan ~bytes =
   Energy.charge_rx t.energy ~bytes:(bytes + t.radio.Radio.header_bytes)
     ~per_byte:t.radio.Radio.per_byte;
+  flush t;
   t.plan <- Some plan;
   t.prepared <- None
 
 let plan t = t.plan
-
-type epoch_result = {
-  verdict : bool;
-  acquisition_cost : float;
-  acquired : int list;
-}
 
 let prepared t q ~costs plan =
   match t.prepared with
@@ -40,6 +49,12 @@ let prepared t q ~costs plan =
   | None ->
       let p = Acq_exec.Runner.prepare q ~costs plan in
       t.prepared <- Some p;
+      if Array.length t.result_cost <> Array.length costs + 1 then
+        t.result_cost <-
+          Array.init (Array.length costs + 1) (fun n ->
+              Radio.message_cost t.radio
+                ~payload_bytes:(Radio.result_bytes t.radio ~n_attrs:n)
+                ~hops:t.hops);
       p
 
 let run_epoch ?obs ?probe t q ~costs ~lookup =
@@ -47,20 +62,16 @@ let run_epoch ?obs ?probe t q ~costs ~lookup =
   | None -> failwith "Mote.run_epoch: no plan installed"
   | Some plan ->
       let p = prepared t q ~costs plan in
-      let o = Acq_exec.Runner.run ?obs ?probe p ~lookup in
-      Energy.add_acquisition t.energy o.Acq_plan.Executor.cost;
-      if o.Acq_plan.Executor.verdict then begin
-        let payload =
-          Radio.result_bytes t.radio
-            ~n_attrs:(List.length o.Acq_plan.Executor.acquired)
-        in
-        let cost =
-          Radio.message_cost t.radio ~payload_bytes:payload ~hops:t.hops
-        in
-        t.energy.Energy.radio_tx <- t.energy.Energy.radio_tx +. cost
-      end;
-      {
-        verdict = o.Acq_plan.Executor.verdict;
-        acquisition_cost = o.Acq_plan.Executor.cost;
-        acquired = o.Acq_plan.Executor.acquired;
-      }
+      let verdict = Acq_exec.Runner.step ?obs ?probe p ~lookup in
+      Energy.add_acquisition t.energy (Acq_exec.Runner.cost p);
+      if verdict then
+        t.energy.Energy.radio_tx <-
+          t.energy.Energy.radio_tx
+          +. t.result_cost.(Acq_exec.Runner.n_acquired p);
+      verdict
+
+let last_cost t =
+  match t.prepared with Some p -> Acq_exec.Runner.cost p | None -> 0.0
+
+let last_acquired t =
+  match t.prepared with Some p -> Acq_exec.Runner.n_acquired p | None -> 0

@@ -26,12 +26,6 @@ val install_plan : t -> Acq_plan.Plan.t -> bytes:int -> unit
 
 val plan : t -> Acq_plan.Plan.t option
 
-type epoch_result = {
-  verdict : bool;
-  acquisition_cost : float;
-  acquired : int list;
-}
-
 val run_epoch :
   ?obs:Acq_obs.Telemetry.t ->
   ?probe:Acq_exec.Probe.t ->
@@ -39,11 +33,28 @@ val run_epoch :
   Acq_plan.Query.t ->
   costs:float array ->
   lookup:(int -> int) ->
-  epoch_result
-(** Execute the installed plan on this epoch's readings, metering
-    acquisition energy; when the tuple matches, also charge the
-    result transmission toward the basestation. [obs] is handed to
-    {!Acq_exec.Runner.run} for per-attribute acquisition counters;
-    [probe] is the basestation's calibration probe (audit pipeline) —
-    it observes node outcomes without changing them.
+  bool
+(** Execute the installed plan on this epoch's readings ({!Acq_exec.Runner.step}),
+    metering acquisition energy; when the tuple matches, also charge
+    the result transmission toward the basestation. Returns the
+    verdict; the epoch's cost and acquired count stay readable through
+    {!last_cost} and {!last_acquired}. The only allocation per epoch
+    is the boxed cost read back from the executor (two words).
+    [obs] names the registry of the per-attribute executor counters,
+    which are written at {!flush}; [probe] is the basestation's
+    calibration probe (audit pipeline) — it observes node outcomes
+    without changing them.
     @raise Failure if no plan is installed. *)
+
+val last_cost : t -> float
+(** Acquisition cost of the last epoch (0 before the first epoch under
+    the installed plan). *)
+
+val last_acquired : t -> int
+(** Attributes the last epoch acquired: a matching tuple's result
+    message carries that many. *)
+
+val flush : t -> unit
+(** Write the executor counters the epochs since the last flush owe
+    (see {!Acq_exec.Runner.flush}). {!install_plan} flushes the plan it
+    replaces. *)

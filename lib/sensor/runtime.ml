@@ -1,4 +1,5 @@
 module T = Acq_obs.Telemetry
+module M = Acq_obs.Metrics
 
 type report = {
   plan : Acq_plan.Plan.t;
@@ -83,50 +84,74 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
   let instrumented = T.enabled telemetry in
   let metrics = T.metrics telemetry in
   let traced = Option.is_some (T.tracer telemetry) in
-  (* Counters resolve once per run, each at its first use — the epoch
-     a by-name lookup would first have touched it — so registration
-     order, and with it every dump, is unchanged. *)
-  let counter ?labels name =
-    lazy (Option.map (fun m -> Acq_obs.Metrics.counter m ?labels name) metrics)
+  let n_epochs = Environment.n_epochs env in
+  let cursor = Environment.cursor env in
+  let lookup attr = Environment.read cursor attr in
+  (* Wrapped once: passing [~obs] per epoch would box a [Some] each. *)
+  let obs = Some telemetry in
+  (* Per-epoch counter writes go to locals, folded into their series
+     when the loop ends. Each series registers at the epoch whose write
+     would first have touched it, so registration order, and with it
+     every dump, is unchanged; a fractional series folds from its
+     value at registration, adding in epoch order, so its bits match
+     per-epoch adds after any number of runs. *)
+  let epochs_c = ref None and matches_c = ref None in
+  let mote_c = Array.make n_motes None in
+  let acq_sum = Array.make n_motes 0.0 and radio_sum = Array.make n_motes 0.0 in
+  let tx_sum = Array.make n_motes 0 in
+  let register m mote_id =
+    let labels = [ ("mote", string_of_int mote_id) ] in
+    let acq = M.counter m ~labels "acqp_mote_acquisition_energy_total"
+    and radio = M.counter m ~labels "acqp_mote_radio_energy_total"
+    and tx = M.counter m ~labels "acqp_mote_tx_bytes_total" in
+    acq_sum.(mote_id) <- M.counter_value acq;
+    radio_sum.(mote_id) <- M.counter_value radio;
+    mote_c.(mote_id) <- Some (acq, radio, tx)
   in
-  let epochs_c = counter "acqp_runtime_epochs_total"
-  and matches_c = counter "acqp_runtime_matches_total" in
-  let mote_c =
-    Array.init n_motes (fun id ->
-        let labels = [ ("mote", string_of_int id) ] in
-        ( counter ~labels "acqp_mote_acquisition_energy_total",
-          counter ~labels "acqp_mote_radio_energy_total",
-          counter ~labels "acqp_mote_tx_bytes_total" ))
-  in
-  let add c v =
-    match Lazy.force c with Some c -> Acq_obs.Metrics.add c v | None -> ()
+  let fold () =
+    Option.iter (fun c -> M.add_int c n_epochs) !epochs_c;
+    Option.iter (fun c -> M.add_int c !matches) !matches_c;
+    Array.iteri
+      (fun id c ->
+        Option.iter
+          (fun (acq, radio, tx) ->
+            M.advance acq acq_sum.(id);
+            M.advance radio radio_sum.(id);
+            M.add_int tx tx_sum.(id))
+          c)
+      mote_c;
+    Network.flush net
   in
   let epoch_loop () =
-    for epoch = 0 to Environment.n_epochs env - 1 do
+    for epoch = 0 to n_epochs - 1 do
+      Environment.seek cursor epoch;
       let mote_id = Environment.mote_of_epoch env epoch in
       let mote = Network.mote net mote_id in
       let e = Mote.energy mote in
       let acq0 = e.Energy.acquisition and tx0 = e.Energy.radio_tx in
-      let r =
-        Mote.run_epoch ~obs:telemetry ?probe mote q ~costs
-          ~lookup:(fun attr -> Environment.value env ~epoch ~attr)
-      in
-      if r.Mote.verdict then incr matches;
-      let truth = Acq_plan.Query.eval q (Environment.tuple env ~epoch) in
-      if truth <> r.Mote.verdict then correct := false;
+      let verdict = Mote.run_epoch ?obs ?probe mote q ~costs ~lookup in
+      if verdict then incr matches;
+      if Environment.satisfies cursor q <> verdict then correct := false;
       audit_tick (epoch + 1) ~final:false;
       if instrumented then begin
         let tx_bytes =
-          if r.Mote.verdict then
-            Radio.result_bytes radio ~n_attrs:(List.length r.Mote.acquired)
+          if verdict then
+            Radio.result_bytes radio ~n_attrs:(Mote.last_acquired mote)
           else 0
         in
-        add epochs_c 1.0;
-        if r.Mote.verdict then add matches_c 1.0;
-        let acq_c, radio_c, tx_c = mote_c.(mote_id) in
-        add acq_c (e.Energy.acquisition -. acq0);
-        add radio_c (e.Energy.radio_tx -. tx0);
-        add tx_c (float_of_int tx_bytes);
+        (match metrics with
+        | Some m ->
+            if epoch = 0 then
+              epochs_c := Some (M.counter m "acqp_runtime_epochs_total");
+            if verdict && Option.is_none !matches_c then
+              matches_c := Some (M.counter m "acqp_runtime_matches_total");
+            if Option.is_none mote_c.(mote_id) then register m mote_id;
+            acq_sum.(mote_id) <-
+              acq_sum.(mote_id) +. (e.Energy.acquisition -. acq0);
+            radio_sum.(mote_id) <-
+              radio_sum.(mote_id) +. (e.Energy.radio_tx -. tx0);
+            tx_sum.(mote_id) <- tx_sum.(mote_id) + tx_bytes
+        | None -> ());
         (* Per-epoch series: cumulative per-mote energy, loadable as
            counter tracks in chrome://tracing. *)
         if traced then
@@ -138,7 +163,8 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
               ("tx_bytes", float_of_int tx_bytes);
             ]
       end
-    done
+    done;
+    fold ()
   in
   T.span telemetry ~cat:"runtime"
     ~attrs:[ ("epochs", string_of_int (Environment.n_epochs env)) ]
@@ -232,30 +258,36 @@ let run_adaptive ?options ?radio ?n_motes ?(telemetry = T.noop)
   in
   T.set telemetry "acqp_runtime_plan_bytes" (float_of_int bytes);
   let matches = ref 0 and correct = ref true in
+  let cursor = Environment.cursor env in
+  let lookup attr = Environment.read cursor attr in
+  let obs = Some telemetry in
+  (* The session copies the row into its window, so one buffer serves
+     every epoch. *)
+  let row = Array.make (Acq_data.Schema.arity schema) 0 in
   let epoch_loop () =
     for epoch = 0 to Environment.n_epochs env - 1 do
+      Environment.seek cursor epoch;
       let mote_id = Environment.mote_of_epoch env epoch in
       let mote = Network.mote net mote_id in
-      let r =
+      let verdict =
         (* The probe is re-fetched per epoch: a switch re-arms the
            audit recorder on the new plan, and the stale probe must
            not keep feeding it. *)
-        Mote.run_epoch ~obs:telemetry
+        Mote.run_epoch ?obs
           ?probe:(Acq_adapt.Session.audit_probe session)
-          mote q ~costs
-          ~lookup:(fun attr -> Environment.value env ~epoch ~attr)
+          mote q ~costs ~lookup
       in
-      if r.Mote.verdict then incr matches;
-      let truth = Acq_plan.Query.eval q (Environment.tuple env ~epoch) in
-      if truth <> r.Mote.verdict then correct := false;
+      if verdict then incr matches;
+      if Environment.satisfies cursor q <> verdict then correct := false;
       (* The mote's tuple is also the basestation's statistics feed; a
          switch re-installs the plan on every mote inside [on_switch]
          (Network.disseminate), so nothing more to do here. *)
+      Environment.blit_row cursor row;
       ignore
-        (Acq_adapt.Session.step session ~cost:r.Mote.acquisition_cost
-           (Environment.tuple env ~epoch)
+        (Acq_adapt.Session.step session ~cost:(Mote.last_cost mote) row
           : Acq_adapt.Session.switch option)
-    done
+    done;
+    Network.flush net
   in
   T.span telemetry ~cat:"runtime"
     ~attrs:[ ("epochs", string_of_int (Environment.n_epochs env)) ]

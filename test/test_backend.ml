@@ -602,12 +602,121 @@ let prop_deferred_children =
         inst.d_ops;
       true)
 
+(* Call order across attributes: a state computes its rows' truth
+   patterns once, under every predicate its deferred children have
+   asked about, and builds each attribute's table from them — so the
+   first table of an attribute is built with predicates that other
+   attributes' children asked about. Whatever those were, and however
+   wide (more than 8 distinct predicates switches the pattern store
+   from bytes to ints; past the table-size bound the backend scans),
+   every answer must equal the scan of the child's filtered rows. *)
+type order_instance = {
+  o_domains : int array;
+  o_rows : int;
+  o_seed : int;
+  o_ops : (int * int array) list;  (** (op kind, raw operands) *)
+}
+
+let order_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 4 in
+    let* o_domains = array_repeat n (int_range 2 5) in
+    let* o_rows = oneof [ int_range 0 200; int_range 1_000 3_000 ] in
+    let* o_seed = int_range 0 1_000_000 in
+    let* o_ops =
+      list_size (int_range 1 30)
+        (pair (int_range 0 5) (array_repeat 14 (int_range 0 1000)))
+    in
+    return { o_domains; o_rows; o_seed; o_ops })
+
+let order_print i =
+  deferred_print
+    { d_domains = i.o_domains; d_rows = i.o_rows; d_seed = i.o_seed; d_ops = i.o_ops }
+
+let prop_call_order =
+  QCheck2.Test.make ~count:300 ~print:order_print
+    ~name:"tables built with asked predicates answer like scans, in any call order"
+    order_gen
+    (fun inst ->
+      let domains = inst.o_domains in
+      let n = Array.length domains in
+      let ds = deferred_dataset domains inst.o_rows inst.o_seed in
+      let rng = Rng.create (inst.o_seed + 7) in
+      (* Twelve predicates, half of them Outside; picks by index repeat
+         some, so predicate arrays carry duplicates. *)
+      let pool =
+        Array.init 12 (fun _ ->
+            let attr = Rng.int rng n in
+            let k = domains.(attr) in
+            let lo = Rng.int rng k in
+            let hi = lo + Rng.int rng (k - lo) in
+            if Rng.bernoulli rng 0.5 then Pred.inside ~attr ~lo ~hi
+            else Pred.outside ~attr ~lo ~hi)
+      in
+      let root = (B.empirical ds, Acq_prob.View.of_dataset ds) in
+      (* Parents, and the narrowed children built under them. *)
+      let parents = ref [| root |] and children = ref [||] in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s differs from the scan" what
+      in
+      let same_floats what a b =
+        if
+          Array.length a <> Array.length b
+          || not (Array.for_all2 bits_equal a b)
+        then fail what
+      in
+      List.iter
+        (fun (kind, raw) ->
+          match kind with
+          | 0 ->
+              (* A child on any attribute of any parent; children of
+                 one parent on several attributes share its patterns. *)
+              let b, v = !parents.(raw.(0) mod Array.length !parents) in
+              let attr = raw.(1) mod n in
+              let r = raw_range domains.(attr) raw.(2) raw.(3) in
+              let child =
+                (B.restrict_range b attr r, Acq_prob.View.restrict_range v ~attr r)
+              in
+              children := Array.append !children [| child |];
+              if raw.(4) mod 4 = 0 then
+                parents := Array.append !parents [| child |]
+          | _ when Array.length !children = 0 -> ()
+          | _ -> (
+              let b, v = !children.(raw.(0) mod Array.length !children) in
+              let size = Acq_prob.View.size v in
+              match kind with
+              | 1 ->
+                  if not (bits_equal (B.weight b) (float_of_int size)) then
+                    fail "weight"
+              | 2 ->
+                  let attr = raw.(1) mod n in
+                  let r = raw_range domains.(attr) raw.(2) raw.(3) in
+                  let want =
+                    ratio_of_counts [| Acq_prob.View.range_count v ~attr r |] size
+                  in
+                  same_floats "range_prob" [| B.range_prob b attr r |] want
+              | 3 ->
+                  let attr = raw.(1) mod n in
+                  same_floats "value_probs" (B.value_probs b attr)
+                    (ratio_of_counts (Acq_prob.View.histogram v ~attr) size)
+              | _ ->
+                  let m = raw.(1) mod 13 in
+                  let preds = Array.init m (fun j -> pool.(raw.(2 + j) mod 12)) in
+                  same_floats "pattern_probs" (B.pattern_probs b preds)
+                    (ratio_of_counts (Acq_prob.View.pattern_counts v preds) size)))
+        inst.o_ops;
+      true)
+
 let () =
   Alcotest.run "backend"
     [
       ( "agreement",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
-      ("deferred", [ QCheck_alcotest.to_alcotest prop_deferred_children ]);
+      ( "deferred",
+        [
+          QCheck_alcotest.to_alcotest prop_deferred_children;
+          QCheck_alcotest.to_alcotest prop_call_order;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "empirical vs full-window sample, 50 seeds"

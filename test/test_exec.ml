@@ -170,6 +170,118 @@ let prop_compiled_oracle =
         planners)
 
 (* ------------------------------------------------------------------ *)
+(* The epoch step: Runner.step / Batch.step against the tree oracle *)
+
+(* A random plan over [q]: tests at random thresholds, leaves that are
+   constants or sequential orders over a random subset of the
+   predicates. Not a planner's output, so the step sees shapes no
+   planner emits. *)
+let rec random_plan rng q domains depth =
+  if depth = 0 || Rng.bernoulli rng 0.3 then
+    if Rng.bernoulli rng 0.15 then Plan.const (Rng.bernoulli rng 0.5)
+    else begin
+      let n = Q.n_predicates q in
+      let order = Array.init n (fun j -> j) in
+      Rng.shuffle rng order;
+      Plan.Leaf (Plan.Seq (Array.sub order 0 (1 + Rng.int rng n)))
+    end
+  else
+    let attr = Rng.int rng (Array.length domains) in
+    Plan.Test
+      {
+        attr;
+        threshold = 1 + Rng.int rng (max 1 (domains.(attr) - 1));
+        low = random_plan rng q domains (depth - 1);
+        high = random_plan rng q domains (depth - 1);
+      }
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Distinct attributes in first-seen order: the acquisition order a
+   lookup sequence implies. *)
+let first_seen calls =
+  List.fold_left (fun acc a -> if List.mem a acc then acc else acc @ [ a ]) [] calls
+
+(* Per tuple: the verdict, the cost bits, the acquisition count and
+   order, and the whole lookup call sequence of a step equal the tree
+   executor's; a probe fed by the steps ends bit-identical to one fed
+   by the tree's audit hook; and the executor series the steps flush
+   equal the ones the tree records per tuple. *)
+let step_differential ?model ds q ~plan_seed =
+  let costs = S.costs (DS.schema ds) in
+  let domains = S.domains (DS.schema ds) in
+  let rng = Rng.create plan_seed in
+  let plan = random_plan rng q domains 3 in
+  let auto = Compile.compile q plan in
+  let prepared = Runner.prepare ?model q ~costs plan in
+  let p_tree = Acq_exec.Probe.create auto and p_step = Acq_exec.Probe.create auto in
+  Acq_exec.Probe.set_predicted_cost p_tree 7.5;
+  Acq_exec.Probe.set_predicted_cost p_step 7.5;
+  let m_tree = M.create () and m_step = M.create () in
+  let obs_tree = T.create ~metrics:m_tree () and obs_step = T.create ~metrics:m_step () in
+  let rows =
+    Array.append
+      (Array.init (DS.nrows ds) (DS.row ds))
+      (Array.init 50 (fun _ -> Array.map (fun k -> Rng.int rng k) domains))
+  in
+  let ok = ref true in
+  Array.iter
+    (fun row ->
+      let calls = ref [] in
+      let lookup a =
+        calls := a :: !calls;
+        row.(a)
+      in
+      let o =
+        Ex.run ?model ~obs:obs_tree ~audit:(Acq_exec.Probe.hook p_tree) q ~costs
+          plan ~lookup
+      in
+      let tree_calls = List.rev !calls in
+      calls := [];
+      let verdict = Runner.step ~obs:obs_step ~probe:p_step prepared ~lookup in
+      let step_calls = List.rev !calls in
+      if
+        not
+          (verdict = o.Ex.verdict
+          && bits_equal (Runner.cost prepared) o.Ex.cost
+          && Runner.n_acquired prepared = List.length o.Ex.acquired
+          && first_seen step_calls = o.Ex.acquired
+          && step_calls = tree_calls)
+      then ok := false)
+    rows;
+  Runner.flush prepared;
+  let cells p = Array.to_list (Acq_exec.Probe.cost_cells p) in
+  !ok
+  && Acq_exec.Probe.hits p_tree = Acq_exec.Probe.hits p_step
+  && Acq_exec.Probe.misses p_tree = Acq_exec.Probe.misses p_step
+  && List.for_all2 bits_equal (cells p_tree) (cells p_step)
+  && M.to_prometheus m_tree = M.to_prometheus m_step
+
+let step_gen =
+  QCheck2.Gen.(
+    let* i, board, wakeup, read = board_instance_gen in
+    let* boards = bool in
+    let* plan_seed = int_range 0 1_000_000 in
+    return (i, (if boards then Some (board, wakeup, read) else None), plan_seed))
+
+let prop_step_equals_tree =
+  QCheck2.Test.make ~count:80
+    ~name:"epoch step = tree (verdict, cost bits, lookups, probe, series)"
+    ~print:(fun (i, boards, seed) ->
+      Printf.sprintf "%s boards=%b plan_seed=%d" (instance_print i)
+        (boards <> None) seed)
+    step_gen
+    (fun (i, boards, plan_seed) ->
+      let ds, q = build_instance i in
+      let model =
+        Option.map
+          (fun (board, wakeup, read) ->
+            Acq_plan.Cost_model.boards ~board ~wakeup ~read)
+          boards
+      in
+      step_differential ?model ds q ~plan_seed)
+
+(* ------------------------------------------------------------------ *)
 (* Wire format *)
 
 let prop_wire_roundtrip =
@@ -310,6 +422,38 @@ let test_sweep_zero_alloc () =
     true
     (per_cycle < 8_192.0);
   ignore !sink
+
+(* The epoch path allocates nothing per tuple, under a live registry
+   too: the step leaves its outcome in the batch and tallies the
+   executor series until a flush. *)
+let test_step_zero_alloc () =
+  let ds, q =
+    build_instance
+      { seed = 13; n_attrs = 4; domains = [| 4; 3; 5; 2 |];
+        costs = [| 1.0; 5.0; 20.0; 100.0 |]; n_preds = 3 }
+  in
+  let costs = S.costs (DS.schema ds) in
+  let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
+  let prepared = Runner.prepare q ~costs plan in
+  (* Wrapped once: [~obs] at each call would box a [Some] per step. *)
+  let obs = Some (T.create ~metrics:(M.create ()) ()) in
+  let rows = Array.init (DS.nrows ds) (DS.row ds) in
+  let row = ref rows.(0) in
+  let lookup a = !row.(a) in
+  let pass () =
+    for i = 0 to Array.length rows - 1 do
+      row := rows.(i);
+      ignore (Runner.step ?obs prepared ~lookup : bool)
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  Runner.flush prepared;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d steps" words (Array.length rows))
+    true (words < 16.0)
 
 (* ------------------------------------------------------------------ *)
 (* Runner plumbing: the production path against the tree oracle *)
@@ -546,6 +690,7 @@ let () =
           q prop_compiled_equals_tree;
           q prop_compiled_equals_tree_boards;
           q prop_compiled_oracle;
+          q prop_step_equals_tree;
         ] );
       ( "wire format",
         [
@@ -560,8 +705,10 @@ let () =
             test_columns_after_sliding_rotation;
         ] );
       ( "batch",
-        [ Alcotest.test_case "zero per-tuple alloc" `Quick test_sweep_zero_alloc ]
-      );
+        [
+          Alcotest.test_case "zero per-tuple alloc" `Quick test_sweep_zero_alloc;
+          Alcotest.test_case "step allocates nothing" `Quick test_step_zero_alloc;
+        ] );
       ( "plumbing",
         [
           Alcotest.test_case "runner modes agree" `Quick test_runner_modes_agree;

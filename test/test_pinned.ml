@@ -137,6 +137,27 @@ let oneshot () =
   fst
     (Acq_serve.Oneshot.run_to_string ~algorithm:P.Heuristic ~history ~live q)
 
+(* RUN renderings on the daemon's lab source (8,000 rows, history and
+   live halves) whose queries match: a matching epoch charges a result
+   message sized by the attributes it acquired, so these pin the
+   radio energy the per-match charge adds up to. *)
+let run_source =
+  lazy
+    (Acq_serve.Source.history_live
+       { Acq_serve.Source.kind = Acq_serve.Source.Lab; rows = 8_000; seed = 42 })
+
+let run_queries =
+  lazy
+    (let history, _ = Lazy.force run_source in
+     let rng = Rng.create 7 in
+     Array.init 8 (fun _ -> Acq_workload.Query_gen.lab_query rng ~train:history))
+
+let matching_run i =
+  let history, live = Lazy.force run_source in
+  fst
+    (Acq_serve.Oneshot.run_to_string ~algorithm:P.Heuristic ~history ~live
+       (Lazy.force run_queries).(i))
+
 (* ------------------------------------------------------------------ *)
 (* Expected output *)
 
@@ -274,6 +295,56 @@ let expected_oneshot =
    avg acquisition cost/epoch: 101.00\n\
    verdicts correct: true\n"
 
+(* Recorded before the epoch loop deferred its counter writes and
+   stopped listing each epoch's acquired attributes. *)
+let expected_matching_runs =
+  [
+    ( 2,
+      "query: 325.0 <= light <= 775.0 AND 13.9 <= temp <= 20.9 AND 38.8 <= humidity <= 59.4\n\
+   algorithm: Heuristic\n\
+   model: empirical\n\
+   \n\
+   plan: 23 bytes, 2 tests\n\
+   planner search: nodes_solved=2478 memo_hits=0 estimator_calls=940 plan_size=23 wall_ms=0.00\n\
+   epochs: 4000, matches: 87\n\
+   energy: acquisition 527000.0 + radio 466.6 = 527466.6\n\
+   avg acquisition cost/epoch: 131.75\n\
+   verdicts correct: true\n" );
+    ( 4,
+      "query: 25.0 <= light <= 475.0 AND 23.3 <= temp <= 30.3 AND 27.5 <= humidity <= 48.1\n\
+   algorithm: Heuristic\n\
+   model: empirical\n\
+   \n\
+   plan: 32 bytes, 3 tests\n\
+   planner search: nodes_solved=3324 memo_hits=0 estimator_calls=1263 plan_size=32 wall_ms=0.00\n\
+   epochs: 4000, matches: 451\n\
+   energy: acquisition 625981.0 + radio 2649.6 = 628630.6\n\
+   avg acquisition cost/epoch: 156.50\n\
+   verdicts correct: true\n" );
+    ( 5,
+      "query: 250.0 <= light <= 700.0 AND 13.9 <= temp <= 20.9 AND 40.6 <= humidity <= 61.2\n\
+   algorithm: Heuristic\n\
+   model: empirical\n\
+   \n\
+   plan: 23 bytes, 2 tests\n\
+   planner search: nodes_solved=2471 memo_hits=0 estimator_calls=943 plan_size=23 wall_ms=0.00\n\
+   epochs: 4000, matches: 103\n\
+   energy: acquisition 527300.0 + radio 548.2 = 527848.2\n\
+   avg acquisition cost/epoch: 131.82\n\
+   verdicts correct: true\n" );
+    ( 7,
+      "query: 225.0 <= light <= 675.0 AND 22.5 <= temp <= 29.5 AND 33.1 <= humidity <= 53.8\n\
+   algorithm: Heuristic\n\
+   model: empirical\n\
+   \n\
+   plan: 5 bytes, 0 tests\n\
+   planner search: nodes_solved=584 memo_hits=0 estimator_calls=224 plan_size=5 wall_ms=0.00\n\
+   epochs: 4000, matches: 1721\n\
+   energy: acquisition 877100.0 + radio 7331.2 = 884431.2\n\
+   avg acquisition cost/epoch: 219.28\n\
+   verdicts correct: true\n" );
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Checks *)
 
@@ -305,6 +376,11 @@ let test_exhaustive name () =
 let test_oneshot () =
   Alcotest.(check string) "RUN reply" expected_oneshot (oneshot ())
 
+let test_matching_run i () =
+  Alcotest.(check string) "RUN reply"
+    (List.assoc i expected_matching_runs)
+    (matching_run i)
+
 let () =
   Alcotest.run "pinned"
     [
@@ -316,5 +392,12 @@ let () =
         List.map
           (fun (name, _) -> Alcotest.test_case name `Quick (test_exhaustive name))
           expected_exhaustive );
-      ("oneshot", [ Alcotest.test_case "lab RUN reply" `Quick test_oneshot ]);
+      ( "oneshot",
+        Alcotest.test_case "lab RUN reply" `Quick test_oneshot
+        :: List.map
+             (fun (i, _) ->
+               Alcotest.test_case
+                 (Printf.sprintf "matching lab RUN %d" i)
+                 `Quick (test_matching_run i))
+             expected_matching_runs );
     ]

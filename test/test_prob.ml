@@ -90,7 +90,15 @@ let test_view_pattern_counts () =
   Alcotest.(check int) "4 patterns" 4 (Array.length counts);
   Alcotest.(check int) "total is view size" 8 (Acq_util.Array_util.sum_int counts);
   (* Pattern 3 = c=1 and b in {0,1}: rows 1,3,7. *)
-  Alcotest.(check int) "pattern 11" 3 counts.(3)
+  Alcotest.(check int) "pattern 11" 3 counts.(3);
+  (* Codes are per view: another view's are refused, not misread. *)
+  let codes = V.patterns v preds in
+  Alcotest.(check (array int)) "histograms sum to the pattern counts" counts
+    (Array.map Acq_util.Array_util.sum_int (V.pattern_histograms v ~attr:0 codes));
+  let half = V.restrict_range v ~attr:2 (R.make 1 1) in
+  Alcotest.check_raises "codes of another view"
+    (Invalid_argument "View.pattern_histograms: patterns of another view")
+    (fun () -> ignore (V.pattern_histograms half ~attr:0 codes : int array array))
 
 (* Every counting kernel of View, and the empirical backend's count
    tables built on them, against references written here with
@@ -225,7 +233,8 @@ let prop_kernels_match_reference =
           Array.init 16 (fun m ->
               histogram (List.filter (fun r -> pattern r = m) ids) attr)
         in
-        check "pattern_histograms" (V.pattern_histograms v ~attr preds = want)
+        check "pattern_histograms"
+          (V.pattern_histograms v ~attr (V.patterns v preds) = want)
       done;
       (* The empirical backend: the view's own tables, then a deferred
          child per range, whose answers come from its parent's tables. *)

@@ -65,8 +65,17 @@ let test_env_with_nodeid () =
   let env = Env.replay ds in
   Alcotest.(check int) "epochs" 3 (Env.n_epochs env);
   Alcotest.(check int) "mote from nodeid" 2 (Env.mote_of_epoch env 1);
-  Alcotest.(check int) "value" 3 (Env.value env ~epoch:1 ~attr:1);
-  Alcotest.(check (array int)) "tuple" [| 1; 0 |] (Env.tuple env ~epoch:2)
+  let c = Env.cursor env in
+  Env.seek c 1;
+  Alcotest.(check int) "value" 3 (Env.read c 1);
+  Env.seek c 2;
+  let row = Array.make 2 (-1) in
+  Env.blit_row c row;
+  Alcotest.(check (array int)) "tuple" [| 1; 0 |] row;
+  let q = Q.create schema [ Pred.inside ~attr:1 ~lo:0 ~hi:0 ] in
+  Alcotest.(check bool) "satisfies at the cursor" true (Env.satisfies c q);
+  Env.seek c 1;
+  Alcotest.(check bool) "fails elsewhere" false (Env.satisfies c q)
 
 let test_env_without_nodeid () =
   let schema =
@@ -99,17 +108,18 @@ let test_mote_meters_acquisition () =
   Mote.install_plan m (Plan.sequential [ 0 ]) ~bytes:10;
   let rx_after_install = (Mote.energy m).En.radio_rx in
   Alcotest.(check bool) "dissemination charged" true (rx_after_install > 0.0);
-  let r = Mote.run_epoch m q ~costs ~lookup:(fun _ -> 1) in
-  Alcotest.(check bool) "rejected tuple" false r.Mote.verdict;
-  check_float "temp acquired" 100.0 r.Mote.acquisition_cost;
+  let verdict = Mote.run_epoch m q ~costs ~lookup:(fun _ -> 1) in
+  Alcotest.(check bool) "rejected tuple" false verdict;
+  check_float "temp acquired" 100.0 (Mote.last_cost m);
+  Alcotest.(check int) "one attribute acquired" 1 (Mote.last_acquired m);
   check_float "meter matches" 100.0 (Mote.energy m).En.acquisition;
   check_float "no result tx for rejected" 0.0 (Mote.energy m).En.radio_tx
 
 let test_mote_transmits_matches () =
   let q, costs, m = mote_fixture () in
   Mote.install_plan m (Plan.sequential [ 0 ]) ~bytes:10;
-  let r = Mote.run_epoch m q ~costs ~lookup:(fun _ -> 2) in
-  Alcotest.(check bool) "matched" true r.Mote.verdict;
+  let verdict = Mote.run_epoch m q ~costs ~lookup:(fun _ -> 2) in
+  Alcotest.(check bool) "matched" true verdict;
   Alcotest.(check bool) "result transmitted" true
     ((Mote.energy m).En.radio_tx > 0.0)
 
@@ -193,6 +203,121 @@ let test_runtime_match_count () =
       if Q.eval q (DS.row live row) then incr truth);
   Alcotest.(check int) "matches equal ground truth" !truth r.RT.matches
 
+(* Two runs in a row under one live registry: each report, then every
+   series of the dump but the timers, value bits in hex. The epoch loop
+   writes its counters to locals folded once per run, so the second
+   run's fractional series (radio and acquisition energy per mote)
+   only keep these bits if the fold adds each epoch's delta to the
+   value the first run left, in epoch order. Recorded with per-epoch
+   counter writes. *)
+let pinned_two_runs =
+  [
+    "600 107 0x1.2d9p+16 0x1.ecccccccccccep+8 0x1.2f7cccccccccdp+16 0x1.0155555555555p+7 true";
+    "600 466 0x1.a068p+16 0x1.aeccccccccccep+10 0x1.a723333333333p+16 0x1.6355555555555p+7 true";
+    "acqp_runtime_matches_total 0x1.1e8p+9";
+    "acqp_mote_tx_bytes_total{mote=\"0\"} 0x1.78p+7";
+    "acqp_mote_tx_bytes_total{mote=\"1\"} 0x1.98p+7";
+    "acqp_mote_tx_bytes_total{mote=\"2\"} 0x1.b4p+7";
+    "acqp_mote_tx_bytes_total{mote=\"3\"} 0x1.bcp+7";
+    "acqp_mote_tx_bytes_total{mote=\"4\"} 0x1.a4p+7";
+    "acqp_mote_tx_bytes_total{mote=\"5\"} 0x1.9cp+7";
+    "acqp_mote_tx_bytes_total{mote=\"6\"} 0x1.b4p+7";
+    "acqp_mote_tx_bytes_total{mote=\"7\"} 0x1.5cp+7";
+    "acqp_mote_tx_bytes_total{mote=\"8\"} 0x1.f4p+7";
+    "acqp_mote_tx_bytes_total{mote=\"9\"} 0x1.cp+7";
+    "acqp_mote_tx_bytes_total{mote=\"10\"} 0x1.88p+7";
+    "acqp_mote_tx_bytes_total{mote=\"11\"} 0x1.88p+7";
+    "acqp_mote_radio_energy_total{mote=\"0\"} 0x1.b66666666666cp+5";
+    "acqp_mote_radio_energy_total{mote=\"1\"} 0x1.c9999999999ap+6";
+    "acqp_mote_radio_energy_total{mote=\"2\"} 0x1.ee6666666666ep+6";
+    "acqp_mote_radio_energy_total{mote=\"3\"} 0x1.753333333332dp+7";
+    "acqp_mote_radio_energy_total{mote=\"4\"} 0x1.6466666666661p+7";
+    "acqp_mote_radio_energy_total{mote=\"5\"} 0x1.5d3333333332ep+7";
+    "acqp_mote_radio_energy_total{mote=\"6\"} 0x1.72cccccccccc7p+7";
+    "acqp_mote_radio_energy_total{mote=\"7\"} 0x1.919999999999ep+7";
+    "acqp_mote_radio_energy_total{mote=\"8\"} 0x1.1400000000005p+8";
+    "acqp_mote_radio_energy_total{mote=\"9\"} 0x1.f9999999999a2p+7";
+    "acqp_mote_radio_energy_total{mote=\"10\"} 0x1.c33333333333ap+7";
+    "acqp_mote_radio_energy_total{mote=\"11\"} 0x1.b66666666666cp+7";
+    "acqp_mote_acquisition_energy_total{mote=\"0\"} 0x1.dfbp+13";
+    "acqp_mote_acquisition_energy_total{mote=\"1\"} 0x1.e2dp+13";
+    "acqp_mote_acquisition_energy_total{mote=\"2\"} 0x1.d97p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"3\"} 0x1.dc9p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"4\"} 0x1.d33p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"5\"} 0x1.dc9p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"6\"} 0x1.e91p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"7\"} 0x1.d01p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"8\"} 0x1.f27p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"9\"} 0x1.ec3p+13";
+    "acqp_mote_acquisition_energy_total{mote=\"10\"} 0x1.dfbp+13";
+    "acqp_mote_acquisition_energy_total{mote=\"11\"} 0x1.d01p+13";
+    "acqp_runtime_epochs_total 0x1.2cp+10";
+    "acqp_executor_acquisitions_total{attr=\"nodeid\"} 0x0p+0";
+    "acqp_executor_acquisitions_total{attr=\"hour\"} 0x0p+0";
+    "acqp_executor_acquisitions_total{attr=\"voltage\"} 0x1.2cp+9";
+    "acqp_executor_acquisitions_total{attr=\"light\"} 0x0p+0";
+    "acqp_executor_acquisitions_total{attr=\"temp\"} 0x1.2cp+10";
+    "acqp_executor_acquisitions_total{attr=\"humidity\"} 0x1.3cp+9";
+    "acqp_executor_traversal_depth_count 0x1.2cp+10";
+    "acqp_executor_traversal_depth_sum 0x1.2cp+9";
+    "acqp_executor_tuples_total 0x1.2cp+10";
+    "acqp_executor_matches_total 0x1.1e8p+9";
+    "acqp_runtime_plan_bytes 0x1p+2";
+    "acqp_planner_plan_bytes_total{algorithm=\"Heuristic\"} 0x1.8p+4";
+    "acqp_planner_pruned_total{algorithm=\"Heuristic\"} 0x0p+0";
+    "acqp_planner_estimator_calls_total{algorithm=\"Heuristic\"} 0x1.018p+10";
+    "acqp_planner_memo_hits_total{algorithm=\"Heuristic\"} 0x0p+0";
+    "acqp_planner_nodes_solved_total{algorithm=\"Heuristic\"} 0x1.4dp+10";
+    "acqp_planner_plans_total{algorithm=\"Heuristic\"} 0x1p+1";
+  ]
+
+let test_runtime_two_runs_pinned () =
+  let ds = Acq_data.Lab_gen.generate (Rng.create 77) ~rows:1_200 in
+  let history, live = DS.split_by_time ds ~train_fraction:0.5 in
+  let module L = Acq_data.Lab_gen in
+  let schema = DS.schema history in
+  let queries =
+    [
+      Q.create schema
+        [
+          Pred.inside ~attr:L.idx_temp ~lo:5 ~hi:6;
+          Pred.inside ~attr:L.idx_humidity ~lo:12 ~hi:19;
+        ];
+      Q.create schema
+        [
+          Pred.inside ~attr:L.idx_humidity ~lo:10 ~hi:25;
+          Pred.outside ~attr:L.idx_temp ~lo:0 ~hi:3;
+        ];
+    ]
+  in
+  let m = Acq_obs.Metrics.create () in
+  let telemetry = Acq_obs.Telemetry.create ~metrics:m () in
+  let reports =
+    List.map
+      (fun q ->
+        let r =
+          RT.run ~telemetry ~algorithm:Acq_core.Planner.Heuristic ~history
+            ~live q
+        in
+        Printf.sprintf "%d %d %h %h %h %h %b" r.RT.epochs r.RT.matches
+          r.RT.acquisition_energy r.RT.radio_energy r.RT.total_energy
+          r.RT.avg_cost_per_epoch r.RT.correct)
+      queries
+  in
+  let is_timer k =
+    let rec at i =
+      i + 3 <= String.length k && (String.sub k i 3 = "_ms" || at (i + 1))
+    in
+    at 0
+  in
+  let dump =
+    List.filter_map
+      (fun (k, v) -> if is_timer k then None else Some (Printf.sprintf "%s %h" k v))
+      (Acq_obs.Metrics.snapshot m)
+  in
+  Alcotest.(check (list string)) "reports and dump" pinned_two_runs
+    (reports @ dump)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -226,5 +351,7 @@ let () =
           Alcotest.test_case "conditional cheaper" `Quick
             test_runtime_conditional_cheaper;
           Alcotest.test_case "match count" `Quick test_runtime_match_count;
+          Alcotest.test_case "two runs pinned" `Quick
+            test_runtime_two_runs_pinned;
         ] );
     ]
