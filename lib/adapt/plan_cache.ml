@@ -3,8 +3,6 @@ module T = Acq_obs.Telemetry
 
 type entry = {
   result : P.result;
-  planned_for : Acq_plan.Predicate.t array option;
-      (** the query's predicates, in its order, when the caller named it *)
   epoch : int;  (** stats epoch parsed back out of the key *)
   mutable tick : int;  (** last-touched stamp for LRU *)
 }
@@ -52,6 +50,11 @@ let key_epoch key =
       | None -> 0)
   | _ -> 0
 
+let compare_pred (a : Acq_plan.Predicate.t) (b : Acq_plan.Predicate.t) =
+  compare
+    (a.Acq_plan.Predicate.attr, a.lo, a.hi, a.polarity)
+    (b.Acq_plan.Predicate.attr, b.lo, b.hi, b.polarity)
+
 let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf "e%d|" stats_epoch);
@@ -69,12 +72,7 @@ let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
     names;
   Buffer.add_char buf '|';
   let preds = Array.copy (Acq_plan.Query.predicates q) in
-  Array.sort
-    (fun (a : Acq_plan.Predicate.t) (b : Acq_plan.Predicate.t) ->
-      compare
-        (a.Acq_plan.Predicate.attr, a.lo, a.hi, a.polarity)
-        (b.Acq_plan.Predicate.attr, b.lo, b.hi, b.polarity))
-    preds;
+  Array.sort compare_pred preds;
   Array.iter
     (fun (p : Acq_plan.Predicate.t) ->
       Buffer.add_string buf
@@ -102,41 +100,25 @@ let signature ?options ?(stats_epoch = 0) ?window ~algorithm q =
                (List.map string_of_int (List.sort_uniq compare l))));
   Buffer.contents buf
 
-(* Seq leaves index the query's predicates in its own order, while a
-   key names the predicate set. [r], planned for predicates
-   [planned_for], becomes a plan for [q] by renumbering every leaf
-   index to the position of the same predicate in [q] (the k-th copy
-   of a repeated predicate to its k-th copy), so both evaluate the same
-   bands in the same order. [r] itself when the orders agree. *)
-let translate ~planned_for q (r : P.result) =
-  let target = Acq_plan.Query.predicates q in
-  let n = Array.length target in
-  if Array.length planned_for <> n then
-    invalid_arg "Plan_cache.translate: predicate counts differ";
-  if Array.for_all2 Acq_plan.Predicate.equal planned_for target then r
+(* Seq leaves index the query's predicates in its own order, so a plan
+   serves only queries that list them in that order. A query already in
+   the signature's canonical order is keyed by its signature alone; any
+   other order appends, for each predicate in canonical order, its
+   position in the query. *)
+let key ?options ?stats_epoch ?window ~algorithm q =
+  let s = signature ?options ?stats_epoch ?window ~algorithm q in
+  let preds = Acq_plan.Query.predicates q in
+  let n = Array.length preds in
+  let canonical = ref true in
+  for j = 1 to n - 1 do
+    if compare_pred preds.(j - 1) preds.(j) > 0 then canonical := false
+  done;
+  if !canonical then s
   else begin
-    let taken = Array.make n false in
-    let position p =
-      let rec go j =
-        if j = n then invalid_arg "Plan_cache.translate: predicate sets differ"
-        else if (not taken.(j)) && Acq_plan.Predicate.equal target.(j) p then begin
-          taken.(j) <- true;
-          j
-        end
-        else go (j + 1)
-      in
-      go 0
-    in
-    let perm = Array.map position planned_for in
-    let rec renumber = function
-      | Acq_plan.Plan.Leaf (Acq_plan.Plan.Seq order) ->
-          Acq_plan.Plan.Leaf (Acq_plan.Plan.Seq (Array.map (fun i -> perm.(i)) order))
-      | Acq_plan.Plan.Leaf (Acq_plan.Plan.Const _) as leaf -> leaf
-      | Acq_plan.Plan.Test { attr; threshold; low; high } ->
-          Acq_plan.Plan.Test
-            { attr; threshold; low = renumber low; high = renumber high }
-    in
-    { r with P.plan = renumber r.P.plan }
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> compare_pred preds.(i) preds.(j)) order;
+    s ^ "|o"
+    ^ String.concat "," (Array.to_list (Array.map string_of_int order))
   end
 
 let touch t e =
@@ -147,16 +129,13 @@ let set_size_gauge t =
   T.set t.telemetry "acqp_adapt_cache_size"
     (float_of_int (Hashtbl.length t.table))
 
-let find t ?query key =
+let find t key =
   match Hashtbl.find_opt t.table key with
   | Some e ->
       touch t e;
       t.hits <- t.hits + 1;
       T.incr t.telemetry "acqp_adapt_cache_hits_total";
-      Some
-        (match (e.planned_for, query) with
-        | Some planned_for, Some q -> translate ~planned_for q e.result
-        | _ -> e.result)
+      Some e.result
   | None ->
       t.misses <- t.misses + 1;
       T.incr t.telemetry "acqp_adapt_cache_misses_total";
@@ -177,21 +156,20 @@ let evict_lru t =
       t.evictions <- t.evictions + 1;
       T.incr t.telemetry "acqp_adapt_cache_evictions_total"
 
-let add t ?query key result =
+let add t key result =
   (if not (Hashtbl.mem t.table key) then
      if Hashtbl.length t.table >= t.capacity then evict_lru t);
-  let planned_for = Option.map Acq_plan.Query.predicates query in
-  let e = { result; planned_for; epoch = key_epoch key; tick = 0 } in
+  let e = { result; epoch = key_epoch key; tick = 0 } in
   touch t e;
   Hashtbl.replace t.table key e;
   set_size_gauge t
 
-let find_or_plan t ?query key plan =
-  match find t ?query key with
+let find_or_plan t key plan =
+  match find t key with
   | Some r -> r
   | None ->
       let r = plan () in
-      add t ?query key r;
+      add t key r;
       r
 
 let invalidate t ~older_than =

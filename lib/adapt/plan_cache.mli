@@ -2,16 +2,17 @@
     concurrent continuous queries with the same (normalized) shape
     reuse one planner invocation instead of paying the search again.
 
-    Keys are {!signature}s — a canonical rendering of the schema, the
-    predicate {e set} (order-insensitive), the planning algorithm, the
+    Keys are {!key}s: a {!signature} — a canonical rendering of the
+    schema, the predicate {e set}, the planning algorithm, the
     relevant planner options, and the statistics the plan was built
-    from: the history ([stats_epoch] 0), or a sliding window named by
-    its rows ({!Acq_prob.Sliding.Window.key}: stream, generation,
-    length). Equal window keys mean equal rows, so a replanning pass
-    that hits gets exactly the plan it would have planned, and never
-    one built from another window or from stale statistics; every
-    push moves the generation on, and {!invalidate} reclaims the
-    slots of superseded entries.
+    from — plus the WHERE clause's order when it is not canonical.
+    The statistics are the history ([stats_epoch] 0), or a sliding
+    window named by its rows ({!Acq_prob.Sliding.Window.key}: stream,
+    generation, length). Equal window keys mean equal rows, so a
+    replanning pass that hits gets exactly the plan it would have
+    planned, and never one built from another window or from stale
+    statistics; every push moves the generation on, and {!invalidate}
+    reclaims the slots of superseded entries.
 
     Eviction is LRU over both lookups and insertions. The cache keeps
     hit/miss/evict/invalidate counters (mirrored to the telemetry
@@ -41,58 +42,47 @@ val signature :
   algorithm:Acq_core.Planner.algorithm ->
   Acq_plan.Query.t ->
   string
-(** Canonical cache key. Predicates are sorted by
+(** Canonical rendering of a query's shape. Predicates are sorted by
     [(attr, lo, hi, polarity)] before rendering, so two queries whose
     WHERE clauses are permutations of the same predicate set map to
-    the same key (conjunction is commutative, and every planner here
-    is order-insensitive in the predicate {e set}). The schema's
-    names, domains, and costs are folded in so distinct schemas never
-    collide; of [options] only the plan-shaping knobs
-    (splits/points/alpha/candidates/threshold and the probability
-    model's kind) are rendered — budgets and deadlines affect search
-    effort, not which plan is correct to reuse. [stats_epoch]
-    defaults to 0, the history. A plan built from a sliding window
-    passes the window's generation as [stats_epoch] and [(stream,
-    length)] as [window]. *)
+    the same signature (conjunction is commutative); {!key} adds the
+    order back for the cache. The schema's names, domains, and costs
+    are folded in so distinct schemas never collide; of [options]
+    only the plan-shaping knobs (splits/points/alpha/candidates/
+    threshold and the probability model's kind) are rendered —
+    budgets and deadlines affect search effort, not which plan is
+    correct to reuse. [stats_epoch] defaults to 0, the history. A
+    plan built from a sliding window passes the window's generation
+    as [stats_epoch] and [(stream, length)] as [window]. *)
 
-val find :
-  t -> ?query:Acq_plan.Query.t -> string -> Acq_core.Planner.result option
-(** Lookup; bumps recency and the hit/miss counters. With [query], a
-    hit on an entry added with its query is {!translate}d to
-    [query]'s predicate order (the stored result itself when the
-    orders agree); without, the stored result is returned as is. *)
+val key :
+  ?options:Acq_core.Planner.options ->
+  ?stats_epoch:int ->
+  ?window:int * int ->
+  algorithm:Acq_core.Planner.algorithm ->
+  Acq_plan.Query.t ->
+  string
+(** The cache key of a plan for [q]: its {!signature}, plus the order
+    of [q]'s WHERE clause when that is not the signature's canonical
+    order (then, for each predicate in canonical order, its position
+    in [q]). A plan's sequential leaves index the predicates in the
+    order of the query it was planned for, so a query that lists the
+    same predicates in another order misses and is planned for its own
+    order. A query already in canonical order is keyed by its
+    signature alone. *)
 
-val add :
-  t -> ?query:Acq_plan.Query.t -> string -> Acq_core.Planner.result -> unit
+val find : t -> string -> Acq_core.Planner.result option
+(** Lookup; bumps recency and the hit/miss counters. *)
+
+val add : t -> string -> Acq_core.Planner.result -> unit
 (** Insert (or refresh) an entry, evicting the least recently used
-    entry when at capacity. [query] is the query the result was
-    planned for; its predicate order is recorded so {!find} can
-    translate hits from permuted WHERE clauses. *)
+    entry when at capacity. *)
 
 val find_or_plan :
-  t ->
-  ?query:Acq_plan.Query.t ->
-  string ->
-  (unit -> Acq_core.Planner.result) ->
-  Acq_core.Planner.result
-(** [find_or_plan t ?query key plan] returns the cached result or runs
+  t -> string -> (unit -> Acq_core.Planner.result) -> Acq_core.Planner.result
+(** [find_or_plan t key plan] returns the cached result or runs
     [plan], stores, and returns it. When [plan] raises (e.g.
     {!Acq_core.Search.Budget_exceeded}) nothing is stored. *)
-
-val translate :
-  planned_for:Acq_plan.Predicate.t array ->
-  Acq_plan.Query.t ->
-  Acq_core.Planner.result ->
-  Acq_core.Planner.result
-(** [translate ~planned_for q r]: [r], planned for a query whose
-    predicates were [planned_for] in that order, as a result for [q],
-    whose WHERE clause lists the same predicates in its own order.
-    Every sequential leaf's predicate indices are renumbered to [q]'s
-    positions (repeated predicates pair up in order of occurrence),
-    so the plan evaluates the same (attribute, band) sequence on
-    every tuple; [est_cost] and [stats] are kept. Returns [r]
-    physically when the orders agree.
-    @raise Invalid_argument when the predicate multisets differ. *)
 
 val invalidate : t -> older_than:int -> int
 (** Drop every entry whose key's [stats_epoch] field is below

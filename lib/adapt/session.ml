@@ -98,14 +98,14 @@ let plan_once t ~options ~stats_epoch ?window est =
   | None -> (run (), false)
   | Some c -> (
       let key =
-        Plan_cache.signature ~options ~stats_epoch ?window
-          ~algorithm:t.algorithm t.query
+        Plan_cache.key ~options ~stats_epoch ?window ~algorithm:t.algorithm
+          t.query
       in
-      match Plan_cache.find c ~query:t.query key with
+      match Plan_cache.find c key with
       | Some r -> (r, true)
       | None ->
           let r = run () in
-          Plan_cache.add c ~query:t.query key r;
+          Plan_cache.add c key r;
           (r, false))
 
 let create ?(options = P.default_options) ?(telemetry = T.noop) ?cache

@@ -21,11 +21,6 @@ type t = {
   mutable n_acq : int;
   mutable tests : int;
   mutable tid : int;
-  (* What [step] owes the executor series until [flush]. *)
-  owed_acq : int array;  (* per attribute *)
-  owed_depth : int array;  (* per traversal depth *)
-  mutable owed_tuples : int;
-  mutable owed_matches : int;
 }
 
 let create ?model ~costs auto =
@@ -57,10 +52,6 @@ let create ?model ~costs auto =
     n_acq = 0;
     tests = 0;
     tid = 0;
-    owed_acq = Array.make n 0;
-    owed_depth = Array.make (Compile.n_nodes auto + 1) 0;
-    owed_tuples = 0;
-    owed_matches = 0;
   }
 
 let automaton t = t.auto
@@ -116,13 +107,26 @@ let traverse t ~lookup probe =
   (match probe with Some p -> Probe.observe_cost p t.acc.(0) | None -> ());
   !node = Compile.accept
 
-let run ?instr ?probe ?(times = 1) t ~lookup =
-  let verdict = traverse t ~lookup probe in
-  (match instr with
+(* The executor series of one traversal, [times] over: [run] and
+   [step] record the same writes. *)
+let record instr ~times t verdict =
+  match instr with
   | Some i ->
       E.Instr.acquired i ~times t.order t.n_acq;
       E.Instr.tuple i ~times ~verdict ~tests:t.tests
-  | None -> ());
+  | None -> ()
+
+let step ?instr ?probe t ~lookup =
+  let verdict = traverse t ~lookup probe in
+  record instr ~times:1 t verdict;
+  verdict
+
+let cost t = t.acc.(0)
+let n_acquired t = t.n_acq
+
+let run ?instr ?probe ?(times = 1) t ~lookup =
+  let verdict = traverse t ~lookup probe in
+  record instr ~times t verdict;
   {
     E.verdict;
     cost = t.acc.(0);
@@ -131,32 +135,6 @@ let run ?instr ?probe ?(times = 1) t ~lookup =
 
 let run_tuple ?instr ?probe t tuple =
   run ?instr ?probe t ~lookup:(fun at -> tuple.(at))
-
-let step ?probe t ~lookup =
-  let verdict = traverse t ~lookup probe in
-  for k = 0 to t.n_acq - 1 do
-    let at = t.order.(k) in
-    t.owed_acq.(at) <- t.owed_acq.(at) + 1
-  done;
-  t.owed_depth.(t.tests) <- t.owed_depth.(t.tests) + 1;
-  t.owed_tuples <- t.owed_tuples + 1;
-  if verdict then t.owed_matches <- t.owed_matches + 1;
-  verdict
-
-let cost t = t.acc.(0)
-let n_acquired t = t.n_acq
-
-let flush t instr =
-  (match instr with
-  | Some i ->
-      Array.iteri (E.Instr.acquisitions i) t.owed_acq;
-      Array.iteri (E.Instr.depths i) t.owed_depth;
-      E.Instr.tuples i ~n:t.owed_tuples ~matches:t.owed_matches
-  | None -> ());
-  Array.fill t.owed_acq 0 (Array.length t.owed_acq) 0;
-  Array.fill t.owed_depth 0 (Array.length t.owed_depth) 0;
-  t.owed_tuples <- 0;
-  t.owed_matches <- 0
 
 (* Stand-in cost cells for an unprobed sweep: read once, never written. *)
 let no_cells = Array.make 6 0.0

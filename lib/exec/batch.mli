@@ -49,25 +49,23 @@ val run :
     verdict, cost, or acquisition order. @raise Invalid_argument when
     the probe's automaton shape differs. *)
 
-val step : ?probe:Probe.t -> t -> lookup:(int -> int) -> bool
-(** The traversal {!run} wraps, without an outcome: returns the
-    verdict and leaves the cost and the acquisition count in [t]
-    ({!cost}, {!n_acquired}) until the next traversal. The executor
-    series it owes (acquisitions, tuples, matches, depth) are tallied
-    in [t] until {!flush}. Same lookup calls and probe observations
-    as {!run}; without a probe it allocates nothing (given a [lookup]
-    built once). *)
+val step :
+  ?instr:Acq_plan.Executor.Instr.t ->
+  ?probe:Probe.t ->
+  t ->
+  lookup:(int -> int) ->
+  bool
+(** {!run}'s traversal without an outcome: returns the verdict and
+    leaves the cost and the acquisition count in [t] ({!cost},
+    {!n_acquired}) until the next traversal; same lookup calls, probe
+    observations and [instr] writes as {!run}. Without a probe it
+    allocates nothing (given a [lookup] built once). *)
 
 val cost : t -> float
 (** The last traversal's acquisition cost. *)
 
 val n_acquired : t -> int
 (** How many attributes the last traversal acquired. *)
-
-val flush : t -> Acq_plan.Executor.Instr.t option -> unit
-(** Fold the tallies of every {!step} since the last flush into the
-    instruments (their totals equal what per-tuple {!run}s would have
-    recorded) and clear them; [None] only clears. *)
 
 val run_tuple :
   ?instr:Acq_plan.Executor.Instr.t ->

@@ -10,8 +10,6 @@ type prepared = {
       (* instruments resolved under [registry], the last registry this
          plan ran under; resolving is n_attrs + 3 by-name lookups, so
          it happens on the first run under a registry, not per tuple *)
-  mutable owed : E.Instr.t option;
-      (* the instruments the batch's [step] tallies belong to *)
 }
 
 let prepare ?model q ~costs plan =
@@ -21,7 +19,6 @@ let prepare ?model q ~costs plan =
     batch = Batch.create ?model ~costs (Compile.compile q plan);
     registry = None;
     instr = None;
-    owed = None;
   }
 
 let plan p = p.plan
@@ -44,16 +41,8 @@ let instr p obs =
 let run ?(obs = T.noop) ?probe ?times p ~lookup =
   Batch.run ?instr:(instr p obs) ?probe ?times p.batch ~lookup
 
-let flush p = Batch.flush p.batch p.owed
-
 let step ?(obs = T.noop) ?probe p ~lookup =
-  let i = instr p obs in
-  (* Tallies owed to another registry's instruments go there first. *)
-  if i != p.owed then begin
-    flush p;
-    p.owed <- i
-  end;
-  Batch.step ?probe p.batch ~lookup
+  Batch.step ?instr:(instr p obs) ?probe p.batch ~lookup
 
 let cost p = Batch.cost p.batch
 let n_acquired p = Batch.n_acquired p.batch

@@ -47,23 +47,16 @@ val step :
   lookup:(int -> int) ->
   bool
 (** {!run} without an outcome, through {!Batch.step}: the verdict, with
-    the cost and acquisition count left for {!cost} and {!n_acquired}.
-    Instruments resolve (and so register) exactly when {!run}'s would,
-    but the executor series are written only at {!flush}; a step under
-    another registry than the steps before it flushes those first.
-    Without a probe it allocates nothing per call; pass [?obs] an
-    option built once, since [~obs] boxes a [Some] at every call. *)
+    the cost and acquisition count left for {!cost} and {!n_acquired},
+    and the same instruments and executor series as {!run}. Without a
+    probe it allocates nothing per call; pass [?obs] an option built
+    once, since [~obs] boxes a [Some] at every call. *)
 
 val cost : prepared -> float
 (** The last {!step}'s acquisition cost. *)
 
 val n_acquired : prepared -> int
 (** How many attributes the last {!step} acquired. *)
-
-val flush : prepared -> unit
-(** Write the executor series every {!step} since the last flush owes
-    into the registry those steps ran under. Totals equal per-step
-    writes: every tallied series is integer-valued. *)
 
 val run_tuple :
   ?obs:Acq_obs.Telemetry.t ->

@@ -60,9 +60,6 @@ module Instr = struct
     M.add t.matches_c (float_of_int matches)
 
   let depth t tests = M.observe_int t.depth_hist tests
-
-  let depths t tests n =
-    if n > 0 then M.observe_int_times t.depth_hist tests n
 end
 
 (* Neutral audit tap: the calibration layer (Acq_audit) lives above

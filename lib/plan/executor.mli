@@ -60,10 +60,6 @@ module Instr : sig
 
   val depth : t -> int -> unit
   (** Observe one tuple's plan-tests-traversed depth. *)
-
-  val depths : t -> int -> int -> unit
-  (** [depths i d n]: [n] tuples of depth [d] at once (nothing when
-      [n = 0]) — the fold of deferred per-tuple observations. *)
 end
 
 (** Neutral audit tap for the calibration layer ({!Acq_audit}, which

@@ -87,7 +87,9 @@ end
    once, and every attribute's table counts from those patterns. A
    table built after its state has been asked about predicates is
    built with them, so only the first attribute whose children ask
-   builds a table twice.
+   builds a table twice. When the state's whole asked set is too wide
+   for an attribute's table, that table grows by only the predicates
+   asked about it, counted from patterns it does not publish.
 
    One backend may be read from several domains at once. Every cache is an [Atomic.t] slot that
    receives immutable values computed in full before they are
@@ -178,12 +180,14 @@ let codes st bits =
       Atomic.set st.coded (Some c);
       c.codes
 
-let build_table st attr preds =
+(* The table for [attr] over [preds], counted from [codes preds]: the
+   state's rows' patterns under them. *)
+let build_table st attr preds ~codes =
   let view = view st in
   let k = domain (View.dataset view) attr in
   let counts =
     if Array.length preds = 0 then [| View.histogram view ~attr |]
-    else View.pattern_histograms view ~attr (codes st preds)
+    else View.pattern_histograms view ~attr (codes preds)
   in
   let by_pattern = Array.map Histogram.of_counts counts in
   let marginal =
@@ -212,18 +216,24 @@ let table st attr =
   | None ->
       let bits = asked st in
       let bits = if fits_view st attr (Array.length bits) then bits else [||] in
-      publish st (build_table st attr bits)
+      publish st (build_table st attr bits ~codes:(codes st))
 
-(* A table for [attr] whose patterns cover [preds]: the current one,
-   or a rebuild over everything the state has been asked about plus
-   [preds]. [None] when that table is too wide. *)
+(* A table for [attr] whose patterns cover [preds]: the current one, or
+   a rebuild over everything the state has been asked about plus
+   [preds]. When that is too wide, a rebuild over the current table's
+   predicates plus [preds], whose patterns are not published as the
+   state's (they would narrow what other attributes' tables are built
+   with). [None] when that is too wide as well. *)
 let covering st attr preds =
   let t = table st attr in
-  if union t.preds preds == t.preds then Some t
+  let own = union t.preds preds in
+  if own == t.preds then Some t
   else
     let grown = union (asked st) preds in
     if fits_view st attr (Array.length grown) then
-      Some (publish st (build_table st attr grown))
+      Some (publish st (build_table st attr grown ~codes:(codes st)))
+    else if fits_view st attr (Array.length own) then
+      Some (publish st (build_table st attr own ~codes:(View.patterns (view st))))
     else None
 
 (* Pattern probabilities of the rows of [t] whose attribute lies in

@@ -32,12 +32,9 @@ let hops t = t.hops
 
 let energy t = t.energy
 
-let flush t = Option.iter Acq_exec.Runner.flush t.prepared
-
 let install_plan t plan ~bytes =
   Energy.charge_rx t.energy ~bytes:(bytes + t.radio.Radio.header_bytes)
     ~per_byte:t.radio.Radio.per_byte;
-  flush t;
   t.plan <- Some plan;
   t.prepared <- None
 

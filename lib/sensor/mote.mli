@@ -40,10 +40,10 @@ val run_epoch :
     verdict; the epoch's cost and acquired count stay readable through
     {!last_cost} and {!last_acquired}. The only allocation per epoch
     is the boxed cost read back from the executor (two words).
-    [obs] names the registry of the per-attribute executor counters,
-    which are written at {!flush}; [probe] is the basestation's
-    calibration probe (audit pipeline) — it observes node outcomes
-    without changing them.
+    [obs] names the registry of the executor series
+    (per-attribute acquisitions, tuples, matches, depth), written per
+    epoch; [probe] is the basestation's calibration probe (audit
+    pipeline) — it observes node outcomes without changing them.
     @raise Failure if no plan is installed. *)
 
 val last_cost : t -> float
@@ -53,8 +53,3 @@ val last_cost : t -> float
 val last_acquired : t -> int
 (** Attributes the last epoch acquired: a matching tuple's result
     message carries that many. *)
-
-val flush : t -> unit
-(** Write the executor counters the epochs since the last flush owe
-    (see {!Acq_exec.Runner.flush}). {!install_plan} flushes the plan it
-    replaces. *)

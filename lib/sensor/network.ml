@@ -25,8 +25,6 @@ let disseminate t plan =
   Array.iter (fun m -> Mote.install_plan m plan ~bytes) t.motes;
   bytes
 
-let flush t = Array.iter Mote.flush t.motes
-
 let total_energy t =
   Array.fold_left
     (fun acc m -> Energy.merge acc (Mote.energy m))

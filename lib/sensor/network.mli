@@ -16,10 +16,6 @@ val disseminate : t -> Acq_plan.Plan.t -> int
 (** Install the plan on every mote; returns the encoded plan size in
     bytes (ζ(P)). Dissemination energy lands on each mote's meter. *)
 
-val flush : t -> unit
-(** {!Mote.flush} every mote: write the executor counters their epochs
-    owe. *)
-
 val total_energy : t -> Energy.t
 (** Sum of all mote meters. *)
 

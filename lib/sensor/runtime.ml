@@ -89,12 +89,12 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
   let lookup attr = Environment.read cursor attr in
   (* Wrapped once: passing [~obs] per epoch would box a [Some] each. *)
   let obs = Some telemetry in
-  (* Per-epoch counter writes go to locals, folded into their series
-     when the loop ends. Each series registers at the epoch whose write
-     would first have touched it, so registration order, and with it
-     every dump, is unchanged; a fractional series folds from its
-     value at registration, adding in epoch order, so its bits match
-     per-epoch adds after any number of runs. *)
+  (* The runtime's per-epoch counter writes go to locals, folded into
+     their series when the loop ends. Each series registers at the
+     epoch whose write would first have touched it, so registration
+     order, and with it every dump, is unchanged; a fractional series
+     folds from its value at registration, adding in epoch order, so
+     its bits match per-epoch adds after any number of runs. *)
   let epochs_c = ref None and matches_c = ref None in
   let mote_c = Array.make n_motes None in
   let acq_sum = Array.make n_motes 0.0 and radio_sum = Array.make n_motes 0.0 in
@@ -119,8 +119,7 @@ let run ?options ?radio ?n_motes ?(telemetry = T.noop) ?audit
             M.advance radio radio_sum.(id);
             M.add_int tx tx_sum.(id))
           c)
-      mote_c;
-    Network.flush net
+      mote_c
   in
   let epoch_loop () =
     for epoch = 0 to n_epochs - 1 do
@@ -286,8 +285,7 @@ let run_adaptive ?options ?radio ?n_motes ?(telemetry = T.noop)
       ignore
         (Acq_adapt.Session.step session ~cost:(Mote.last_cost mote) row
           : Acq_adapt.Session.switch option)
-    done;
-    Network.flush net
+    done
   in
   T.span telemetry ~cat:"runtime"
     ~attrs:[ ("epochs", string_of_int (Environment.n_epochs env)) ]

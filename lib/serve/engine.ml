@@ -15,11 +15,9 @@ type tenant = {
   mutable live_subs : int;
   mutable requests : int;
   mutable rejected : int;
-  races :
-    (string, Acq_plan.Predicate.t array * (P.algorithm * P.result)) Hashtbl.t;
-      (** memoized portfolio winners, keyed by query signature — a
-          thousand identical SUBSCRIBEs race the portfolio once — each
-          with the predicate order it was planned for *)
+  races : (string, P.algorithm * P.result) Hashtbl.t;
+      (** memoized portfolio winners, keyed by plan-cache key — a
+          thousand identical SUBSCRIBEs race the portfolio once *)
   events_c : Acq_obs.Metrics.counter Lazy.t;
       (** [acqpd_events_total{tenant}], resolved at the tenant's first
           event, where a by-name increment would first register it *)
@@ -229,8 +227,8 @@ let algorithms_of (o : Protocol.opts) =
 
 let race_key options algorithms query =
   String.concat "|"
-    (Plan_cache.signature ~options ~stats_epoch:0
-       ~algorithm:(List.hd algorithms) query
+    (Plan_cache.key ~options ~stats_epoch:0 ~algorithm:(List.hd algorithms)
+       query
     :: List.map P.algorithm_name algorithms)
 
 (* Race the portfolio once per distinct (query, options, arms) shape;
@@ -239,18 +237,13 @@ let race_key options algorithms query =
 let race_memo t (tn : tenant) options query algorithms =
   let key = race_key options algorithms query in
   match Hashtbl.find_opt tn.races key with
-  | Some (planned_for, ((algo, r) as winner)) ->
-      (* The key names the predicate set: renumber the winner's leaves
-         to this query's predicate order. *)
-      let r' = Plan_cache.translate ~planned_for query r in
-      Ok (if r' == r then winner else (algo, r'))
+  | Some winner -> Ok winner
   | None -> (
       let outcome = race t tn options query algorithms in
       match outcome.Pf.winner with
       | None -> Error ()
       | Some winner ->
-          Hashtbl.replace tn.races key
-            (Acq_plan.Query.predicates query, winner);
+          Hashtbl.replace tn.races key winner;
           Ok winner)
 
 let plan t ~tenant:name (opts : Protocol.opts) sql =
@@ -339,9 +332,9 @@ let subscribe t ~tenant:name ~owner (opts : Protocol.opts) sql =
                 err 429 "no planner arm finished within the granted budget"
             | Ok (algorithm, r) ->
                 let key =
-                  Plan_cache.signature ~options ~stats_epoch:0 ~algorithm query
+                  Plan_cache.key ~options ~stats_epoch:0 ~algorithm query
                 in
-                Plan_cache.add tn.cache ~query key r;
+                Plan_cache.add tn.cache key r;
                 let session =
                   Session.create ~options ~telemetry:t.telemetry
                     ~cache:tn.cache ~algorithm

@@ -103,69 +103,45 @@ let test_cache_signature_normalizes () =
     (C.signature ~stats_epoch:1 ~algorithm:P.Heuristic q
     = C.signature ~stats_epoch:2 ~algorithm:P.Heuristic q)
 
-(* The (attr, band) a plan evaluates at each step on [row], in order:
-   a test node's threshold, or a sequential leaf's predicate. *)
-let bands q plan row =
-  let rec go acc = function
-    | Plan.Leaf (Plan.Const _) -> acc
-    | Plan.Leaf (Plan.Seq order) ->
-        let rec seq acc i =
-          if i = Array.length order then acc
-          else
-            let p = Q.predicate q order.(i) in
-            let acc = (p.Pred.attr, p.lo, p.hi, p.polarity) :: acc in
-            if Pred.eval_tuple p row then seq acc (i + 1) else acc
-        in
-        seq acc 0
-    | Plan.Test { attr; threshold; low; high } ->
-        go
-          ((attr, threshold, max_int, Pred.Inside) :: acc)
-          (if row.(attr) >= threshold then high else low)
-  in
-  List.rev (go [] plan)
-
-(* A query whose WHERE clause rotates a cached one's predicates hits
-   the same key; the hit must be renumbered to its own order, so it
-   evaluates the same bands, costs the same, and stays correct. *)
-let test_cache_permuted_hit () =
+(* A query whose WHERE clause rotates a cached one's predicates has the
+   same signature but another key: its session misses the cache and
+   plans for its own order, so it stays correct. (A hit would hand it
+   a plan whose sequential leaves index the original's order.) *)
+let test_cache_permuted_query () =
   let ds = Acq_data.Lab_gen.generate (Rng.create 77) ~rows:4_000 in
   let history, live = DS.split_by_time ds ~train_fraction:0.5 in
   let costs = S.costs (DS.schema history) in
   let rows = Array.init (DS.nrows live) (DS.row live) in
-  let renumbered = ref 0 in
   for seed = 300 to 340 do
     let q = Acq_workload.Query_gen.lab_query (Rng.create seed) ~train:history in
     let preds = Array.to_list (Q.predicates q) in
     let rotated = Q.create (Q.schema q) (List.tl preds @ [ List.hd preds ]) in
-    let key = C.signature ~algorithm:P.Heuristic q in
-    Alcotest.(check string) "one key" key
-      (C.signature ~algorithm:P.Heuristic rotated);
-    let cache = C.create ~capacity:2 () in
-    let r = P.plan P.Heuristic q ~train:history in
-    C.add cache ~query:q key r;
-    let find query =
-      match C.find cache ~query key with
-      | Some hit -> hit
-      | None -> Alcotest.fail "expected a hit"
+    let sig_ q = C.signature ~algorithm:P.Heuristic q in
+    let key q = C.key ~algorithm:P.Heuristic q in
+    Alcotest.(check string) "one signature" (sig_ q) (sig_ rotated);
+    Alcotest.(check string) "canonical order: key = signature" (sig_ q) (key q);
+    Alcotest.(check bool) "rotation keyed apart" true (key q <> key rotated);
+    let cache = C.create ~capacity:4 () in
+    let session q =
+      Sess.create ~algorithm:P.Heuristic ~cache ~window:40 ~history q
     in
-    Alcotest.(check bool) "same order: the stored result" true (find q == r);
-    let hit = find rotated in
-    if not (Plan.equal hit.P.plan r.P.plan) then incr renumbered;
-    Alcotest.(check bool) "est_cost kept" true
-      (Float.equal hit.P.est_cost r.P.est_cost);
+    let original = session q in
+    let s = session rotated in
+    ignore (session q : Sess.t);
+    Alcotest.(check (pair int int)) "hits, misses" (1, 2)
+      ((C.stats cache).C.hits, (C.stats cache).C.misses);
+    let plan = Sess.plan s in
+    Alcotest.(check bool) "the rotation's own plan" true
+      (Plan.equal plan (P.plan P.Heuristic rotated ~train:history).P.plan);
+    Alcotest.(check bool) "same estimated cost" true
+      (Float.equal (Sess.expected_cost original) (Sess.expected_cost s));
     Array.iter
       (fun row ->
-        if bands rotated hit.P.plan row <> bands q r.P.plan row then
-          Alcotest.fail "rotated query evaluates other bands";
-        let o = Acq_plan.Executor.run_tuple rotated ~costs hit.P.plan row in
+        let o = Acq_plan.Executor.run_tuple rotated ~costs plan row in
         Alcotest.(check bool) "verdict" (Q.eval rotated row)
           o.Acq_plan.Executor.verdict)
-      rows;
-    Alcotest.(check (float 0.0)) "executed mean cost"
-      (Acq_plan.Executor.average_cost q ~costs r.P.plan live)
-      (Acq_plan.Executor.average_cost rotated ~costs hit.P.plan live)
-  done;
-  Alcotest.(check bool) "some hits were renumbered" true (!renumbered > 0)
+      rows
+  done
 
 let test_cache_lru_eviction () =
   let r = plan_result () in
@@ -770,9 +746,8 @@ let test_supervisor_matches_in_order () =
    ring, plan groups, a plan cache shared under window keys) against
    every session served alone on a private window without a cache:
    random shapes, windows, and join and leave ticks. The shapes are
-   distinct predicate sets: plans are shared across permutations of
-   one set by the cache's order-insensitive signature, independently
-   of windows and groups. *)
+   distinct predicate sets: the cache keys permutations of one set
+   apart (Plan_cache.key), independently of windows and groups. *)
 type member = { shape : int; window : int; join : int; leave : int }
 
 let sharing_queries schema =
@@ -1038,8 +1013,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_cache_validation;
           Alcotest.test_case "signature normalizes" `Quick
             test_cache_signature_normalizes;
-          Alcotest.test_case "permuted hit renumbered" `Quick
-            test_cache_permuted_hit;
+          Alcotest.test_case "permuted query keyed apart" `Quick
+            test_cache_permuted_query;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "find_or_plan" `Quick test_cache_find_or_plan;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;

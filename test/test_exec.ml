@@ -205,8 +205,8 @@ let first_seen calls =
 (* Per tuple: the verdict, the cost bits, the acquisition count and
    order, and the whole lookup call sequence of a step equal the tree
    executor's; a probe fed by the steps ends bit-identical to one fed
-   by the tree's audit hook; and the executor series the steps flush
-   equal the ones the tree records per tuple. *)
+   by the tree's audit hook; and the executor series the steps write
+   equal the ones the tree records. *)
 let step_differential ?model ds q ~plan_seed =
   let costs = S.costs (DS.schema ds) in
   let domains = S.domains (DS.schema ds) in
@@ -249,7 +249,6 @@ let step_differential ?model ds q ~plan_seed =
           && step_calls = tree_calls)
       then ok := false)
     rows;
-  Runner.flush prepared;
   let cells p = Array.to_list (Acq_exec.Probe.cost_cells p) in
   !ok
   && Acq_exec.Probe.hits p_tree = Acq_exec.Probe.hits p_step
@@ -424,8 +423,8 @@ let test_sweep_zero_alloc () =
   ignore !sink
 
 (* The epoch path allocates nothing per tuple, under a live registry
-   too: the step leaves its outcome in the batch and tallies the
-   executor series until a flush. *)
+   too: the step leaves its outcome in the batch and writes the
+   executor series through resolved instruments. *)
 let test_step_zero_alloc () =
   let ds, q =
     build_instance
@@ -450,7 +449,6 @@ let test_step_zero_alloc () =
   let before = Gc.minor_words () in
   pass ();
   let words = Gc.minor_words () -. before in
-  Runner.flush prepared;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words over %d steps" words (Array.length rows))
     true (words < 16.0)
